@@ -42,10 +42,16 @@ type fusedBolt struct {
 	// which holds the caller's output batch during the call.
 	chain     []core.ColChain
 	chainTail core.ColChain
+	// stateless is set when no stage carries state: the checkpoint is
+	// then the empty snapshot, taken without encoding anything.
+	stateless bool
 }
 
 func newFusedBolt(insts []core.Instance, counts []*atomic.Int64) storm.Bolt {
-	f := &fusedBolt{insts: insts, counts: counts}
+	f := &fusedBolt{insts: insts, counts: counts, stateless: true}
+	for _, in := range insts {
+		f.stateless = f.stateless && core.IsStateless(in)
+	}
 	f.initCols()
 	f.feeds = make([]func(stream.Event), len(insts))
 	last := len(insts) - 1
@@ -181,8 +187,12 @@ func (f *fusedBolt) ProcessCols(in, out stream.Columns) {
 }
 
 // Snapshot implements storm.Recoverable: the fused bolt's checkpoint
-// is the sequence of its stages' snapshots.
+// is the sequence of its stages' snapshots, or the empty snapshot when
+// every stage is stateless.
 func (f *fusedBolt) Snapshot() ([]byte, error) {
+	if f.stateless {
+		return nil, nil
+	}
 	parts := make([][]byte, len(f.insts))
 	for i, in := range f.insts {
 		b, err := core.SnapshotInstance(in)
@@ -198,8 +208,13 @@ func (f *fusedBolt) Snapshot() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Restore implements storm.Recoverable.
+// Restore implements storm.Recoverable. The empty snapshot restores
+// nothing (all-stateless chains checkpoint to it; so does a rescaled
+// shard that held no state).
 func (f *fusedBolt) Restore(data []byte) error {
+	if len(data) == 0 {
+		return nil
+	}
 	var parts [][]byte
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&parts); err != nil {
 		return err

@@ -35,6 +35,19 @@ func (in *statelessInstance[K, V, L, W]) Snapshot(enc *gob.Encoder) error { retu
 // Restore implements Snapshotter.
 func (in *statelessInstance[K, V, L, W]) Restore(dec *gob.Decoder) error { return nil }
 
+// stateless marks the instance for IsStateless.
+func (in *statelessInstance[K, V, L, W]) stateless() {}
+
+// IsStateless reports whether an instance carries no state between
+// events, so its snapshot is always empty. SnapshotInstance returns
+// the empty snapshot for such instances without building an encoder —
+// an executor checkpoints at every marker cut, and most bolts of a
+// pipeline are stateless.
+func IsStateless(inst Instance) bool {
+	_, ok := inst.(interface{ stateless() })
+	return ok
+}
+
 // --- KeyedOrdered ------------------------------------------------------------
 
 // koSnap is the serialized form of a keyed-ordered instance.
@@ -203,7 +216,7 @@ func CanSnapshot(inst Instance) bool {
 // bytes for instances that do not support checkpointing.
 func SnapshotInstance(inst Instance) ([]byte, error) {
 	s, ok := inst.(Snapshotter)
-	if !ok {
+	if !ok || IsStateless(inst) {
 		return nil, nil
 	}
 	var buf bytes.Buffer

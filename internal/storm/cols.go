@@ -17,7 +17,7 @@ import (
 // boxed event or one column batch.
 //
 // Markers never enter a column batch. The emitter's push seals the
-// open column buffer before appending any boxed message (sealCols in
+// open column buffer before appending any boxed message (append in
 // transport.go), so on every channel a marker still follows all the
 // rows emitted before it — the FIFO discipline the MRG alignment and
 // the marker-cut protocols rely on. Because flushAll also drains and
@@ -135,35 +135,77 @@ func (d *BoltDecl) ColCombineWith(spec ColCombinerSpec) *BoltDecl {
 // Emitter-side columnar routing.
 // ---------------------------------------------------------------------------
 
-// emitCols routes one batch of emitted rows to every subscription,
-// taking ownership of the batch (it is released before returning). A
-// subscription whose edge is columnar with a matching kind receives
-// rows by typed row append (or typed combiner fold) — no boxing; any
-// other subscription receives the rows boxed one by one through the
-// ordinary route/wire/push path. The serialization round-trip
-// (SetSerializer) has no typed form, so its presence forces the boxed
-// fallback; the networked transport serializes whole column batches at
-// the link layer instead (net.go).
-func (em *emitter) emitCols(cols stream.Columns) {
-	n := cols.Len()
-	if n == 0 {
-		cols.Release()
-		return
+// How the rows of one typed emission travel one subscription.
+const (
+	rowsBoxed  = iota // as boxed events, through route/wire/push
+	rowsFolded        // folded into the edge's typed combining buffers
+	rowsTyped         // appended to the edge's column buffers
+)
+
+// rowMode classifies a subscription for rows of the given kind. The
+// serialization round-trip (SetSerializer) has no typed form, so its
+// presence forces the boxed fallback, as does a kind mismatch or a
+// boxed edge; the networked transport serializes whole column batches
+// at the link layer instead (net.go).
+func (em *emitter) rowMode(sub *subscription, kind *stream.ColKind) int {
+	switch {
+	case em.ser != nil:
+		return rowsBoxed
+	case sub.colComb != nil && sub.colComb.InKind == kind:
+		return rowsFolded
+	case sub.cols == kind:
+		return rowsTyped
 	}
-	em.stats.AddEmitted(int64(n))
-	kind := cols.Kind()
+	return rowsBoxed
+}
+
+// stageCols is the staging half of one typed emission (block[i], see
+// emitter.send): for every typed subscription it fires the per-row
+// fault hooks the rows owe, for a boxed one it routes the rows into
+// out, and it records the batch itself as a routedMsg with a nil sub.
+// Nothing reaches a transport buffer here.
+func (em *emitter) stageCols(cols stream.Columns, i int, out []routedMsg) []routedMsg {
+	n, kind := cols.Len(), cols.Kind()
 	for si := range em.rc.subs {
 		sub := &em.rc.subs[si]
-		base := em.bufBase[si]
-		nd := len(sub.to.inboxes)
-		switch {
-		case sub.colComb != nil && sub.colComb.InKind == kind && em.ser == nil:
-			// Typed combining: fold each row into its destination's
-			// buffer. The grouping is Fields (validated), so the
-			// destination comes from the row's key hash.
-			for i := 0; i < n; i++ {
+		mode := em.rowMode(sub, kind)
+		if mode == rowsBoxed {
+			for r := 0; r < n; r++ {
+				out = em.routeTo(si, cols.EventAt(r), out)
+			}
+			continue
+		}
+		if em.faults != nil && em.faults.corrupt != nil {
+			sends := n
+			if mode == rowsTyped && sub.grouping == Broadcast {
+				sends *= len(sub.to.inboxes)
+			}
+			for ; sends > 0; sends-- {
 				em.faults.onSend(em.rc.name, em.instance, sub.to.name)
-				b := &em.bufs[base+cols.HashAt(i)%nd]
+			}
+		}
+	}
+	return append(out, routedMsg{si: i})
+}
+
+// pushCols is the delivery half of a typed emission: it moves the
+// batch's rows into every typed subscription's buffers — by typed
+// combiner fold or typed row append, no boxing — and releases the
+// batch. It cannot panic (combiner folds are pure by the template
+// contract).
+func (em *emitter) pushCols(cols stream.Columns) {
+	n, kind := cols.Len(), cols.Kind()
+	em.stats.AddEmitted(int64(n))
+	for si := range em.rc.subs {
+		sub := &em.rc.subs[si]
+		bufs := em.bufs[em.bufBase[si]:][:len(sub.to.inboxes)]
+		switch mode := em.rowMode(sub, kind); {
+		case mode == rowsBoxed:
+		case mode == rowsFolded:
+			// The grouping is Fields (validated), so the destination
+			// comes from the row's key hash.
+			for i := 0; i < n; i++ {
+				b := &bufs[cols.HashAt(i)%len(bufs)]
 				c := b.colComb
 				before := c.Len()
 				if !c.Fold(cols, i) {
@@ -174,73 +216,29 @@ func (em *emitter) emitCols(cols stream.Columns) {
 					em.drainColComb(b)
 				}
 			}
-		case sub.cols == kind && em.ser == nil:
-			switch sub.grouping {
-			case Shuffle:
-				k := em.rrNext[si]
-				for i := 0; i < n; i++ {
-					em.faults.onSend(em.rc.name, em.instance, sub.to.name)
-					em.appendCol(&em.bufs[base+k], cols, i)
-					k = (k + 1) % nd
-				}
-				em.rrNext[si] = k
-			case Fields:
-				for i := 0; i < n; i++ {
-					em.faults.onSend(em.rc.name, em.instance, sub.to.name)
-					em.appendCol(&em.bufs[base+cols.HashAt(i)%nd], cols, i)
-				}
-			case Global:
-				b := &em.bufs[base]
-				for i := 0; i < n; i++ {
-					em.faults.onSend(em.rc.name, em.instance, sub.to.name)
-					em.appendCol(b, cols, i)
-				}
-			case Broadcast:
-				for k := 0; k < nd; k++ {
-					b := &em.bufs[base+k]
-					for i := 0; i < n; i++ {
-						em.faults.onSend(em.rc.name, em.instance, sub.to.name)
-						em.appendCol(b, cols, i)
-					}
-				}
-			}
-		default:
-			// Boxed fallback for this subscription only: kind mismatch,
-			// boxed edge, or a serializer that needs boxed events.
+		case sub.grouping == Shuffle:
+			k := em.rrNext[si]
 			for i := 0; i < n; i++ {
-				em.emitRowTo(si, sub, cols.EventAt(i))
+				em.appendCol(&bufs[k], cols, i)
+				k = (k + 1) % len(bufs)
+			}
+			em.rrNext[si] = k
+		case sub.grouping == Fields:
+			for i := 0; i < n; i++ {
+				em.appendCol(&bufs[cols.HashAt(i)%len(bufs)], cols, i)
+			}
+		default: // Global: instance 0; Broadcast: every instance
+			if sub.grouping == Global {
+				bufs = bufs[:1]
+			}
+			for k := range bufs {
+				for i := 0; i < n; i++ {
+					em.appendCol(&bufs[k], cols, i)
+				}
 			}
 		}
 	}
 	cols.Release()
-}
-
-// emitRowTo delivers one row of a columnar emission to one
-// subscription through the boxed route/wire/push path. AddEmitted was
-// already counted for the whole batch by emitCols.
-func (em *emitter) emitRowTo(si int, sub *subscription, e stream.Event) {
-	ch := sub.chBase + em.instance
-	switch sub.grouping {
-	case Shuffle:
-		k := em.rrNext[si]
-		em.rrNext[si] = (k + 1) % len(sub.to.inboxes)
-		em.pushRouted(sub, si, k, ch, e)
-	case Fields:
-		em.pushRouted(sub, si, em.hash(e.Key)%len(sub.to.inboxes), ch, e)
-	case Global:
-		em.pushRouted(sub, si, 0, ch, e)
-	case Broadcast:
-		for k := range sub.to.inboxes {
-			em.pushRouted(sub, si, k, ch, e)
-		}
-	}
-}
-
-// pushRouted wires and pushes one already-resolved routed message.
-func (em *emitter) pushRouted(sub *subscription, si, target, ch int, e stream.Event) {
-	r := routedMsg{sub: sub, si: si, target: target, ch: ch, e: e}
-	em.wire(&r)
-	em.push(&r)
 }
 
 // appendCol appends one row of src to a destination's column buffer,
@@ -267,10 +265,7 @@ func (em *emitter) appendCol(b *outBuf, src stream.Columns, i int) {
 // receiver (or the net sink, after serializing) releases it.
 func (em *emitter) sealCols(b *outBuf) {
 	cb := b.colBuf
-	if cb == nil {
-		return
-	}
-	if cb.Len() == 0 {
+	if cb == nil || cb.Len() == 0 {
 		return
 	}
 	b.colBuf = nil
@@ -280,7 +275,7 @@ func (em *emitter) sealCols(b *outBuf) {
 
 // colCombine folds one boxed event into a columnar combining buffer
 // (the marker-free fallback rows of a columnar combined edge), with
-// the same cap discipline as the typed fold in emitCols.
+// the same cap discipline as the typed fold in pushCols.
 func (em *emitter) colCombine(b *outBuf, e stream.Event) {
 	c := b.colComb
 	before := c.Len()
@@ -317,52 +312,67 @@ func (em *emitter) drainColComb(b *outBuf) {
 }
 
 // ---------------------------------------------------------------------------
-// Receiver-side columnar MRG alignment.
+// Receiver-side MRG alignment.
 // ---------------------------------------------------------------------------
 
-// colEntry is one buffered unit of a colMerge channel: a boxed event
-// or a column batch.
-type colEntry struct {
+// entry is one unit of executor traffic at rest: a boxed event (item or
+// marker) or a column batch. Merger channels, replay lists and the
+// per-block output buffer all hold entries.
+type entry struct {
 	ev   stream.Event
 	cols stream.Columns
 }
 
+// rows is the number of events the entry stands for.
+func (e entry) rows() int {
+	if e.cols != nil {
+		return e.cols.Len()
+	}
+	return 1
+}
+
 type colBlock struct {
-	items []colEntry
+	items []entry
 	mark  stream.Marker
 }
 
-// colMerge is the MRG merger for inputs that interleave boxed events
-// and column batches. It mirrors stream.MergeState exactly — blocks
-// close on markers, a block flushes when every channel closed it, the
-// merged marker carries the maximum timestamp, and a block pops only
-// after full delivery — but buffers batches whole, so alignment does
-// not force reboxing. Only the non-recoverable executor path uses it;
-// the marker-cut recovery path unboxes batches at arrival and keeps
-// stream.MergeState as its replay buffer.
+// colMerge is the runtime's MRG merger. It follows stream.MergeState
+// exactly — blocks close on markers, a block flushes when every channel
+// closed it, the merged marker carries the maximum timestamp — over
+// inputs that interleave boxed events and column batches, buffering
+// batches whole so alignment does not force reboxing (merge_test.go
+// holds the two together).
+//
+// It is also the replay buffer of marker-cut recovery, under one
+// ownership rule: the merger owns every batch it was handed, and pops
+// a block — releasing its batches to their arenas — only after the
+// block's items and its marker were delivered. Delivering the marker
+// is what commits the cut (boltExec.completeCut runs inside dev), so a
+// panic anywhere in a block leaves the merger holding the whole
+// un-committed input, recoverable via Pending.
 type colMerge struct {
-	n      int
 	queued [][]colBlock
-	open   [][]colEntry
-	// dev/dcols deliver one merged boxed event / column batch.
+	open   [][]entry
+	// dev/dcols deliver one merged boxed event / column batch. dcols
+	// borrows the batch: the merger keeps ownership.
 	dev   func(stream.Event)
 	dcols func(stream.Columns)
+	// free recycles popped blocks' item slices.
+	free [][]entry
 }
 
 func newColMerge(n int, dev func(stream.Event), dcols func(stream.Columns)) *colMerge {
-	return &colMerge{
-		n:      n,
-		queued: make([][]colBlock, n),
-		open:   make([][]colEntry, n),
-		dev:    dev,
-		dcols:  dcols,
-	}
+	return &colMerge{queued: make([][]colBlock, n), open: make([][]entry, n), dev: dev, dcols: dcols}
 }
 
-// Next consumes one boxed event from channel ch.
+// Channels returns the merger's input channel count.
+func (m *colMerge) Channels() int { return len(m.open) }
+
+// Next consumes one boxed event from channel ch. The event is buffered
+// before any consumer code runs.
 func (m *colMerge) Next(ch int, e stream.Event) {
 	if !e.IsMarker {
-		m.open[ch] = append(m.open[ch], colEntry{ev: e})
+		m.add(ch, entry{ev: e})
 		return
 	}
 	m.queued[ch] = append(m.queued[ch], colBlock{items: m.open[ch], mark: e.Marker})
@@ -370,12 +380,29 @@ func (m *colMerge) Next(ch int, e stream.Event) {
 	m.advance()
 }
 
-// NextCols consumes one column batch from channel ch, taking ownership
-// (the batch is released after its block's delivery).
-func (m *colMerge) NextCols(ch int, c stream.Columns) {
-	m.open[ch] = append(m.open[ch], colEntry{cols: c})
+// NextCols consumes one column batch from channel ch, taking ownership.
+func (m *colMerge) NextCols(ch int, c stream.Columns) { m.add(ch, entry{cols: c}) }
+
+func (m *colMerge) add(ch int, e entry) {
+	if m.open[ch] == nil && len(m.free) > 0 {
+		m.open[ch] = m.free[len(m.free)-1]
+		m.free = m.free[:len(m.free)-1]
+	}
+	m.open[ch] = append(m.open[ch], e)
 }
 
+func (m *colMerge) deliver(items []entry) {
+	for _, it := range items {
+		if it.cols != nil {
+			m.dcols(it.cols)
+		} else {
+			m.dev(it.ev)
+		}
+	}
+}
+
+// advance flushes complete frontier blocks: every channel's head
+// block, then the one merged marker, then the pop.
 func (m *colMerge) advance() {
 	for {
 		for _, q := range m.queued {
@@ -384,52 +411,75 @@ func (m *colMerge) advance() {
 			}
 		}
 		mark := m.queued[0][0].mark
-		for ch := range m.queued {
-			b := m.queued[ch][0]
-			for _, it := range b.items {
-				if it.cols != nil {
-					m.dcols(it.cols)
-				} else {
-					m.dev(it.ev)
-				}
-			}
-			if b.mark.Timestamp > mark.Timestamp {
-				mark = b.mark
+		for _, q := range m.queued {
+			m.deliver(q[0].items)
+			if q[0].mark.Timestamp > mark.Timestamp {
+				mark = q[0].mark
 			}
 		}
 		m.dev(stream.Mark(mark))
-		for ch := range m.queued {
-			m.queued[ch][0] = colBlock{}
-			m.queued[ch] = m.queued[ch][1:]
+		for ch, q := range m.queued {
+			if items := q[0].items; items != nil {
+				release(items)
+				m.free = append(m.free, items[:0])
+			}
+			copy(q, q[1:])
+			q[len(q)-1] = colBlock{}
+			m.queued[ch] = q[:len(q)-1]
 		}
 	}
 }
 
-// Trailing delivers every entry still buffered at end-of-stream —
-// closed-but-incomplete blocks, then each channel's open block —
-// without synthesizing the missing markers (the columnar analogue of
-// stream.MergeState.Trailing).
-func (m *colMerge) Trailing() {
-	for ch := range m.queued {
-		for _, b := range m.queued[ch] {
-			for _, it := range b.items {
-				if it.cols != nil {
-					m.dcols(it.cols)
-				} else {
-					m.dev(it.ev)
-				}
-			}
+// release returns the entries' batches to their arenas and clears the
+// entries, so a recycled slice holds no stale reference.
+func release(items []entry) {
+	for i := range items {
+		if c := items[i].cols; c != nil {
+			c.Release()
 		}
-		m.queued[ch] = nil
+		items[i] = entry{}
 	}
-	for ch, open := range m.open {
-		for _, it := range open {
-			if it.cols != nil {
-				m.dcols(it.cols)
-			} else {
-				m.dev(it.ev)
-			}
+}
+
+// Pending returns, per channel, every entry the merger has not yet
+// popped: the items and marker of each queued block, then the open
+// block's items. Feeding each sequence into a fresh merger on the same
+// channel reproduces this merger's state; the batches move with the
+// entries, so the caller must abandon this merger.
+func (m *colMerge) Pending() [][]entry {
+	out := make([][]entry, len(m.open))
+	for ch := range out {
+		for _, b := range m.queued[ch] {
+			out[ch] = append(out[ch], b.items...)
+			out[ch] = append(out[ch], entry{ev: stream.Mark(b.mark)})
 		}
-		m.open[ch] = nil
+		out[ch] = append(out[ch], m.open[ch]...)
+	}
+	return out
+}
+
+// Trailing delivers every item still buffered at end-of-stream —
+// closed-but-incomplete blocks, then each channel's open block —
+// without synthesizing the missing markers. Nothing is popped: the
+// caller drops the merger once the trailing output is safely out.
+func (m *colMerge) Trailing() {
+	for _, q := range m.queued {
+		for _, b := range q {
+			m.deliver(b.items)
+		}
+	}
+	for _, open := range m.open {
+		m.deliver(open)
+	}
+}
+
+// drop releases every batch the merger still holds and empties it.
+func (m *colMerge) drop() {
+	for ch, q := range m.queued {
+		for _, b := range q {
+			release(b.items)
+		}
+		release(m.open[ch])
+		m.queued[ch], m.open[ch] = nil, nil
 	}
 }

@@ -31,7 +31,7 @@ import (
 //     flushing the transport buffers. In particular a committed
 //     marker cut leaves every combining buffer provably empty — the
 //     same invariant marker-cut recovery relies on for the transport
-//     buffers (see recExec.restart) — so restarts never need to
+//     buffers (see boltExec.restart) — so restarts never need to
 //     discard or reconstruct combiner state.
 //
 // In and Combine run inside the emitter's send path, including the

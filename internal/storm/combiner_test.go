@@ -155,7 +155,7 @@ func TestCombinerDrainsOnCap(t *testing.T) {
 // TestCombinerEmptyAtMarkersAndEOS checks the recovery-critical
 // invariant directly: a marker (and EOS) leaves every combining buffer
 // empty and nothing pending — the same provably-empty-at-cut property
-// recExec.restart relies on.
+// boltExec.restart relies on.
 func TestCombinerEmptyAtMarkersAndEOS(t *testing.T) {
 	p := newCombinedPair(TransportOptions{BatchSize: 1 << 20, FlushInterval: -1}, 2, sumSpec(1024))
 	for i := 0; i < 50; i++ {

@@ -80,10 +80,10 @@ type runtimeComponent struct {
 	// entries so routing arithmetic is placement-blind.
 	inboxes []chan *[]message
 	// depths[i] is inbox i's depth in *events* (a channel slot holds a
-	// whole vector, so len(inbox) alone under-counts): senders add a
-	// vector's length at flush, the receiver subtracts it at dequeue.
-	// Maintained only when observability is enabled; feeds the sampled
-	// queue-depth gauge.
+	// whole vector, and a cols message a whole batch of rows): senders
+	// add a vector's weight (vecWeight) at flush, the receiver subtracts
+	// it at dequeue. Maintained only when observability is enabled;
+	// feeds the sampled queue-depth gauge.
 	depths            []atomic.Int64
 	subs              []subscription
 	nChannels         int // receiver-side input channel count
@@ -112,14 +112,14 @@ func (rc *runtimeComponent) localInst(i int) bool {
 	return rc.net == nil || rc.workerOf[i] == rc.net.self
 }
 
-// appendSink records events a sink instance received, feeding the
-// worker's sink tap when one is installed.
-func (rc *runtimeComponent) appendSink(events ...stream.Event) {
+// appendSink records a block of events a sink instance received,
+// feeding the worker's sink tap when one is installed.
+func (rc *runtimeComponent) appendSink(block []entry) {
 	rc.sinkMu.Lock()
-	rc.sinkOut = append(rc.sinkOut, events...)
-	if rc.sinkTap != nil {
-		for _, e := range events {
-			rc.sinkTap(e)
+	for i := range block {
+		rc.sinkOut = append(rc.sinkOut, block[i].ev)
+		if rc.sinkTap != nil {
+			rc.sinkTap(block[i].ev)
 		}
 	}
 	rc.sinkMu.Unlock()
@@ -203,65 +203,82 @@ func (t *Topology) resolve(w *workerNet) (map[string]*runtimeComponent, error) {
 			return nil, err
 		}
 	}
-	cap := t.ChannelCap
-	if cap <= 0 {
-		cap = defaultChannelCap
-	}
-	tr := t.transport.normalized()
 	workers := t.workers
 	if w != nil {
 		workers = w.workers
 	}
 
-	// Resolve components and receiver channel layouts.
 	rts := make(map[string]*runtimeComponent, len(t.order))
-	gi := 0
 	for _, name := range t.order {
-		c := t.components[name]
-		rc := &runtimeComponent{component: c, transport: tr, net: w}
-		rc.inboxes = make([]chan *[]message, c.parallelism)
-		rc.depths = make([]atomic.Int64, c.parallelism)
-		rc.workerOf = make([]int, c.parallelism)
-		rc.gids = make([]int, c.parallelism)
-		for i := range rc.workerOf {
-			rc.workerOf[i] = -1
-			if workers > 0 {
-				rc.workerOf[i] = gi % workers
-			}
-			rc.gids[i] = gi
-			gi++
+		rts[name] = &runtimeComponent{component: t.components[name], transport: t.transport.normalized(), net: w, serializerFactory: t.serializer}
+	}
+	for _, name := range t.order {
+		rc := rts[name]
+		for _, in := range rc.inputs {
+			src := rts[in.from]
+			src.subs = append(src.subs, subscription{to: rc, grouping: in.grouping, combiner: in.combiner, cols: in.cols, colComb: in.colComb})
+			rc.aligned = rc.aligned || in.aligned
 		}
+	}
+	t.layout(rts, workers)
+	for _, name := range t.order {
+		rc := rts[name]
+		rc.inboxes = make([]chan *[]message, rc.parallelism)
+		rc.depths = make([]atomic.Int64, rc.parallelism)
 		for i := range rc.inboxes {
 			if !rc.localInst(i) {
 				continue
 			}
-			rc.inboxes[i] = make(chan *[]message, cap)
+			rc.inboxes[i] = make(chan *[]message, t.channelCap())
 			if w != nil {
 				w.register(rc.gids[i], rc.inboxes[i], &rc.depths[i])
 			}
 		}
-		offset := 0
-		for _, in := range c.inputs {
-			offset += t.components[in.from].parallelism
-			if in.aligned {
-				rc.aligned = true
-			}
-		}
-		rc.nChannels = offset
-		rc.serializerFactory = t.serializer
-		rts[name] = rc
 	}
-	// Resolve senders' subscription tables.
+	return rts, nil
+}
+
+// channelCap is the inbox capacity in vectors.
+func (t *Topology) channelCap() int {
+	if t.ChannelCap > 0 {
+		return t.ChannelCap
+	}
+	return defaultChannelCap
+}
+
+// layout derives everything in the wiring that depends on the
+// components' parallelism: each executor's global index and worker
+// (Placement's rule), each consumer's input channel count and each
+// edge's base channel. resolve calls it once; a rescale calls it again
+// after changing the target's parallelism, which shifts its consumers'
+// widths and every edge declared after one of its own.
+func (t *Topology) layout(rts map[string]*runtimeComponent, workers int) {
+	for _, rc := range rts {
+		rc.workerOf = make([]int, rc.parallelism)
+		rc.gids = make([]int, rc.parallelism)
+	}
+	for _, p := range t.Placement(workers) {
+		rc := rts[p.Component]
+		rc.gids[p.Instance] = p.GID
+		rc.workerOf[p.Instance] = -1
+		if workers > 0 {
+			rc.workerOf[p.Instance] = p.Worker
+		}
+	}
+	// Subscriptions were appended in this same walk order, so a cursor
+	// per producer finds each edge's entry.
+	cursor := map[*runtimeComponent]int{}
 	for _, name := range t.order {
 		rc := rts[name]
 		offset := 0
 		for _, in := range rc.inputs {
 			src := rts[in.from]
-			src.subs = append(src.subs, subscription{to: rc, grouping: in.grouping, chBase: offset, combiner: in.combiner, cols: in.cols, colComb: in.colComb})
+			src.subs[cursor[src]].chBase = offset
+			cursor[src]++
 			offset += src.parallelism
 		}
+		rc.nChannels = offset
 	}
-	return rts, nil
 }
 
 // execute starts one executor goroutine per locally placed instance
@@ -296,14 +313,10 @@ func (t *Topology) execute(rts map[string]*runtimeComponent) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			run := func() error {
-				switch {
-				case rc.spout != nil:
+				if rc.spout != nil {
 					return runSpout(rc, i, is, hash, ef, t.recovery, cg, g)
-				case t.recovery.Enabled && rc.aligned:
-					return runRecoverableBolt(rc, i, is, hash, ef, t.recovery, cg, g)
-				default:
-					return runBolt(rc, i, is, hash, ef, t.recovery)
 				}
+				return runBolt(rc, i, is, hash, ef, t.recovery, cg, g)
 			}
 			var err error
 			if t.obs.Enabled {
@@ -432,6 +445,9 @@ type emitter struct {
 	oldest     time.Time
 	batchSize  int
 	flushEvery time.Duration
+	// idle is recvBatch's reusable idle-flush timer (nil until first
+	// needed).
+	idle *time.Timer
 }
 
 func newEmitter(rc *runtimeComponent, instance int, is *metrics.InstanceStats, hash func(any) int) *emitter {
@@ -488,7 +504,9 @@ func (em *emitter) rebuildBufs() {
 	}
 }
 
-// routedMsg is one event resolved to a concrete destination.
+// routedMsg is one event resolved to a concrete destination. A nil sub
+// marks a staged typed emission instead: si then indexes the batch in
+// the block being sent (see send).
 type routedMsg struct {
 	sub    *subscription
 	si     int // the subscription's index in rc.subs
@@ -502,29 +520,33 @@ type routedMsg struct {
 func (em *emitter) route(e stream.Event, out []routedMsg) []routedMsg {
 	em.stats.AddEmitted(1)
 	for si := range em.rc.subs {
-		sub := &em.rc.subs[si]
-		ch := sub.chBase + em.instance
-		if e.IsMarker {
-			// Markers are always broadcast so they reach every
-			// consumer instance and can act as punctuations.
-			for k := range sub.to.inboxes {
-				out = append(out, routedMsg{sub, si, k, ch, e})
-			}
-			continue
-		}
-		switch sub.grouping {
-		case Shuffle:
-			k := em.rrNext[si]
-			em.rrNext[si] = (k + 1) % len(sub.to.inboxes)
+		out = em.routeTo(si, e, out)
+	}
+	return out
+}
+
+// routeTo is route for one subscription.
+func (em *emitter) routeTo(si int, e stream.Event, out []routedMsg) []routedMsg {
+	sub := &em.rc.subs[si]
+	ch := sub.chBase + em.instance
+	g := sub.grouping
+	if e.IsMarker {
+		// Markers are always broadcast so they reach every consumer
+		// instance and can act as punctuations.
+		g = Broadcast
+	}
+	switch g {
+	case Shuffle:
+		k := em.rrNext[si]
+		em.rrNext[si] = (k + 1) % len(sub.to.inboxes)
+		out = append(out, routedMsg{sub, si, k, ch, e})
+	case Fields:
+		out = append(out, routedMsg{sub, si, em.hash(e.Key) % len(sub.to.inboxes), ch, e})
+	case Global:
+		out = append(out, routedMsg{sub, si, 0, ch, e})
+	case Broadcast:
+		for k := range sub.to.inboxes {
 			out = append(out, routedMsg{sub, si, k, ch, e})
-		case Fields:
-			out = append(out, routedMsg{sub, si, em.hash(e.Key) % len(sub.to.inboxes), ch, e})
-		case Global:
-			out = append(out, routedMsg{sub, si, 0, ch, e})
-		case Broadcast:
-			for k := range sub.to.inboxes {
-				out = append(out, routedMsg{sub, si, k, ch, e})
-			}
 		}
 	}
 	return out
@@ -561,26 +583,60 @@ func (em *emitter) emit(e stream.Event) {
 	}
 }
 
-// sendBlock delivers a block of emitted events transactionally:
-// destinations are routed and serialized for every event before the
-// first buffer append, so a serialization failure leaves nothing
-// partially delivered and marker-cut recovery can regenerate the
-// block without duplicating output downstream. The block is flushed
-// when done — a committed cut leaves nothing buffered.
-func (em *emitter) sendBlock(events []stream.Event) {
+// emitCols routes one batch of emitted rows to every subscription,
+// taking ownership of the batch: typed where the edge carries its kind,
+// boxed row by row elsewhere.
+func (em *emitter) emitCols(cols stream.Columns) {
+	one := [1]entry{{cols: cols}}
+	em.send(one[:])
+}
+
+// send delivers a block of emissions — boxed events and typed batches
+// in emission order — in two phases: every destination is routed and
+// every fault hook and serialization fires before the first buffer
+// append, so a failure leaves nothing partially delivered. Delivery
+// itself cannot panic. Each batch is consumed (released, its entry
+// cleared) as it is delivered, so a caller that recovers from a staging
+// panic still owns exactly the batches left in block.
+func (em *emitter) send(block []entry) {
 	batch := em.scratch[:0]
-	for _, e := range events {
-		batch = em.route(e, batch)
+	for i := range block {
+		switch c := block[i].cols; {
+		case c == nil:
+			batch = em.route(block[i].ev, batch)
+		case c.Len() == 0:
+			block[i].cols = nil
+			c.Release()
+		default:
+			batch = em.stageCols(c, i, batch)
+		}
 	}
 	for i := range batch {
-		em.wire(&batch[i])
+		if batch[i].sub != nil {
+			em.wire(&batch[i])
+		}
 	}
 	for i := range batch {
-		em.push(&batch[i])
+		r := &batch[i]
+		if r.sub == nil {
+			c := block[r.si].cols
+			block[r.si].cols = nil
+			em.pushCols(c)
+			continue
+		}
+		em.push(r)
 	}
-	// Keep the grown buffer for the next block (emit and sendBlock are
-	// called from the same executor goroutine, never concurrently).
+	// Keep the grown buffer for the next call (one executor goroutine
+	// owns the emitter; emit and send never run concurrently).
 	em.scratch = batch[:0]
+}
+
+// sendBlock is send for a marker-cut block: transactional, and flushed
+// when done — a committed cut leaves nothing buffered, so marker-cut
+// recovery can regenerate a failed block without duplicating output
+// downstream.
+func (em *emitter) sendBlock(block []entry) {
+	em.send(block)
 	em.flushAll()
 }
 
@@ -619,135 +675,95 @@ func runSpout(rc *runtimeComponent, instance int, is *metrics.InstanceStats, has
 		g.em = em
 		defer cg.leave(g)
 	}
-	// mark records one emitted (and flushed) marker: a completed cut
-	// from the source's point of view, and the spout's barrier entry
-	// point — after the marker every buffer of this emitter is empty.
-	mark := func() {
-		is.AddCuts(1)
-		if g != nil {
-			cg.cutDone(g)
-		}
-	}
 	err := guard(rc.name, instance, func() {
 		spout := rc.spout(instance)
-		if em.stamp {
-			// Observability needs exact per-event latency: one clock
-			// read per iteration (each loop's end time is the next
-			// loop's start, as exact as two reads at half the cost).
-			t0 := time.Now()
-			for {
-				em.now = t0.UnixNano()
-				// Idle flush between Next calls: a throttled spout
-				// parked inside Next cannot flush, but one that merely
-				// produces slower than BatchSize per interval bounds its
-				// residency here.
-				em.tickAt(t0)
-				e, ok := spout.Next()
-				if !ok {
-					is.AddBusy(time.Since(t0))
-					break
-				}
-				is.AddExecuted(1)
-				ef.onEvent(rc.name, instance)
-				em.emit(e)
-				if e.IsMarker {
-					mark()
-				}
-				t1 := time.Now()
-				d := t1.Sub(t0)
-				is.AddBusy(d)
-				is.ObserveExec(t0, d)
-				t0 = t1
-			}
-			return
+		// A ColSpout fills typed batches directly — no per-event boxing,
+		// one emitCols per batch. Markers and EOS still come through Next
+		// (NextCols returns 0 there), so punctuation and shutdown are the
+		// boxed path's. Observability needs per-event stamps and latency,
+		// so it keeps every source boxed.
+		var cs ColSpout
+		var kind *stream.ColKind
+		var batch stream.Columns
+		if c, ok := spout.(ColSpout); ok && !em.stamp && c.ColKind() != nil {
+			cs, kind = c, c.ColKind()
+			batch = kind.Get()
+			defer func() { batch.Release() }()
 		}
-		// Columnar fast path (observability off): a ColSpout fills typed
-		// batches directly — no per-event boxing, one emitCols per
-		// batch, clock reads amortized per batch. Markers and EOS come
-		// through Next (NextCols returns 0 there), so punctuation and
-		// shutdown keep the boxed path's exact behavior, cut accounting
-		// included. Observability needs per-event stamps and latency, so
-		// it keeps the boxed loop.
-		if cs, isCol := spout.(ColSpout); isCol && !em.stamp {
-			if kind := cs.ColKind(); kind != nil {
-				batch := kind.Get()
-				t0 := time.Now()
-				for {
-					em.tickAt(t0)
-					if n := cs.NextCols(batch, em.batchSize); n > 0 {
-						if ef != nil {
-							for i := 0; i < n; i++ {
-								ef.onEvent(rc.name, instance)
-							}
-						}
-						is.AddExecuted(int64(n))
-						em.emitCols(batch)
-						batch = kind.Get()
-						t1 := time.Now()
-						is.AddBusy(t1.Sub(t0))
-						t0 = t1
-						continue
-					}
-					e, ok := spout.Next()
-					if !ok {
-						is.AddBusy(time.Since(t0))
-						break
-					}
-					is.AddExecuted(1)
-					ef.onEvent(rc.name, instance)
-					em.emit(e)
-					if e.IsMarker {
-						mark()
-					}
-					t1 := time.Now()
-					is.AddBusy(t1.Sub(t0))
-					t0 = t1
-				}
-				batch.Release()
-				return
-			}
-		}
-		// Fast path (observability off): clock reads and counter updates
-		// amortize over chunks of events — on a fast source the clock is
-		// a measurable share of the loop. The stride adapts: it doubles
-		// while a whole chunk completes well inside the idle-flush
-		// interval (so the staleness of tickAt's anchor cannot delay an
-		// idle flush by more than ~the interval itself) and collapses to
-		// per-event as soon as a chunk runs long, which is exactly the
-		// throttled-spout case where flush timeliness matters. Busy time
-		// is identical in aggregate: chunk spans concatenate.
+		// Clock reads and counter updates amortize over strides of
+		// events — on a fast boxed source the clock is a measurable share
+		// of the loop. The stride stays 1 under observability (exact
+		// per-event latency; each read ends one event and starts the next)
+		// and on columnar sources (a batch per read already). Otherwise
+		// it adapts: it doubles while a whole stride completes well inside
+		// the idle-flush interval (so the staleness of tickAt's anchor
+		// cannot delay an idle flush by more than ~the interval itself)
+		// and collapses to per-event as soon as one runs long, which is
+		// exactly the throttled-spout case where flush timeliness
+		// matters. Busy time is identical in aggregate: spans concatenate.
 		const maxStride = 32
+		adaptive := cs == nil && !em.stamp
 		stride, n := 1, 0
 		t0 := time.Now()
 		for {
+			if em.stamp {
+				em.now = t0.UnixNano()
+			}
+			// Idle flush between Next calls: a throttled spout parked
+			// inside Next cannot flush, but one that merely produces
+			// slower than BatchSize per interval bounds its residency
+			// here.
 			em.tickAt(t0)
-			e, ok := spout.Next()
-			if !ok {
-				if n > 0 {
-					is.AddExecuted(int64(n))
+			k := 0
+			if cs != nil {
+				if k = cs.NextCols(batch, em.batchSize); k > 0 {
+					if ef != nil {
+						for i := 0; i < k; i++ {
+							ef.onEvent(rc.name, instance)
+						}
+					}
+					em.emitCols(batch)
+					batch = kind.Get()
 				}
-				is.AddBusy(time.Since(t0))
-				break
 			}
-			ef.onEvent(rc.name, instance)
-			em.emit(e)
-			if e.IsMarker {
-				mark()
+			if k == 0 {
+				e, ok := spout.Next()
+				if !ok {
+					break
+				}
+				ef.onEvent(rc.name, instance)
+				em.emit(e)
+				if e.IsMarker {
+					// An emitted (and flushed) marker is a completed cut
+					// from the source's point of view, and the spout's
+					// barrier entry point — every buffer of this emitter is
+					// empty.
+					is.AddCuts(1)
+					if g != nil {
+						cg.cutDone(g)
+					}
+				}
+				k = 1
 			}
-			if n++; n >= stride {
-				t1 := time.Now()
-				d := t1.Sub(t0)
-				is.AddBusy(d)
-				is.AddExecuted(int64(n))
+			if n += k; n < stride {
+				continue
+			}
+			t1 := time.Now()
+			d := t1.Sub(t0)
+			is.AddBusy(d)
+			is.AddExecuted(int64(n))
+			is.ObserveExec(t0, d)
+			if adaptive {
 				if em.flushEvery > 0 && d > em.flushEvery/2 {
 					stride = 1
 				} else if stride < maxStride {
 					stride *= 2
 				}
-				n = 0
-				t0 = t1
 			}
+			n, t0 = 0, t1
 		}
+		is.AddExecuted(int64(n))
+		is.AddBusy(time.Since(t0))
 	})
 	if err != nil && pol.Enabled && pol.OnUnrecoverable == DropAndLog {
 		// Spouts have no marker cut to roll back to (their input is
@@ -760,241 +776,360 @@ func runSpout(rc *runtimeComponent, instance int, is *metrics.InstanceStats, has
 	return err
 }
 
-func runBolt(rc *runtimeComponent, instance int, is *metrics.InstanceStats, hash func(any) int, ef *executorFaults, pol RecoveryPolicy) error {
-	em := newEmitter(rc, instance, is, hash)
-	em.faults = ef
-	var bolt Bolt
-	if rc.isSink {
-		bolt = BoltFunc(func(e stream.Event, emit func(stream.Event)) {
-			rc.appendSink(e)
-		})
+// boltExec is one bolt executor: the single receive loop every bolt
+// instance runs, raw or aligned, boxed or columnar, with or without
+// marker-cut recovery. Recovery is a policy on the loop (rec, see
+// recovery.go), not a second loop: with it on, a block's emissions park
+// in out until its cut commits and a panic rolls the executor back to
+// its last cut; with it off, emissions go straight to the transport and
+// a panic fails (or degrades) the executor.
+type boltExec struct {
+	rc       *runtimeComponent
+	instance int
+	is       *metrics.InstanceStats
+	em       *emitter
+	ef       *executorFaults
+	pol      RecoveryPolicy
+
+	// cg/g are the run's reconfiguration barrier and this executor's
+	// entry (rescale.go); g is nil when the run cannot host rescales.
+	cg *cutGate
+	g  *execGate
+	// eosLeft counts input channels still open; a rescale barrier that
+	// widens the input resets it (no channel has closed at a barrier).
+	eosLeft int
+	// retired is set when a rescale replaced this executor's component
+	// instance set: exit without finishing or propagating EOS.
+	retired bool
+
+	// bolt is the operator instance (sinks run an identity bolt whose
+	// output is the sink's record); cp/inKind/outKind are its columnar
+	// surface, chBolt its channel-aware one on raw inputs, ch the input
+	// channel of the message being delivered there.
+	bolt            Bolt
+	cp              ColProcessor
+	inKind, outKind *stream.ColKind
+	chBolt          ChannelBolt
+	ch              int
+	// merge aligns the input channels on markers; nil on raw inputs.
+	merge *colMerge
+	// emitFn is the bolt's emit callback, allocated once per executor:
+	// park under recovery, the sink's record for sinks, the transport
+	// otherwise.
+	emitFn func(stream.Event)
+
+	// Recovery policy state (recovery.go). out holds the current
+	// block's parked output in emission order; snap/rrSnap are the
+	// committed checkpoint — instance state and round-robin cursors at
+	// the last completed cut — and hasSnap is false until the first cut
+	// (a restart then uses a fresh instance).
+	rec      bool
+	out      []entry
+	snap     []byte
+	hasSnap  bool
+	rrSnap   []int
+	restarts int
+	// markerSeen maps a marker sequence number to the wall time
+	// (UnixNano) its first copy arrived at this executor; the entry
+	// survives restarts, so the marker-cut lag recorded at the cut's
+	// completion includes any recovery time spent in between. nil unless
+	// both recovery and observability are on.
+	markerSeen map[int64]int64
+	// qskip is the countdown to the next sampled queue observation
+	// (see queueObsEvery).
+	qskip int
+
+	// fatal is the terminal failure (the executor keeps draining to its
+	// EOS); degraded is the drop-and-log mode after an unrecoverable one.
+	fatal    error
+	degraded *degradeState
+}
+
+// runBolt is the executor loop of every bolt instance.
+func runBolt(rc *runtimeComponent, instance int, is *metrics.InstanceStats, hash func(any) int, ef *executorFaults, pol RecoveryPolicy, cg *cutGate, g *execGate) error {
+	x := &boltExec{
+		rc: rc, instance: instance, is: is, ef: ef, pol: pol, cg: cg, g: g,
+		em:      newEmitter(rc, instance, is, hash),
+		rec:     pol.Enabled && rc.aligned,
+		eosLeft: rc.nChannels,
+		rrSnap:  make([]int, len(rc.subs)),
+	}
+	x.em.faults = ef
+	switch {
+	case x.rec:
+		x.emitFn = func(e stream.Event) { x.out = append(x.out, entry{ev: e}) }
+		if is.ObsEnabled() {
+			x.markerSeen = map[int64]int64{}
+		}
+	case rc.isSink:
+		x.emitFn = func(e stream.Event) {
+			one := [1]entry{{ev: e}}
+			rc.appendSink(one[:])
+		}
+	default:
+		x.emitFn = x.em.emit
+	}
+	if g != nil {
+		g.em = x.em
+		g.x = x
+		defer cg.leave(g)
+	}
+	if g != nil && g.seed != nil {
+		// Spawned by a rescale: start from the re-sharded shard instead
+		// of the factory (the seed bolt was restored under the barrier).
+		x.setBolt(g.seed.bolt)
+		x.snap = g.seed.snap
+		x.hasSnap = len(g.seed.snap) > 0
 	} else {
-		bolt = rc.bolt(instance)
+		x.setBolt(x.newBolt())
+	}
+	if rc.aligned {
+		x.merge = x.newMerge()
 	}
 
-	emitFn := em.emit // one method-value closure per executor, not per event
-	deliver := func(e stream.Event) {
-		is.AddExecuted(1)
-		bolt.Next(e, emitFn)
-	}
-	chBolt, chAware := bolt.(ChannelBolt)
-	// Columnar receive state (cols.go): when the bolt consumes batches
-	// of the arriving kind, a whole batch goes through ProcessCols in
-	// one call; any other batch is delivered boxed row by row, so a
-	// bolt behind mixed or mismatched edges still sees every event.
-	cp, _ := bolt.(ColProcessor)
-	var inKind, outKind *stream.ColKind
-	if cp != nil {
-		inKind, outKind = cp.InColKind(), cp.OutColKind()
-	}
-	tryTyped := func(cols stream.Columns) bool {
-		if inKind == nil || cols.Kind() != inKind {
-			return false
-		}
-		is.AddExecuted(int64(cols.Len()))
-		var out stream.Columns
-		if outKind != nil {
-			out = outKind.Get()
-		}
-		cp.ProcessCols(cols, out)
-		if out != nil {
-			em.emitCols(out)
-		}
-		cols.Release()
-		return true
-	}
-	var merge *colMerge
-	if rc.aligned {
-		merge = newColMerge(rc.nChannels, deliver, func(c stream.Columns) {
-			if tryTyped(c) {
-				return
-			}
-			n := c.Len()
-			for i := 0; i < n; i++ {
-				deliver(c.EventAt(i))
-			}
-			c.Release()
-		})
-	}
-	// procCols consumes one arriving column batch: buffered by the
-	// aligned merger (delivered when its block completes), or processed
-	// immediately on raw inputs. ChannelBolts are never aligned-fed, so
-	// the raw fallback is the only place NextFrom sees unboxed rows.
-	procCols := func(ch int, cols stream.Columns) {
-		if merge != nil {
-			merge.NextCols(ch, cols)
-			return
-		}
-		if tryTyped(cols) {
-			return
-		}
-		n := cols.Len()
-		for i := 0; i < n; i++ {
-			e := cols.EventAt(i)
-			if chAware {
-				is.AddExecuted(1)
-				chBolt.NextFrom(ch, e, emitFn)
-			} else {
-				deliver(e)
-			}
-		}
-		cols.Release()
-	}
-	obs := is.ObsEnabled()
-	qskip := 1
-	eosLeft := rc.nChannels
 	inbox := rc.inboxes[instance]
-	depth := &rc.depths[instance]
-	var err error
-	dropping := false
-	for eosLeft > 0 {
-		bp := recvBatch(inbox, em)
+	for x.eosLeft > 0 && !x.retired {
+		bp := recvBatch(inbox, x.em)
 		if bp == nil {
 			continue // idle flush fired; retry the receive
 		}
-		batch := *bp
-		if obs {
-			depth.Add(-int64(len(batch)))
+		x.runVector(*bp)
+		putBatch(bp)
+		if x.retired {
+			return nil
 		}
-		bi := 0
-		for bi < len(batch) {
-			m := batch[bi]
-			if m.eos {
-				eosLeft--
-				bi++
-				continue
-			}
-			if dropping {
-				if m.cols != nil {
-					is.AddDropped(int64(m.cols.Len()))
-					m.cols.Release()
-				} else if !m.ev.IsMarker {
-					is.AddDropped(1)
-				}
-				bi++
-				continue
-			}
-			if err != nil {
-				if m.cols != nil {
-					m.cols.Release()
-				}
-				bi++
-				continue // failed executor keeps draining to its EOS
-			}
-			if !obs {
-				// Fast path: process to the end of the vector (or the
-				// first panic) under one guard and one clock pair —
-				// the panic guard and busy-time reads amortize over
-				// the batch. bi advances before each message is
-				// processed, so a panic consumes the offending message
-				// and the drain above handles the remainder.
-				err = guard(rc.name, instance, func() {
-					t0 := time.Now()
-					defer func() { is.AddBusy(time.Since(t0)) }()
-					for bi < len(batch) {
-						m := batch[bi]
-						bi++
-						if m.eos {
-							eosLeft--
-							continue
-						}
-						if m.cols != nil {
-							if ef != nil {
-								for i, n := 0, m.cols.Len(); i < n; i++ {
-									ef.onEvent(rc.name, instance)
-								}
-							}
-							procCols(m.ch, m.cols)
-							continue
-						}
-						ef.onEvent(rc.name, instance)
-						switch {
-						case merge != nil:
-							merge.Next(m.ch, m.ev)
-						case chAware:
-							is.AddExecuted(1)
-							chBolt.NextFrom(m.ch, m.ev, emitFn)
-						default:
-							deliver(m.ev)
-						}
-					}
-				})
+		// Bound buffered-output residency even under a steady trickle
+		// of input (which keeps resetting recvBatch's idle timer).
+		x.em.tick()
+	}
+	if x.fatal == nil && x.degraded == nil {
+		if left, err := x.finish(); err != nil {
+			x.fail(err, left)
+		}
+	}
+	if g != nil {
+		cg.leave(g)
+	}
+	x.em.eos()
+	return x.fatal
+}
+
+// newBolt builds a fresh operator instance. A sink is the identity
+// bolt: what it "emits" is what the sink records.
+func (x *boltExec) newBolt() Bolt {
+	if x.rc.isSink {
+		return sinkBolt{}
+	}
+	return x.rc.bolt(x.instance)
+}
+
+// sinkBolt is the bolt of a sink executor. It is stateless, so its
+// checkpoint is empty.
+type sinkBolt struct{}
+
+func (sinkBolt) Next(e stream.Event, emit func(stream.Event)) { emit(e) }
+func (sinkBolt) Snapshot() ([]byte, error)                    { return nil, nil }
+func (sinkBolt) Restore([]byte) error                         { return nil }
+
+// setBolt installs an operator instance and derives its optional
+// surfaces. A ChannelBolt sees channel identity only on raw inputs; on
+// aligned ones the merger consumes it.
+func (x *boltExec) setBolt(b Bolt) {
+	x.bolt = b
+	x.cp, x.inKind, x.outKind, x.chBolt = nil, nil, nil, nil
+	if cp, ok := b.(ColProcessor); ok && cp.InColKind() != nil {
+		x.cp, x.inKind, x.outKind = cp, cp.InColKind(), cp.OutColKind()
+	}
+	if !x.rc.aligned {
+		x.chBolt, _ = b.(ChannelBolt)
+	}
+}
+
+func (x *boltExec) newMerge() *colMerge {
+	return newColMerge(x.rc.nChannels, x.deliver, x.deliverCols)
+}
+
+// held returns, per input channel, the received input the executor has
+// not finished with: the merger's un-popped entries (the merger is
+// abandoned), nothing on raw inputs.
+func (x *boltExec) held() [][]entry {
+	if x.merge == nil {
+		return make([][]entry, x.rc.nChannels)
+	}
+	return x.merge.Pending()
+}
+
+// runVector consumes one received vector. Processing runs under one
+// panic guard and
+// one busy-time clock pair per vector when observability is off; with
+// it on the clock is read once per message, each message's end time
+// being the next one's start. On a panic the in-flight message is
+// handled exactly once: the guard is re-entered at the same message
+// with absorbed and fired preserved, so a message the merger already
+// holds is not fed twice and an injected Nth-event fault neither
+// re-fires nor loses count of the batch rows behind it.
+func (x *boltExec) runVector(batch []message) {
+	name, inst, is, ef := x.rc.name, x.instance, x.is, x.ef
+	obs := is.ObsEnabled()
+	// weight is the vector's not-yet-processed remainder in events, the
+	// unit of the inbox-depth gauge (maintained under observability only).
+	depth := &x.rc.depths[inst]
+	var weight int64
+	if obs {
+		weight = vecWeight(batch)
+		depth.Add(-weight)
+	}
+	// bi is the message being processed, fired the fault-hook calls
+	// already made for it, absorbed whether it was handed to the merger
+	// (or the bolt).
+	bi, fired, absorbed := 0, 0, false
+	for bi < len(batch) && !x.retired {
+		if x.fatal != nil || x.degraded != nil {
+			// A failed executor keeps draining to its EOS.
+			if m := &batch[bi]; m.eos {
+				x.eosLeft--
 			} else {
-				err = guard(rc.name, instance, func() {
+				x.discard(entry{ev: m.ev, cols: m.cols})
+			}
+			bi++
+			continue
+		}
+		err := guard(name, inst, func() {
+			t0 := time.Now()
+			defer func() { is.AddBusy(time.Since(t0)) }()
+			for bi < len(batch) && !x.retired {
+				m := &batch[bi]
+				if m.eos {
+					x.eosLeft--
 					bi++
-					if m.cols == nil {
-						ef.onEvent(rc.name, instance)
-					} else if ef != nil {
-						for i, n := 0, m.cols.Len(); i < n; i++ {
-							ef.onEvent(rc.name, instance)
-						}
-					}
-					t0 := time.Now()
+					continue
+				}
+				in := entry{ev: m.ev, cols: m.cols}
+				if obs && fired == 0 && !absorbed {
 					now := t0.UnixNano()
-					em.now = now
-					if qskip--; qskip == 0 {
-						qskip = queueObsEvery
+					x.em.now = now
+					if x.qskip--; x.qskip <= 0 {
+						x.qskip = queueObsEvery
 						// Inbox depth in events, plus this vector's
 						// not-yet-processed remainder (the current
 						// message included).
-						is.ObserveQueueDepth(int(depth.Load()) + len(batch) - bi + 1)
+						is.ObserveQueueDepth(int(depth.Load() + weight))
 						if m.sent != 0 {
 							is.ObserveQueue(time.Duration(now - m.sent))
 						}
 					}
-					switch {
-					case m.cols != nil:
-						procCols(m.ch, m.cols)
-					case merge != nil:
-						merge.Next(m.ch, m.ev)
-					case chAware:
-						is.AddExecuted(1)
-						chBolt.NextFrom(m.ch, m.ev, emitFn)
-					default:
-						deliver(m.ev)
+					weight -= int64(in.rows())
+					if x.markerSeen != nil && m.ev.IsMarker && m.cols == nil {
+						if _, ok := x.markerSeen[m.ev.Marker.Seq]; !ok {
+							x.markerSeen[m.ev.Marker.Seq] = now
+						}
 					}
-					d := time.Since(t0)
+				}
+				if ef != nil {
+					for n := in.rows(); fired < n; {
+						fired++
+						ef.onEvent(name, inst)
+					}
+				}
+				if !absorbed {
+					absorbed = true
+					x.absorb(m.ch, in)
+				}
+				bi, fired, absorbed = bi+1, 0, false
+				if obs {
+					t1 := time.Now()
+					d := t1.Sub(t0)
 					is.AddBusy(d)
 					is.ObserveExec(t0, d)
-				})
+					t0 = t1
+				}
 			}
-			if err != nil && pol.Enabled && pol.OnUnrecoverable == DropAndLog {
-				// No marker-cut recovery on this path (the bolt is not
-				// aligned, or cannot snapshot); degrade by dropping.
-				pol.logf("storm: %s[%d] failed without recovery, dropping its remaining input: %v", rc.name, instance, err)
-				err = nil
-				dropping = true
-			}
-		}
-		putBatch(bp)
-		// Bound buffered-output residency even under a steady trickle
-		// of input (which keeps resetting recvBatch's idle timer).
-		em.tick()
-	}
-	if err == nil && !dropping {
-		err = guard(rc.name, instance, func() {
-			t0 := time.Now()
-			if obs {
-				em.now = t0.UnixNano()
-			}
-			if merge != nil {
-				// Items of the final incomplete block (after the last
-				// marker on every channel) are delivered unaligned at
-				// shutdown.
-				merge.Trailing()
-			}
-			if f, ok := bolt.(Flusher); ok {
-				f.Flush(emitFn)
-			}
-			is.AddBusy(time.Since(t0))
 		})
-		if err != nil && pol.Enabled && pol.OnUnrecoverable == DropAndLog {
-			pol.logf("storm: %s[%d] failed at shutdown without recovery, dropping its trailing output: %v", rc.name, instance, err)
-			err = nil
+		if err == nil {
+			continue
 		}
+		// The panic hit message bi. The executor still owns the merger's
+		// input plus the in-flight message, unless the merger already
+		// holds that (on raw inputs nothing does: absorb releases a batch
+		// only after the bolt returned). Under recovery, roll back to the
+		// last cut, replay all of it and resume the same message with
+		// absorbed set, so only its remaining fault hooks run; otherwise,
+		// or when recovery gives up, fail hands it to discard.
+		m := &batch[bi]
+		pending := x.held()
+		if !absorbed || x.merge == nil {
+			pending[m.ch] = append(pending[m.ch], entry{ev: m.ev, cols: m.cols})
+			absorbed = true
+		}
+		if x.rec {
+			left, rerr := x.recoverFrom(err, pending)
+			if rerr == nil {
+				continue
+			}
+			err, pending = rerr, left
+		}
+		x.fail(err, pending)
+		bi, fired, absorbed = bi+1, 0, false
 	}
-	em.eos()
-	return err
+}
+
+// absorb hands one live message to the merger, or on raw inputs
+// straight to the bolt.
+func (x *boltExec) absorb(ch int, in entry) {
+	switch {
+	case x.merge != nil && in.cols != nil:
+		x.merge.NextCols(ch, in.cols)
+	case x.merge != nil:
+		x.merge.Next(ch, in.ev)
+	case in.cols != nil:
+		x.ch = ch
+		x.deliverCols(in.cols)
+		in.cols.Release()
+	default:
+		x.ch = ch
+		x.deliver(in.ev)
+	}
+}
+
+// deliver runs the bolt on one event: a live one on raw inputs, a
+// merged one (item, or the cut-completing marker) on aligned inputs.
+func (x *boltExec) deliver(e stream.Event) {
+	x.is.AddExecuted(1)
+	if x.chBolt != nil {
+		x.chBolt.NextFrom(x.ch, e, x.emitFn)
+	} else {
+		x.bolt.Next(e, x.emitFn)
+	}
+	if x.rec && e.IsMarker {
+		x.completeCut(e.Marker.Seq)
+	}
+}
+
+// deliverCols runs the bolt on one column batch, which stays the
+// caller's: whole through ProcessCols when the bolt consumes batches of
+// its kind — exactly so under recovery as without — and boxed row by
+// row otherwise, so a bolt behind mixed or mismatched edges still sees
+// every event.
+func (x *boltExec) deliverCols(c stream.Columns) {
+	n := c.Len()
+	if x.inKind == nil || c.Kind() != x.inKind {
+		for i := 0; i < n; i++ {
+			x.deliver(c.EventAt(i))
+		}
+		return
+	}
+	x.is.AddExecuted(int64(n))
+	if x.outKind == nil {
+		x.cp.ProcessCols(c, nil)
+		return
+	}
+	out := x.outKind.Get()
+	x.cp.ProcessCols(c, out)
+	if x.rec {
+		x.out = append(x.out, entry{cols: out})
+	} else {
+		x.em.emitCols(out)
+	}
 }
 
 // String renders the topology's structure for debugging.

@@ -131,7 +131,7 @@ func (w *workerNet) dispatch(conn net.Conn) {
 		}
 		bp := frameToBatch(f.Msgs)
 		if w.obs && ref.depth != nil {
-			ref.depth.Add(int64(len(*bp)))
+			ref.depth.Add(vecWeight(*bp))
 		}
 		ref.ch <- bp
 	}

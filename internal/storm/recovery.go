@@ -3,43 +3,58 @@ package storm
 import (
 	"fmt"
 	"time"
-
-	"datatrace/internal/metrics"
-	"datatrace/internal/stream"
 )
 
-// This file implements marker-cut recovery for bolt executors: the
-// runtime half of the paper's §1 claim that marker-delimited cuts
-// give a principled point for checkpointing and recovery.
+// This file is the marker-cut recovery policy of the bolt executor
+// loop (boltExec, exec.go): the runtime half of the paper's §1 claim
+// that marker-delimited cuts give a principled point for checkpointing
+// and recovery. There is one loop; recovery changes what three of its
+// steps do, and nothing about how input is received, aligned or
+// delivered — a column batch reaches ColProcessor.ProcessCols whole
+// with the policy on exactly as with it off.
 //
-// An aligned bolt executor only mutates its operator instance when
-// the MRG merger flushes a complete block (items of block i from
-// every input channel, then marker i) — between cuts the instance is
-// untouched. The recovery discipline exploits exactly that:
+// An aligned executor only runs its operator instance when the MRG
+// merger (colMerge) flushes a complete block — items of block i from
+// every input channel, then marker i — so between cuts the instance is
+// untouched. With the policy on (RecoveryPolicy.Enabled, aligned
+// inputs):
 //
-//   - Emissions are buffered per block and sent downstream only when
-//     the block's cut completes, with every serialization performed
-//     before the first send. Downstream therefore never observes a
-//     partially processed block: the flush is transactional.
-//   - At each completed cut the executor snapshots its instance
-//     (Recoverable — core.Snapshotter under the compile adapters)
-//     and records the round-robin cursors. The MRG merger itself is
-//     the replay buffer: it pops a block only after the block and its
-//     marker were fully delivered, so at any crash point
-//     MergeState.Pending is exactly the per-channel input received
-//     since each channel's last flushed block.
-//   - On a crash (a real bug or an injected fault) the executor
-//     builds a fresh instance, restores the last snapshot, rebuilds
-//     the merger by replaying the pending input, and resumes.
-//     Replayed events are re-delivered at least once; because the
-//     state was rolled back to the same marker cut the re-delivery is
-//     effectively exactly-once, and the run's output is
-//     trace-equivalent to a failure-free run.
+//   - Emissions park. A block's output — boxed events and typed column
+//     batches, in emission order — collects in boltExec.out instead of
+//     entering the transport.
+//   - The cut commits in order (completeCut): snapshot the instance
+//     (Recoverable — core.Snapshotter under the compile adapters); then
+//     flush the parked block transactionally (emitter.sendBlock: every
+//     route, fault hook and serialization fires before the first
+//     transport append, and the flush leaves no buffer — transport,
+//     combiner or column — holding anything); then record the snapshot
+//     and the round-robin cursors as the checkpoint. Nothing of a block
+//     is visible downstream before its snapshot succeeded, and typed
+//     batches stay typed through the flush, so the typed combiners and
+//     columnar edges downstream stay in use.
+//   - The merger is the replay buffer, and owns its batches. It pops a
+//     block — releasing the block's column batches to their arenas —
+//     only after the block's marker was delivered, i.e. after the cut
+//     committed. At any crash point colMerge.Pending is exactly the
+//     per-channel input received since the last committed cut, whole
+//     batches included.
+//   - A panic (a real bug or an injected fault) rolls back: a fresh
+//     instance restored from the checkpoint, the cursors reset, the
+//     parked output discarded, a fresh merger fed the pending input
+//     (plus the in-flight message, once, if the merger never got it).
+//     Replayed input is re-delivered at least once; because the state
+//     was rolled back to the same cut the re-delivery is effectively
+//     exactly-once, and the run's output is trace-equivalent to a
+//     failure-free run. A batch is released exactly once: at its
+//     block's pop, or by the drop-and-log drain.
 //
 // Executors whose bolts cannot snapshot (or whose restart budget is
 // exhausted) degrade per RecoveryPolicy.OnUnrecoverable: abort the
 // topology, or drop items and keep forwarding sequence-deduplicated
-// markers so downstream alignment still progresses.
+// markers so downstream alignment still progresses. Executors outside
+// the policy (raw inputs, or recovery disabled) take the same exit on
+// their first panic, except that a raw-input executor aligns nothing and
+// so, degraded, drops markers along with the items.
 
 // Recoverable is the optional Bolt extension enabling marker-cut
 // recovery: a snapshot taken at a cut restores an equivalent bolt on
@@ -52,269 +67,23 @@ type Recoverable interface {
 	Restore([]byte) error
 }
 
-// recExec is the state of one recoverable bolt executor.
-type recExec struct {
-	rc       *runtimeComponent
-	instance int
-	is       *metrics.InstanceStats
-	em       *emitter
-	ef       *executorFaults
-	pol      RecoveryPolicy
-
-	// cg/g are the run's reconfiguration barrier and this executor's
-	// entry (rescale.go); g is nil when the run cannot host rescales.
-	cg *cutGate
-	g  *execGate
-	// eosLeft counts input channels still open; a rescale barrier that
-	// widens the input resets it (no channel has closed at a barrier).
-	eosLeft int
-	// retired is set when a rescale replaced this executor's component
-	// instance set: exit without finishing or propagating EOS.
-	retired bool
-
-	bolt  Bolt
-	merge *stream.MergeState
-	// outBuf holds the current block's pending output: bolt emissions
-	// (for sinks: delivered events), flushed at the cut.
-	outBuf []stream.Event
-	// snap/rrSnap are the committed checkpoint: instance state and
-	// round-robin cursors at the last completed cut. hasSnap is false
-	// until the first cut (restart then uses a fresh instance).
-	snap     []byte
-	hasSnap  bool
-	rrSnap   []int
-	restarts int
-	// markerSeen maps a marker sequence number to the wall time
-	// (UnixNano) its first copy arrived at this executor; the entry
-	// survives restarts, so the marker-cut lag recorded at the cut's
-	// completion includes any recovery time spent in between. nil when
-	// observability is disabled.
-	markerSeen map[int64]int64
-	// qskip is the countdown to the next sampled queue observation
-	// (see queueObsEvery).
-	qskip int
-	// deliverFn/bufEmitFn are the per-executor closures handed to the
-	// merger and the bolt (allocated once, not per event).
-	deliverFn func(stream.Event)
-	bufEmitFn func(stream.Event)
-}
-
-// runRecoverableBolt is the executor loop for aligned bolts when
-// recovery is enabled. Non-aligned bolts have no marker cuts to
-// recover to and keep the plain runBolt path.
-func runRecoverableBolt(rc *runtimeComponent, instance int, is *metrics.InstanceStats, hash func(any) int, ef *executorFaults, pol RecoveryPolicy, cg *cutGate, g *execGate) error {
-	x := &recExec{
-		rc:       rc,
-		instance: instance,
-		is:       is,
-		em:       newEmitter(rc, instance, is, hash),
-		ef:       ef,
-		pol:      pol,
-		cg:       cg,
-		g:        g,
-		merge:    stream.NewMergeState(rc.nChannels),
-		rrSnap:   make([]int, len(rc.subs)),
-	}
-	x.em.faults = ef
-	x.deliverFn = x.deliver
-	x.bufEmitFn = x.bufEmit
-	if is.ObsEnabled() {
-		x.markerSeen = map[int64]int64{}
-		x.qskip = 1
-	}
-	if g != nil {
-		g.em = x.em
-		g.x = x
-		defer cg.leave(g)
-	}
-	switch {
-	case g != nil && g.seed != nil:
-		// Spawned by a rescale: start from the re-sharded shard instead
-		// of the factory (the seed bolt was restored under the barrier).
-		x.bolt = g.seed.bolt
-		x.snap = g.seed.snap
-		x.hasSnap = len(g.seed.snap) > 0
-	case !rc.isSink:
-		x.bolt = rc.bolt(instance)
-	}
-
-	var fatal error
-	var degraded *degradeState
-	obs := is.ObsEnabled()
-	x.eosLeft = rc.nChannels
-	inbox := rc.inboxes[instance]
-	depth := &rc.depths[instance]
-	// feed consumes one live event with full crash recovery. The
-	// recoverable path unboxes column batches through it row by row:
-	// the MRG merger doubles as the replay buffer here, and boxed
-	// events are what Pending captures and replayAll re-delivers, so
-	// keeping the merger boxed keeps every recovery invariant
-	// untouched (markers never ride in batches, so no cut can complete
-	// mid-batch either).
-	feed := func(ch int, ev stream.Event, sent int64, rest int) {
-		if fatal != nil {
-			return // failed executor keeps draining to its EOS
-		}
-		if degraded != nil {
-			degraded.handle(ev)
-			return
-		}
-		recorded, err := x.process(ch, ev, sent, rest)
-		if err != nil {
-			// Capture the un-flushed input before restart replaces the
-			// merger. An injected fault fires before the event reaches
-			// the merger, so re-append it to keep per-channel order.
-			pending := x.merge.Pending()
-			if !recorded {
-				pending[ch] = append(pending[ch], ev)
-			}
-			left, rerr := x.recoverFrom(err, pending)
-			if rerr != nil {
-				if pol.OnUnrecoverable == DropAndLog {
-					degraded = x.degrade(rerr, left)
-				} else {
-					fatal = rerr
-				}
-				// The executor stopped completing cuts: a rescale
-				// barrier can no longer form, and parked peers must
-				// not wait for one.
-				if g != nil {
-					cg.leave(g)
-				}
-			}
-		}
-	}
-	for x.eosLeft > 0 && !x.retired {
-		bp := recvBatch(inbox, x.em)
-		if bp == nil {
-			continue // idle flush fired; retry the receive
-		}
-		batch := *bp
-		if obs {
-			depth.Add(-int64(len(batch)))
-		}
-		for bi := range batch {
-			m := batch[bi]
-			if m.eos {
-				x.eosLeft--
-				continue
-			}
-			if x.retired {
-				break // replaced by a rescale; nothing beyond the barrier exists
-			}
-			if m.cols != nil {
-				cols := m.cols
-				for ri, n := 0, cols.Len(); ri < n; ri++ {
-					feed(m.ch, cols.EventAt(ri), m.sent, len(batch)-bi)
-				}
-				cols.Release()
-				continue
-			}
-			feed(m.ch, m.ev, m.sent, len(batch)-bi)
-		}
-		putBatch(bp)
-		if x.retired {
-			return nil
-		}
-		// Bound buffered-output residency under a steady input trickle
-		// (recvBatch's idle timer resets at every received vector).
-		x.em.tick()
-	}
-	if fatal == nil && degraded == nil {
-		if left, err := x.finish(); err != nil {
-			if pol.OnUnrecoverable == DropAndLog {
-				x.degrade(err, left)
-			} else {
-				fatal = err
-			}
-		}
-	}
-	if g != nil {
-		cg.leave(g)
-	}
-	x.em.eos()
-	return fatal
-}
-
-// process consumes one live event, converting an executor panic into
-// an error. sent is the message's send stamp (0 without observability)
-// and rest is the not-yet-processed remainder of the current input
-// vector, this event included (queue-depth accounting). recorded
-// reports whether the event reached the merger: it is false exactly
-// when the injected fault fired first (once merge.Next is entered the
-// event is appended before any consumer code that could panic runs).
-func (x *recExec) process(ch int, ev stream.Event, sent int64, rest int) (recorded bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("storm: executor %s[%d] panicked: %v", x.rc.name, x.instance, r)
-		}
-	}()
-	x.ef.onEvent(x.rc.name, x.instance)
-	recorded = true
-	t0 := time.Now()
-	if x.markerSeen != nil {
-		now := t0.UnixNano()
-		x.em.now = now
-		if x.qskip--; x.qskip == 0 {
-			x.qskip = queueObsEvery
-			// Inbox depth in events, plus the current vector's
-			// unprocessed remainder.
-			x.is.ObserveQueueDepth(int(x.rc.depths[x.instance].Load()) + rest)
-			if sent != 0 {
-				x.is.ObserveQueue(time.Duration(now - sent))
-			}
-		}
-		if ev.IsMarker {
-			if _, ok := x.markerSeen[ev.Marker.Seq]; !ok {
-				x.markerSeen[ev.Marker.Seq] = now
-			}
-		}
-	}
-	x.merge.Next(ch, ev, x.deliverFn)
-	d := time.Since(t0)
-	x.is.AddBusy(d)
-	x.is.ObserveExec(t0, d)
-	return recorded, nil
-}
-
-// deliver receives one merged event (item, or the cut-completing
-// marker) for the operator. It is the emit target of the MRG merger.
-func (x *recExec) deliver(e stream.Event) {
-	x.is.AddExecuted(1)
-	if x.rc.isSink {
-		x.outBuf = append(x.outBuf, e)
-	} else {
-		x.bolt.Next(e, x.bufEmitFn)
-	}
-	if e.IsMarker {
-		x.completeCut(e.Marker.Seq)
-	}
-}
-
-// bufEmit buffers one bolt emission until the block's cut completes.
-func (x *recExec) bufEmit(e stream.Event) { x.outBuf = append(x.outBuf, e) }
-
-// completeCut runs when the merger has flushed a complete block and
-// its marker through deliver: snapshot the instance at the cut, flush
-// the block's buffered output transactionally, then commit the
-// checkpoint. A panic before the flush's first send (snapshot error,
+// completeCut runs when the merger has delivered a complete block and
+// its marker: snapshot the instance at the cut, flush the block's
+// parked output transactionally, then commit the checkpoint. A panic
+// before the flush's first transport append (snapshot error,
 // serialization failure, injected corruption) rolls back to the
-// previous cut with nothing delivered; after the sends only
-// executor-local bookkeeping remains. The merger pops the flushed
-// block itself once the cut's marker delivery returns, so no replay
-// trimming is needed here. seq is the cut's marker sequence number,
-// used to record the marker-cut lag (first marker arrival to this
-// commit, recovery time included).
-func (x *recExec) completeCut(seq int64) {
+// previous cut with nothing delivered; after the appends only
+// executor-local bookkeeping remains. The merger pops the block itself
+// once this returns. seq is the cut's marker sequence number, used to
+// record the marker-cut lag (first marker arrival to this commit,
+// recovery time included).
+func (x *boltExec) completeCut(seq int64) {
+	r, snapped := x.bolt.(Recoverable)
 	var snap []byte
-	snapped := x.rc.isSink
-	if !x.rc.isSink {
-		if r, ok := x.bolt.(Recoverable); ok {
-			b, err := r.Snapshot()
-			if err != nil {
-				panic(fmt.Sprintf("snapshot failed at marker cut: %v", err))
-			}
-			snap, snapped = b, true
+	if snapped {
+		var err error
+		if snap, err = r.Snapshot(); err != nil {
+			panic(fmt.Sprintf("snapshot failed at marker cut: %v", err))
 		}
 	}
 	x.flushOut()
@@ -322,9 +91,6 @@ func (x *recExec) completeCut(seq int64) {
 		x.snap, x.hasSnap = snap, true
 	}
 	x.rrSnap = append(x.rrSnap[:0], x.em.rrNext...)
-	// The buffered events were copied on send (or into the sink's
-	// output), so the backing array is reused for the next block.
-	x.outBuf = x.outBuf[:0]
 	if x.markerSeen != nil {
 		if first, ok := x.markerSeen[seq]; ok {
 			x.is.ObserveMarkerLag(time.Duration(time.Now().UnixNano() - first))
@@ -341,17 +107,16 @@ func (x *recExec) completeCut(seq int64) {
 	}
 }
 
-// flushOut sends the buffered block downstream (or appends it to the
-// sink's collected output).
-func (x *recExec) flushOut() {
-	if len(x.outBuf) == 0 {
-		return
-	}
+// flushOut sends the parked block downstream (or appends it to the
+// sink's record) and empties the buffer: events were copied on send,
+// batches consumed by it, so the backing array serves the next block.
+func (x *boltExec) flushOut() {
 	if x.rc.isSink {
-		x.rc.appendSink(x.outBuf...)
-		return
+		x.rc.appendSink(x.out)
+	} else if len(x.out) > 0 {
+		x.em.sendBlock(x.out)
 	}
-	x.em.sendBlock(x.outBuf)
+	x.out = x.out[:0]
 }
 
 // recoverFrom restarts the executor after a crash: restore the last
@@ -360,11 +125,9 @@ func (x *recExec) flushOut() {
 // deterministic bug re-panics during replay) and returns (nil, nil)
 // on success, or the still-pending input with the terminal error so a
 // drop-and-log caller can drain it.
-func (x *recExec) recoverFrom(cause error, pending [][]stream.Event) ([][]stream.Event, error) {
-	if x.rc.bolt != nil {
-		if _, ok := x.bolt.(Recoverable); !ok && !x.rc.isSink {
-			return pending, fmt.Errorf("%w (bolt is not snapshottable)", cause)
-		}
+func (x *boltExec) recoverFrom(cause error, pending [][]entry) ([][]entry, error) {
+	if _, ok := x.bolt.(Recoverable); !ok {
+		return pending, fmt.Errorf("%w (bolt is not snapshottable)", cause)
 	}
 	for {
 		x.restarts++
@@ -386,33 +149,32 @@ func (x *recExec) recoverFrom(cause error, pending [][]stream.Event) ([][]stream
 }
 
 // restart rebuilds the executor at its last committed cut: a fresh
-// bolt instance restored from the snapshot, reset round-robin
-// cursors, an empty merger, and an empty output buffer. The emitter's
-// transport buffers — combining buffers included — need no discard:
-// between cuts every emission is parked in outBuf (never pushed to
-// the transport), a crash inside a cut's flush can only fire before
-// the first buffer append (sendBlock wires everything first; flushAll
-// itself cannot panic — combiner In/Combine are pure by the template
-// contract), and sendBlock ends in flushAll, which drains every
-// combining buffer before flushing, so both buffer layers are
+// bolt instance restored from the snapshot, reset round-robin cursors,
+// an empty merger (the caller holds the old one's input), and an empty
+// output buffer, its parked batches released. The emitter's buffers —
+// transport, combining and column — need no discard: between cuts
+// every emission is parked in out (never pushed to the transport), a
+// crash inside a cut's flush can only fire before the first buffer
+// append (send stages everything first; delivery and flushAll cannot
+// panic — combiner In/Combine and folds are pure by the template
+// contract), and sendBlock ends in flushAll, so every buffer layer is
 // provably empty at every restart point.
-func (x *recExec) restart() error {
-	if !x.rc.isSink {
-		b := x.rc.bolt(x.instance)
-		r, ok := b.(Recoverable)
-		if !ok {
-			return fmt.Errorf("restarted bolt is not snapshottable")
-		}
-		if x.hasSnap {
-			if err := r.Restore(x.snap); err != nil {
-				return fmt.Errorf("restore: %w", err)
-			}
-		}
-		x.bolt = b
+func (x *boltExec) restart() error {
+	b := x.newBolt()
+	r, ok := b.(Recoverable)
+	if !ok {
+		return fmt.Errorf("restarted bolt is not snapshottable")
 	}
+	if x.hasSnap {
+		if err := r.Restore(x.snap); err != nil {
+			return fmt.Errorf("restore: %w", err)
+		}
+	}
+	x.setBolt(b)
 	x.em.rrNext = append(x.em.rrNext[:0], x.rrSnap...)
-	x.merge = stream.NewMergeState(x.rc.nChannels)
-	x.outBuf = nil
+	x.merge = x.newMerge()
+	release(x.out)
+	x.out = x.out[:0]
 	return nil
 }
 
@@ -421,31 +183,30 @@ func (x *recExec) restart() error {
 // per-event faults do not re-fire (cuts that complete during replay
 // flush and commit normally). On a crash mid-replay it returns the
 // input still pending — what the fresh merger had absorbed without
-// flushing, followed by the not-yet-fed tails — so a further retry
-// replays everything since the last committed cut.
-func (x *recExec) replayAll(pending [][]stream.Event) ([][]stream.Event, error) {
+// popping, followed by the not-yet-fed tails — so a further retry
+// replays everything since the last committed cut, and every batch
+// still has exactly one owner.
+func (x *boltExec) replayAll(pending [][]entry) ([][]entry, error) {
 	fed := make([]int, len(pending))
 	err := guard(x.rc.name, x.instance, func() {
 		t0 := time.Now()
+		defer func() { x.is.AddBusy(time.Since(t0)) }()
 		if x.markerSeen != nil {
 			x.em.now = t0.UnixNano()
 		}
-		for {
-			progressed := false
+		for progressed := true; progressed; {
+			progressed = false
 			for ch := range pending {
-				if fed[ch] < len(pending[ch]) {
-					e := pending[ch][fed[ch]]
-					fed[ch]++
-					x.is.AddReplayed(1)
-					x.merge.Next(ch, e, x.deliverFn)
-					progressed = true
+				if fed[ch] == len(pending[ch]) {
+					continue
 				}
-			}
-			if !progressed {
-				break
+				e := pending[ch][fed[ch]]
+				fed[ch]++
+				progressed = true
+				x.is.AddReplayed(int64(e.rows()))
+				x.absorb(ch, e)
 			}
 		}
-		x.is.AddBusy(time.Since(t0))
 	})
 	if err == nil {
 		return nil, nil
@@ -457,86 +218,119 @@ func (x *recExec) replayAll(pending [][]stream.Event) ([][]stream.Event, error) 
 	return left, err
 }
 
-// finish runs the end-of-stream step — trailing unaligned items,
-// the optional Flusher, and the final partial block's flush — with
-// the same crash recovery as live processing. On terminal failure it
-// returns the still-pending input for drop-and-log draining.
-func (x *recExec) finish() ([][]stream.Event, error) {
+// finish runs the end-of-stream step — trailing unaligned items, the
+// optional Flusher, and under recovery the final partial block's flush
+// — with the same crash recovery as live processing, then drops the
+// merger's last batches. On terminal failure it returns the
+// still-pending input for drop-and-log draining.
+func (x *boltExec) finish() ([][]entry, error) {
 	for {
 		err := guard(x.rc.name, x.instance, func() {
 			t0 := time.Now()
-			if x.markerSeen != nil {
+			defer func() { x.is.AddBusy(time.Since(t0)) }()
+			if x.is.ObsEnabled() {
 				x.em.now = t0.UnixNano()
 			}
-			for _, e := range x.merge.Trailing() {
-				x.deliver(e)
+			if x.merge != nil {
+				// Items of the final incomplete block (after the last
+				// marker on every channel) are delivered unaligned.
+				x.merge.Trailing()
 			}
-			if !x.rc.isSink {
-				if f, ok := x.bolt.(Flusher); ok {
-					f.Flush(x.bufEmitFn)
-				}
+			if f, ok := x.bolt.(Flusher); ok {
+				f.Flush(x.emitFn)
 			}
-			x.flushOut()
-			x.is.AddBusy(time.Since(t0))
+			if x.rec {
+				x.flushOut()
+			}
 		})
 		if err == nil {
+			if x.merge != nil {
+				x.merge.drop()
+			}
 			return nil, nil
 		}
+		left := x.held()
+		if !x.rec {
+			return left, err
+		}
 		x.pol.logf("storm: %s[%d] failed during shutdown: %v", x.rc.name, x.instance, err)
-		pending := x.merge.Pending()
-		if left, rerr := x.recoverFrom(err, pending); rerr != nil {
-			return left, rerr
+		if left, err = x.recoverFrom(err, left); err != nil {
+			return left, err
 		}
 	}
 }
 
-// degradeState is an aligned executor after an unrecoverable failure
-// under the drop-and-log policy: items are dropped (and counted), and
-// markers are forwarded once each — deduplicated by sequence number
-// across the executor's input channels — so downstream marker
-// alignment keeps progressing.
+// fail ends normal processing after a failure recovery could not undo:
+// under the drop-and-log policy the executor degrades, otherwise the
+// failure is fatal to the run and the executor only drains to its EOS.
+// Either way the input it still held (pending) and the parked output
+// are discarded, their batches released, and it stopped completing
+// cuts: a rescale barrier can no longer form, and parked peers must not
+// wait for one.
+func (x *boltExec) fail(cause error, pending [][]entry) {
+	if x.pol.Enabled && x.pol.OnUnrecoverable == DropAndLog {
+		x.pol.logf("storm: %s[%d] is unrecoverable, degrading to drop-and-log: %v", x.rc.name, x.instance, cause)
+		x.degraded = &degradeState{seen: map[int64]int{}}
+	} else {
+		x.fatal = cause
+	}
+	for _, buf := range pending {
+		for _, e := range buf {
+			x.discard(e)
+		}
+	}
+	release(x.out)
+	x.out = nil
+	if x.g != nil {
+		x.cg.leave(x.g)
+	}
+}
+
+// degradeState is an executor after an unrecoverable failure under
+// the drop-and-log policy: items are dropped (and counted), and on
+// aligned inputs markers are forwarded once each — deduplicated by
+// sequence number across the executor's input channels — so downstream
+// marker alignment keeps progressing.
 type degradeState struct {
-	x *recExec
 	// seen[seq] counts input channels that delivered marker seq.
 	seen    map[int64]int
 	stopped bool
 }
 
-// degrade transitions the executor into drop-and-log mode, dropping
-// the pending input left over from the failed recovery and forwarding
-// any marker that input already completed.
-func (x *recExec) degrade(cause error, pending [][]stream.Event) *degradeState {
-	x.pol.logf("storm: %s[%d] is unrecoverable, degrading to drop-and-log: %v", x.rc.name, x.instance, cause)
-	d := &degradeState{x: x, seen: map[int64]int{}}
-	for _, buf := range pending {
-		for _, e := range buf {
-			d.handle(e)
+// discard consumes one unit of input the failed executor will not
+// process: dropped and counted in degraded mode, silently otherwise. A
+// batch is released either way.
+func (x *boltExec) discard(e entry) {
+	d := x.degraded
+	if e.cols != nil {
+		if d != nil {
+			x.is.AddDropped(int64(e.cols.Len()))
 		}
-	}
-	x.outBuf = nil
-	return d
-}
-
-// handle processes one event in degraded mode.
-func (d *degradeState) handle(e stream.Event) {
-	if !e.IsMarker {
-		d.x.is.AddDropped(1)
+		e.cols.Release()
 		return
 	}
-	d.seen[e.Marker.Seq]++
-	if d.seen[e.Marker.Seq] < d.x.rc.nChannels {
+	if d == nil {
 		return
 	}
-	delete(d.seen, e.Marker.Seq)
+	if !e.ev.IsMarker {
+		x.is.AddDropped(1)
+		return
+	}
+	if !x.rec {
+		return // raw inputs have no cut to complete: markers are dropped uncounted
+	}
+	seq := e.ev.Marker.Seq
+	if d.seen[seq]++; d.seen[seq] < x.rc.nChannels {
+		return
+	}
+	delete(d.seen, seq)
 	if d.stopped {
 		return
 	}
 	// Channels deliver markers in sequence order, so completions are
 	// in sequence order too; forward each completed marker once.
-	if err := guard(d.x.rc.name, d.x.instance, func() {
-		d.x.em.emit(e)
-	}); err != nil {
-		d.x.pol.logf("storm: degraded %s[%d] stopped forwarding markers: %v", d.x.rc.name, d.x.instance, err)
+	if err := guard(x.rc.name, x.instance, func() { x.em.emit(e.ev) }); err != nil {
+		x.pol.logf("storm: degraded %s[%d] stopped forwarding markers: %v", x.rc.name, x.instance, err)
 		d.stopped = true
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"datatrace/internal/metrics"
-	"datatrace/internal/stream"
 )
 
 // This file implements elastic rescaling with live state migration at
@@ -242,7 +241,7 @@ type execGate struct {
 	// x is nil for spouts. Only the owning goroutine and the rewiring
 	// of its own component read them.
 	em *emitter
-	x  *recExec
+	x  *boltExec
 	// seed is set on gates created by a rescale: the spawned executor
 	// starts from it instead of the component's bolt factory.
 	seed *boltSeed
@@ -535,50 +534,13 @@ func (cg *cutGate) rewire(req *rescaleReq) error {
 	cg.gates = kept
 
 	rc.parallelism = q
-	capn := cg.t.ChannelCap
-	if capn <= 0 {
-		capn = defaultChannelCap
-	}
 	rc.inboxes = make([]chan *[]message, q)
 	rc.depths = make([]atomic.Int64, q)
 	for i := range rc.inboxes {
-		rc.inboxes[i] = make(chan *[]message, capn)
+		rc.inboxes[i] = make(chan *[]message, cg.t.channelCap())
 	}
 
-	// Global executor indices and placement (declaration order, as in
-	// resolve).
-	workers := cg.t.workers
-	gi := 0
-	for _, name := range cg.t.order {
-		c := cg.rts[name]
-		c.workerOf = make([]int, c.parallelism)
-		c.gids = make([]int, c.parallelism)
-		for i := range c.workerOf {
-			c.workerOf[i] = -1
-			if workers > 0 {
-				c.workerOf[i] = gi % workers
-			}
-			c.gids[i] = gi
-			gi++
-		}
-	}
-
-	// Receiver channel layouts: replay resolve's subscription walk to
-	// recompute every consumer's channel count and every edge's base
-	// channel (the target's parallelism shifts its consumers' widths
-	// and any edge declared after a target edge).
-	cursor := map[*runtimeComponent]int{}
-	for _, name := range cg.t.order {
-		d := cg.rts[name]
-		offset := 0
-		for _, in := range d.inputs {
-			src := cg.rts[in.from]
-			src.subs[cursor[src]].chBase = offset
-			cursor[src]++
-			offset += src.parallelism
-		}
-		d.nChannels = offset
-	}
+	cg.t.layout(cg.rts, cg.t.workers)
 
 	// Spawn the new instance set. The gates are registered here, under
 	// the mutex, so the next barrier counts them; the goroutines start
@@ -621,7 +583,7 @@ func (cg *cutGate) refresh(g *execGate) {
 	if g.x != nil && g.rc.nChannels != g.x.merge.Channels() {
 		// A consumer of the target: new input width, and the merger is
 		// empty at the barrier, so a fresh one loses nothing.
-		g.x.merge = stream.NewMergeState(g.rc.nChannels)
+		g.x.merge = g.x.newMerge()
 		g.x.eosLeft = g.rc.nChannels
 	}
 }

@@ -155,10 +155,10 @@ func (s chanSink) deliver(b *[]message) { s.ch <- b }
 type outBuf struct {
 	sink vectorSink
 	// depth is the destination inbox's event-depth counter (see
-	// runtimeComponent.depths); senders add at flush, receivers
-	// subtract at dequeue, both only when observability is on. nil for
-	// remote destinations: the receiving worker's dispatcher accounts
-	// arrivals instead.
+	// runtimeComponent.depths); senders add a vector's weight at flush,
+	// receivers subtract it at dequeue, both only when observability is
+	// on. nil for remote destinations: the receiving worker's dispatcher
+	// accounts arrivals instead.
 	depth *atomic.Int64
 	box   *[]message
 	msgs  []message
@@ -241,6 +241,18 @@ func (em *emitter) pushEOS(b *outBuf, ch int) {
 	em.pending++
 }
 
+// vecWeight is a vector's size in events, the unit of the inbox-depth
+// gauges: a column batch counts its rows, any other message one.
+func vecWeight(msgs []message) int64 {
+	w := int64(len(msgs))
+	for i := range msgs {
+		if c := msgs[i].cols; c != nil {
+			w += int64(c.Len()) - 1
+		}
+	}
+	return w
+}
+
 // flushBuf sends one buffer's accumulated vector through its sink (a
 // blocking delivery: a full inbox — or a TCP link's backpressure —
 // applies here, exactly where the unbatched transport blocked).
@@ -250,7 +262,7 @@ func (em *emitter) flushBuf(b *outBuf) {
 		return
 	}
 	if em.stamp && b.depth != nil {
-		b.depth.Add(int64(n))
+		b.depth.Add(vecWeight(b.msgs))
 	}
 	em.pending -= n
 	*b.box = b.msgs
@@ -284,28 +296,30 @@ func (em *emitter) flushAll() {
 	em.oldest = time.Time{}
 }
 
+// quiet reports that the idle flush has nothing to do: no output is
+// held by any buffer layer, or no interval is configured. With
+// BatchSize 1 and no combined edges nothing is ever held, so the
+// idle-flush hooks below never read the clock or arm a timer.
+func (em *emitter) quiet() bool {
+	return em.pending == 0 && em.cpending == 0 && em.colpending == 0 || em.flushEvery <= 0
+}
+
 // tick is the idle-flush hook called between an executor's loop
 // iterations. The first tick with pending output records the time;
-// a later tick flushes once the interval has elapsed. With BatchSize
-// 1 and no combined edges nothing is ever pending and tick never
-// reads the clock.
+// a later tick flushes once the interval has elapsed.
 func (em *emitter) tick() {
-	if em.pending == 0 && em.cpending == 0 && em.colpending == 0 || em.flushEvery <= 0 {
-		return
+	if !em.quiet() {
+		em.tickAt(time.Now())
 	}
-	em.tickAt(time.Now())
 }
 
 // tickAt is tick with the caller's already-taken timestamp.
 func (em *emitter) tickAt(now time.Time) {
-	if em.pending == 0 && em.cpending == 0 && em.colpending == 0 || em.flushEvery <= 0 {
-		return
-	}
-	if em.oldest.IsZero() {
+	switch {
+	case em.quiet():
+	case em.oldest.IsZero():
 		em.oldest = now
-		return
-	}
-	if now.Sub(em.oldest) >= em.flushEvery {
+	case now.Sub(em.oldest) >= em.flushEvery:
 		em.flushAll()
 	}
 }
@@ -316,18 +330,24 @@ func (em *emitter) tickAt(now time.Time) {
 // buffers are flushed and recvBatch returns nil (the caller retries),
 // so a quiet input edge can never strand this executor's buffered
 // output behind a blocking receive. Events held by combining buffers
-// count as buffered output here too. On the hot path (nothing
-// pending, or idle flush disabled) it is a plain channel receive.
+// count as buffered output here too. On the hot path it is a plain
+// channel receive. The bounded wait reuses the emitter's one timer:
+// since Go 1.23 a Reset or Stop leaves no stale tick behind, so no
+// drain is needed.
 func recvBatch(inbox <-chan *[]message, em *emitter) *[]message {
-	if em.pending == 0 && em.cpending == 0 && em.colpending == 0 || em.flushEvery <= 0 {
+	if em.quiet() {
 		return <-inbox
 	}
-	t := time.NewTimer(em.flushEvery)
-	defer t.Stop()
+	if em.idle == nil {
+		em.idle = time.NewTimer(em.flushEvery)
+	} else {
+		em.idle.Reset(em.flushEvery)
+	}
 	select {
 	case b := <-inbox:
+		em.idle.Stop()
 		return b
-	case <-t.C:
+	case <-em.idle.C:
 		em.flushAll()
 		return nil
 	}

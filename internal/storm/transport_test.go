@@ -102,12 +102,12 @@ func applyOps(em *emitter, ops []tOp, flushes bool) {
 			seq++
 			em.emit(mk(seq, seq))
 		case 2:
-			evs := make([]stream.Event, 0, op.blockLen+1)
+			evs := make([]entry, 0, op.blockLen+1)
 			for i := 0; i < op.blockLen; i++ {
-				evs = append(evs, stream.Item(op.key, op.val+i))
+				evs = append(evs, entry{ev: stream.Item(op.key, op.val+i)})
 			}
 			seq++
-			evs = append(evs, mk(seq, seq))
+			evs = append(evs, entry{ev: mk(seq, seq)})
 			em.sendBlock(evs)
 		case 3:
 			if flushes {

@@ -50,7 +50,12 @@ type Columns interface {
 	// Release resets the batch and returns it to the kind's pool. The
 	// caller must not touch the batch (or aliases of its slices)
 	// afterwards — dttlint rule DTT007 enforces this for operator
-	// implementations.
+	// implementations. A batch has one owner at a time and is released
+	// exactly once: a second Release of the same batch panics — in
+	// production builds too, not only under test — because it would put
+	// one arena in the pool twice and so hand it to two later owners,
+	// which corrupts data silently; a crash (a restart, under marker-cut
+	// recovery) is the lesser failure.
 	Release()
 }
 
@@ -61,6 +66,10 @@ type Cols[K, V any] struct {
 	// Keys and Vals are the parallel columns; Keys[i], Vals[i] is row i.
 	Keys []K
 	Vals []V
+	// pooled is set while the batch sits in its kind's pool: a second
+	// Release of the same batch would hand one arena to two owners, so
+	// it panics instead.
+	pooled bool
 }
 
 // Kind implements Columns.
@@ -102,6 +111,10 @@ func (c *Cols[K, V]) Slices() (any, any) { return c.Keys, c.Vals }
 
 // Release implements Columns.
 func (c *Cols[K, V]) Release() {
+	if c.pooled {
+		panic("stream: " + c.kind.name + " batch released twice")
+	}
+	c.pooled = true
 	c.Keys = c.Keys[:0]
 	c.Vals = c.Vals[:0]
 	c.kind.pool.Put(c)
@@ -113,9 +126,12 @@ func (c *Cols[K, V]) Release() {
 // edge-type selection and the transport's batch matching are pointer
 // comparisons.
 type ColKind struct {
-	name       string
-	key, val   reflect.Type
-	pool       sync.Pool
+	name     string
+	key, val reflect.Type
+	pool     sync.Pool
+	// get takes an empty batch out of the pool; fromSlices wraps decoded
+	// slices in one. Both are typed closures over the kind's (K, V).
+	get        func() Columns
 	fromSlices func(keys, vals any) (Columns, error)
 }
 
@@ -132,7 +148,7 @@ func (k *ColKind) ValType() reflect.Type { return k.val }
 func (k *ColKind) String() string { return k.name }
 
 // Get returns an empty pooled batch of this kind.
-func (k *ColKind) Get() Columns { return k.pool.Get().(Columns) }
+func (k *ColKind) Get() Columns { return k.get() }
 
 // FromSlices wraps decoded typed slices ([]K, []V boxed as any) in a
 // pooled batch, taking ownership of the slices. It is the wire-decode
@@ -188,6 +204,11 @@ func newColKind[K, V any](kt, vt reflect.Type) *ColKind {
 	}
 	hash := keyHashFor[K]()
 	k.pool.New = func() any { return &Cols[K, V]{kind: k, hash: hash} }
+	k.get = func() Columns {
+		c := k.pool.Get().(*Cols[K, V])
+		c.pooled = false
+		return c
+	}
 	k.fromSlices = func(keys, vals any) (Columns, error) {
 		ks, ok := keys.([]K)
 		if !ok {
@@ -200,7 +221,7 @@ func newColKind[K, V any](kt, vt reflect.Type) *ColKind {
 		if len(ks) != len(vs) {
 			return nil, fmt.Errorf("stream: %s ragged columns: %d keys, %d values", k.name, len(ks), len(vs))
 		}
-		c := k.pool.Get().(*Cols[K, V])
+		c := k.get().(*Cols[K, V])
 		c.Keys, c.Vals = ks, vs
 		return c, nil
 	}
