@@ -347,3 +347,8 @@ type Hist = metrics.Hist
 // Span is one sampled event execution (component, instance, executed
 // ordinal, wall-clock start/end).
 type Span = metrics.Span
+
+// WireStats are a networked run's data-link counters (Stats.Wire):
+// frames, bytes, rows sent as raw columns, rows sent through the gob
+// fallback, and the time spent in socket writes and waiting for credit.
+type WireStats = metrics.WireStats

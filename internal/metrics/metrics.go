@@ -227,6 +227,46 @@ type Stats struct {
 	mu        sync.Mutex
 	instances []*InstanceStats
 	obs       ObsConfig
+	wire      WireStats
+}
+
+// WireStats are the counters of a networked run's data links, summed
+// over every worker's outgoing links (all zero for an in-process run).
+type WireStats struct {
+	// Frames and Bytes count what was written to the links.
+	Frames, Bytes int64
+	// TypedRows crossed a link as raw columns; FallbackRows crossed it
+	// through gob: boxed items and the rows of batches whose kind has no
+	// wire layout.
+	TypedRows, FallbackRows int64
+	// WriterBlocked is the time the links' writer goroutines spent inside
+	// socket writes, CreditStall the time executors waited for a
+	// destination's credit window to reopen.
+	WriterBlocked, CreditStall time.Duration
+}
+
+// Add folds another set of links' counters into w.
+func (w *WireStats) Add(o WireStats) {
+	w.Frames += o.Frames
+	w.Bytes += o.Bytes
+	w.TypedRows += o.TypedRows
+	w.FallbackRows += o.FallbackRows
+	w.WriterBlocked += o.WriterBlocked
+	w.CreditStall += o.CreditStall
+}
+
+// AddWire folds one worker's link counters into the run's.
+func (s *Stats) AddWire(w WireStats) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.wire.Add(w)
+}
+
+// Wire returns the run's link counters.
+func (s *Stats) Wire() WireStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.wire
 }
 
 // NewStats creates an empty collector.

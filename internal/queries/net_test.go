@@ -96,6 +96,55 @@ func TestNetworkedEquivalenceDifferential(t *testing.T) {
 	}
 }
 
+// TestNetworkedSaturatedQueryIV runs generated Query IV flat out — the
+// generator-backed column sources, which never wait, and no closed-loop
+// window — on two worker processes that send to each other on both
+// inner edges, twenty times over. Before the data links had credit
+// windows a run like this could wedge both workers on each other's
+// sockets; every one must now finish, with the in-process run's trace
+// and with every source row on a link sent as a raw column.
+func TestNetworkedSaturatedQueryIV(t *testing.T) {
+	if testing.Short() {
+		t.Skip("twenty cluster runs of 1.2 M events")
+	}
+	requireNet(t)
+	cfg := netTestCfg()
+	cfg.EventsPerSecond = 100_000
+	spec := Spec{Query: "IV", Variant: Generated, Par: 2, SourcePar: 2}
+	env, err := NewEnv(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := Run(env, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := ByName("IV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 20; run++ {
+		res, err := RunNetworked(NetSpec{Spec: spec, Workers: 2, Cfg: cfg}, func(o *storm.NetOptions) {
+			o.MaxRestarts = -1
+			o.AttemptTimeout = time.Minute
+		})
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if !stream.Equivalent(def.SinkType(env), res.Sinks["sink"], oracle.Sinks["sink"]) {
+			t.Fatalf("run %d: networked trace differs from the in-process run", run)
+		}
+		wire := res.Stats.Wire()
+		if wire.TypedRows < int64(cfg.EventsPerSecond*cfg.Seconds)/2 {
+			t.Fatalf("run %d: %d rows crossed as raw columns, want at least the sources' cross-worker half of %d (%+v)",
+				run, wire.TypedRows, cfg.EventsPerSecond*cfg.Seconds, wire)
+		}
+		if run == 0 {
+			t.Logf("links of one run: %+v", wire)
+		}
+	}
+}
+
 // TestChaosWorkerKillRecovery SIGKILLs a worker process mid-epoch and
 // checks the coordinator's recovery: the cluster restarts, the
 // replayed stream is spliced onto the committed prefix at the marker

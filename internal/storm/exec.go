@@ -88,7 +88,7 @@ type runtimeComponent struct {
 	subs              []subscription
 	nChannels         int // receiver-side input channel count
 	aligned           bool
-	transport         TransportOptions // normalized at Run
+	transport         TransportOptions // as set; newEmitter normalizes, once
 	serializerFactory func() Serializer
 	// workerOf[i] is the worker hosting instance i (-1: no placement,
 	// every serialized send pays the wire format).
@@ -210,7 +210,7 @@ func (t *Topology) resolve(w *workerNet) (map[string]*runtimeComponent, error) {
 
 	rts := make(map[string]*runtimeComponent, len(t.order))
 	for _, name := range t.order {
-		rts[name] = &runtimeComponent{component: t.components[name], transport: t.transport.normalized(), net: w, serializerFactory: t.serializer}
+		rts[name] = &runtimeComponent{component: t.components[name], transport: t.transport, net: w, serializerFactory: t.serializer}
 	}
 	for _, name := range t.order {
 		rc := rts[name]

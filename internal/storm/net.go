@@ -1,104 +1,99 @@
 package storm
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"datatrace/internal/codec"
-	"datatrace/internal/stream"
+	"datatrace/internal/metrics"
 )
 
-// This file is the data plane of the networked runtime: the TCP form
-// of the vectorSink seam. Each ordered pair of workers that exchange
-// traffic shares one directed TCP connection (a netLink); a flushed
-// message vector crossing a worker boundary is serialized into one
-// length-prefixed frame (codec.Frame) addressed to the destination
-// executor's global index and written synchronously, so TCP's flow
-// control is the backpressure, standing in for the in-process
-// transport's bounded channel. Per-(sender,channel) FIFO order is
-// preserved: one directed connection per worker pair, frames written
-// atomically under the link lock, and the receiving dispatcher
-// delivers frames in stream order.
+// This file is the sending half of the networked runtime's data plane:
+// the TCP form of the vectorSink seam. Each ordered pair of workers
+// shares one TCP connection (a netLink, dialled by the sender); a
+// flushed message vector crossing a worker boundary becomes one binary
+// frame (codec/frame.go) addressed to the destination executor's global
+// index. Per-(sender,channel) FIFO order is preserved: one connection
+// per worker pair, frames encoded and queued atomically under the link
+// lock, written in queue order, and delivered by the receiver in stream
+// order.
 //
-// Failure model: a link write error poisons the link; every executor
-// that subsequently flushes into it panics, which the guard converts
-// into executor failure and — via the worker's Done report — into a
-// cluster-level attempt failure the coordinator recovers from by
-// restarting all workers (see netcoord.go). The one typed exception
-// is codec.ErrUnregisteredType: it is detected before any bytes reach
-// the stream, leaves the link healthy, and fails only the emitting
-// executor, which may then degrade per the drop-and-log policy.
+// Backpressure is credits, not blocking writes. A sending worker holds,
+// per destination executor, a window of ChannelCap credits, one per
+// vector in flight; an executor takes a credit before it encodes a
+// vector and waits — for that destination only — when the window is
+// spent. The receiving worker returns credits as the destination's inbox
+// accepts vectors (networker.go), on the reverse direction of the same
+// connection, which carries nothing else. So a worker never has more
+// than ChannelCap vectors per (peer, destination) beyond the destination
+// inbox, the receiver can always take what arrives without blocking its
+// frame dispatcher, and a stalled consumer stalls exactly the senders of
+// its own edges — the shape of the in-process bounded channel, with the
+// connection as a delay line, hence deadlock-free whenever the DAG is.
+//
+// No executor touches the socket. An executor encodes its frame into the
+// link's pending buffer (memory only) and moves on; the link's writer
+// goroutine swaps that buffer out and writes whatever accumulated —
+// many frames per write under load, one per frame when idle — and parks
+// when the buffer is empty. Pending bytes are bounded by the credit
+// windows.
+//
+// Failure model: a socket error on either direction kills the link;
+// every executor that subsequently sends on it (or is waiting for its
+// credit) panics, which the guard converts into executor failure, and
+// the worker aborts (workerNet.fail) so the coordinator sees an attempt
+// failure and recovers by restarting all workers (see netcoord.go). The
+// one typed exception is codec.ErrUnregisteredType: it is detected
+// before any byte is queued, leaves the link healthy, returns the
+// credit, and fails only the emitting executor, which may then degrade
+// per the drop-and-log policy.
 
-// toWireMsgs converts one transport vector into frame messages,
-// reusing scratch. A column batch ships as its two typed column
-// slices plus the kind's wire name — one type descriptor per slice
-// type per connection, no per-row boxing on the wire.
-func toWireMsgs(msgs []message, scratch []codec.WireMessage) []codec.WireMessage {
-	scratch = scratch[:0]
-	for i := range msgs {
-		m := &msgs[i]
-		w := codec.WireMessage{Ch: int32(m.ch), EOS: m.eos, Sent: m.sent}
-		if m.cols != nil {
-			keys, vals := m.cols.Slices()
-			w.Cols = &codec.WireCols{Kind: m.cols.Kind().Name(), Keys: keys, Vals: vals}
-		} else {
-			w.Ev = codec.FromEvent(m.ev)
-		}
-		scratch = append(scratch, w)
-	}
-	return scratch
-}
+// grantLen is the size of one credit grant on a link's reverse
+// direction: the destination executor (u32) and the number of credits
+// returned (u32), little-endian.
+const grantLen = 8
 
-// frameToBatch converts a received frame's messages into a pooled
-// transport vector, ready for an inbox channel. Decoded column slices
-// are wrapped in a pooled batch, taking ownership — gob allocates
-// fresh slices per decode. Both sides of a link build the same
-// topology, so an unknown kind name (or mistyped slices) is a
-// deployment bug, not a recoverable event fault: it panics the
-// dispatcher, failing the worker attempt.
-func frameToBatch(ws []codec.WireMessage) *[]message {
-	bp := getBatch()
-	b := (*bp)[:0]
-	for i := range ws {
-		w := &ws[i]
-		if w.Cols != nil {
-			kind := stream.ColKindByName(w.Cols.Kind)
-			if kind == nil {
-				panic(fmt.Sprintf("net transport: received unknown column kind %q", w.Cols.Kind))
-			}
-			cols, err := kind.FromSlices(w.Cols.Keys, w.Cols.Vals)
-			if err != nil {
-				panic(fmt.Sprintf("net transport: %v", err))
-			}
-			b = append(b, message{ch: int(w.Ch), sent: w.Sent, cols: cols})
-			continue
-		}
-		b = append(b, message{ch: int(w.Ch), eos: w.EOS, sent: w.Sent, ev: w.Ev.Event()})
-	}
-	*bp = b
-	return bp
-}
-
-// netLink is one directed data connection to a peer worker. send is
-// called by every local executor that has a destination on the peer,
-// so the link serializes writers; the per-connection frame encoder
-// amortizes gob type descriptors across the link's lifetime.
+// netLink is one data connection to a peer worker: frames out, credit
+// grants back.
 type netLink struct {
+	conn net.Conn
+	// onFail reports the link's first socket error to the worker.
+	onFail func(error)
+	// window is the credit window per destination executor.
+	window int
+
+	// mu guards the encoder, the pending buffer it appends to, the
+	// conversion scratch and the gate table.
 	mu      sync.Mutex
-	conn    net.Conn
-	bw      *bufio.Writer
 	enc     *codec.FrameEncoder
-	scratch []codec.WireMessage
+	pending []byte
+	scratch []codec.Message
+	gates   map[int]chan struct{}
 	err     error
+	// flushing tells the writer to exit once pending is empty; closed
+	// marks socket errors as the echo of our own close.
+	flushing, closed bool
+
+	// wake (capacity 1) tells the writer that pending is non-empty or the
+	// link is flushing; dead is closed on the first socket error.
+	wake chan struct{}
+	dead chan struct{}
+	// writerDone and readerDone are closed when the goroutines exit.
+	writerDone, readerDone chan struct{}
+
+	writerBlocked, creditStall atomic.Int64
 }
 
-// dialLink connects to a peer's data address and identifies this
-// worker with a fixed-size preamble.
-func dialLink(addr string, self int) (*netLink, error) {
+// dialLink connects to a peer's data address, identifies this worker
+// with a fixed-size preamble and starts the link's writer and
+// grant-reader goroutines.
+func dialLink(addr string, self, window int, onFail func(error)) (*netLink, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -109,52 +104,229 @@ func dialLink(addr string, self int) (*netLink, error) {
 		conn.Close()
 		return nil, err
 	}
-	bw := bufio.NewWriter(conn)
-	return &netLink{conn: conn, bw: bw, enc: codec.NewFrameEncoder(bw)}, nil
+	l := &netLink{
+		conn: conn, onFail: onFail, window: window,
+		gates: map[int]chan struct{}{},
+		wake:  make(chan struct{}, 1),
+		dead:  make(chan struct{}),
+
+		writerDone: make(chan struct{}),
+		readerDone: make(chan struct{}),
+	}
+	l.enc = codec.NewFrameEncoder(l)
+	go l.writeLoop()
+	go l.readGrants()
+	return l, nil
 }
 
-// send frames one vector for the destination executor and writes it
-// out. The write is synchronous: a slow or congested peer blocks the
-// sender here, which is the networked form of inbox backpressure.
-func (l *netLink) send(dest int, msgs []message) error {
+// Write is the encoder's view of the link: a frame is appended to the
+// pending buffer (send holds mu around the encoder).
+func (l *netLink) Write(p []byte) (int, error) {
+	l.pending = append(l.pending, p...)
+	return len(p), nil
+}
+
+// gate returns the credit window of one destination executor, creating
+// it full. A credit is a token in the channel.
+func (l *netLink) gate(dest int) chan struct{} {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	g := l.gates[dest]
+	if g == nil {
+		g = make(chan struct{}, l.window) // a counting semaphore: one slot per credit
+		for i := 0; i < l.window; i++ {
+			g <- struct{}{}
+		}
+		l.gates[dest] = g
+	}
+	return g
+}
+
+// acquire takes one credit, waiting while the destination's window is
+// spent.
+func (l *netLink) acquire(g chan struct{}) error {
+	select {
+	case <-g:
+		return nil
+	default:
+	}
+	t0 := time.Now()
+	select {
+	case <-g:
+		l.creditStall.Add(int64(time.Since(t0)))
+		return nil
+	case <-l.dead:
+		return l.failure()
+	}
+}
+
+// send encodes one vector for the destination executor into the pending
+// buffer and wakes the writer. It never blocks on the network.
+func (l *netLink) send(dest int, msgs []message) error {
+	l.mu.Lock()
 	if l.err != nil {
+		l.mu.Unlock()
 		return l.err
 	}
-	l.scratch = toWireMsgs(msgs, l.scratch)
-	f := codec.Frame{Dest: int32(dest), Msgs: l.scratch}
-	if err := l.enc.Encode(&f); err != nil {
-		if !errors.Is(err, codec.ErrUnregisteredType) {
-			l.err = err
+	ws := l.scratch[:0]
+	for i := range msgs {
+		m := &msgs[i]
+		ws = append(ws, codec.Message{Ch: int32(m.ch), EOS: m.eos, Sent: m.sent, Ev: m.ev, Cols: m.cols})
+	}
+	err := l.enc.EncodeVector(int32(dest), ws)
+	clear(ws)
+	l.scratch = ws
+	if err != nil && !errors.Is(err, codec.ErrUnregisteredType) {
+		l.err = err // the encoder's stream state is no longer the peer's
+	}
+	l.mu.Unlock()
+	if err == nil {
+		l.kick()
+	}
+	return err
+}
+
+func (l *netLink) kick() {
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
+}
+
+// writeLoop is the link's writer goroutine: it writes what executors
+// queued, everything pending in one Write, and parks when nothing is.
+func (l *netLink) writeLoop() {
+	defer close(l.writerDone)
+	var out []byte
+	for {
+		l.mu.Lock()
+		out, l.pending = l.pending, out[:0]
+		flushing := l.flushing
+		l.mu.Unlock()
+		if len(out) == 0 {
+			if flushing {
+				return
+			}
+			<-l.wake
+			continue
 		}
-		return err
+		t0 := time.Now()
+		_, err := l.conn.Write(out)
+		l.writerBlocked.Add(int64(time.Since(t0)))
+		if err != nil {
+			l.fail(fmt.Errorf("write: %w", err))
+			return
+		}
 	}
-	if err := l.bw.Flush(); err != nil {
-		l.err = err
-		return err
-	}
-	return nil
 }
 
+// readGrants is the link's reverse direction: it returns the credits
+// the peer grants to their windows. Putting a credit back never blocks;
+// a grant that would overfill a window is a protocol error.
+func (l *netLink) readGrants() {
+	defer close(l.readerDone)
+	var buf [grantLen]byte
+	for {
+		if _, err := io.ReadFull(l.conn, buf[:]); err != nil {
+			l.fail(fmt.Errorf("reading credit grants: %w", err))
+			return
+		}
+		dest, n := int(binary.LittleEndian.Uint32(buf[:4])), binary.LittleEndian.Uint32(buf[4:])
+		l.mu.Lock()
+		g := l.gates[dest]
+		l.mu.Unlock()
+		if g == nil || int(n) > cap(g)-len(g) {
+			l.fail(fmt.Errorf("peer granted %d credits for executor %d beyond its window", n, dest))
+			return
+		}
+		for ; n > 0; n-- {
+			g <- struct{}{}
+		}
+	}
+}
+
+// fail records the link's first socket error, releases everyone waiting
+// on the link and reports to the worker.
+func (l *netLink) fail(err error) {
+	l.mu.Lock()
+	if l.err != nil || l.closed {
+		l.mu.Unlock()
+		return
+	}
+	l.err = err
+	l.mu.Unlock()
+	close(l.dead)
+	l.onFail(err)
+}
+
+func (l *netLink) failure() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.err
+}
+
+// flush waits until every queued frame has been written (or the link
+// has failed) and returns the link's error. Nothing may be sent after
+// it; the reverse direction keeps being read until close, so the peer,
+// which may still be consuming what was written, never sees a reset.
+func (l *netLink) flush() error {
+	l.mu.Lock()
+	l.flushing = true
+	l.mu.Unlock()
+	l.kick()
+	<-l.writerDone
+	return l.failure()
+}
+
+// close closes the connection, fails whoever still waits on the link and
+// waits for the link's goroutines.
 func (l *netLink) close() {
+	l.mu.Lock()
+	l.flushing, l.closed = true, true
+	if l.err == nil {
+		l.err = errors.New("link closed")
+		close(l.dead)
+	}
+	l.mu.Unlock()
+	l.kick()
 	l.conn.Close()
+	<-l.writerDone
+	<-l.readerDone
 }
 
-// netSink is the vectorSink of a remote destination: it serializes
-// the vector onto the destination worker's link and recycles the box
-// (nothing downstream in this process will consume it). A send error
-// panics in the calling executor, whose guard applies the configured
-// degradation or failure policy.
+// wire returns the link's counters. The writer has exited (flush).
+func (l *netLink) wire() metrics.WireStats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return metrics.WireStats{
+		Frames: l.enc.Frames, Bytes: l.enc.Bytes,
+		TypedRows: l.enc.TypedRows, FallbackRows: l.enc.FallbackRows,
+		WriterBlocked: time.Duration(l.writerBlocked.Load()),
+		CreditStall:   time.Duration(l.creditStall.Load()),
+	}
+}
+
+// netSink is the vectorSink of a remote destination: it takes a credit
+// of the destination's window, queues the vector's frame on the
+// destination worker's link and recycles the box (nothing downstream in
+// this process will consume it). A send error panics in the calling
+// executor, whose guard applies the configured degradation or failure
+// policy.
 type netSink struct {
 	link *netLink
 	dest int
+	gate chan struct{}
 }
 
 func (s netSink) deliver(b *[]message) {
-	err := s.link.send(s.dest, *b)
+	err := s.link.acquire(s.gate)
+	if err == nil {
+		if err = s.link.send(s.dest, *b); errors.Is(err, codec.ErrUnregisteredType) {
+			s.gate <- struct{}{} // nothing was queued: the credit is still ours
+		}
+	}
 	// Column batches are released only after send returns: the frame
-	// encoder reads their slices during Encode, inside send's lock.
+	// encoder copies their columns during the call.
 	for i := range *b {
 		if c := (*b)[i].cols; c != nil {
 			(*b)[i].cols = nil
@@ -216,9 +388,11 @@ type netSummary struct {
 	Cuts      int64
 }
 
-// netDone reports a worker's run completion; Failure carries the
-// executor error text when the local run failed.
+// netDone reports a worker's run completion: its executors' counters
+// and its outgoing links' summed. Failure carries the executor (or link
+// flush) error text when the local run failed.
 type netDone struct {
 	Summaries []netSummary
+	Wire      metrics.WireStats
 	Failure   string
 }

@@ -41,20 +41,20 @@ const (
 	satKeys          = 64
 )
 
-// satSpout generates satRow rows as fast as it is asked,
-// with a marker every satRowsPerMarker rows — no window, no pacing.
+// satSpout generates rows satRow rows as fast as it is asked, with a
+// marker every perMarker rows — no window, no pacing.
 type satSpout struct {
-	row     int
-	markers int
+	rows, perMarker int
+	row, markers    int
 }
 
 func (s *satSpout) ColKind() *stream.ColKind { return satKind }
 
-// due reports whether the next event is a marker (or the end).
-func (s *satSpout) due() bool { return s.row == (s.markers+1)*satRowsPerMarker }
+// due reports whether the next event is a marker.
+func (s *satSpout) due() bool { return s.row == (s.markers+1)*s.perMarker }
 
 func (s *satSpout) Next() (stream.Event, bool) {
-	if s.row >= satRowsPerSource && !s.due() {
+	if s.row >= s.rows && !s.due() {
 		return stream.Event{}, false
 	}
 	if s.due() {
@@ -68,30 +68,31 @@ func (s *satSpout) Next() (stream.Event, bool) {
 func (s *satSpout) NextCols(out stream.Columns, max int) int {
 	c := out.(*stream.Cols[int64, satVal])
 	n := 0
-	for ; n < max && !s.due() && s.row < satRowsPerSource; n++ {
+	for ; n < max && !s.due() && s.row < s.rows; n++ {
 		s.row++
 		c.Append(satRow(s.row))
 	}
 	return n
 }
 
-// satSlowPass forwards every row and marker, burning ~10 µs per batch:
-// the deliberately slow middle stage that lets the sources fill every
-// queue in front of it.
-type satSlowPass struct{}
+// satSlowPass forwards every row and marker, burning a few microseconds
+// of arithmetic per batch: the deliberately slow middle stage that lets
+// the sources fill every queue in front of it.
+type satSlowPass struct{ burnt uint64 }
 
-func (satSlowPass) InColKind() *stream.ColKind  { return satKind }
-func (satSlowPass) OutColKind() *stream.ColKind { return satKind }
+func (*satSlowPass) InColKind() *stream.ColKind  { return satKind }
+func (*satSlowPass) OutColKind() *stream.ColKind { return satKind }
 
-func (satSlowPass) ProcessCols(in, out stream.Columns) {
-	for t0 := time.Now(); time.Since(t0) < 10*time.Microsecond; {
+func (s *satSlowPass) ProcessCols(in, out stream.Columns) {
+	for i := uint64(0); i < 3000; i++ {
+		s.burnt = s.burnt*31 + i
 	}
 	tin, tout := in.(*stream.Cols[int64, satVal]), out.(*stream.Cols[int64, satVal])
 	tout.Keys = append(tout.Keys, tin.Keys...)
 	tout.Vals = append(tout.Vals, tin.Vals...)
 }
 
-func (satSlowPass) Next(e stream.Event, emit func(stream.Event)) { emit(e) }
+func (*satSlowPass) Next(e stream.Event, emit func(stream.Event)) { emit(e) }
 
 // satSum sums values per key and reports the sums, in key order, at
 // every marker.
@@ -130,8 +131,8 @@ func satTopology() *Topology {
 	top := NewTopology("net-saturation")
 	top.ChannelCap = 2
 	top.SetTransport(TransportOptions{BatchSize: 16})
-	top.AddSpout("src", 2, func(int) Spout { return &satSpout{} })
-	top.AddBolt("mid", 2, func(int) Bolt { return satSlowPass{} }).ShuffleGrouping("src", true).ColumnarWith(satKind)
+	top.AddSpout("src", 2, func(int) Spout { return &satSpout{rows: satRowsPerSource, perMarker: satRowsPerMarker} })
+	top.AddBolt("mid", 2, func(int) Bolt { return &satSlowPass{} }).ShuffleGrouping("src", true).ColumnarWith(satKind)
 	top.AddBolt("sum", 2, func(int) Bolt { return &satSum{sums: map[int64]int64{}} }).FieldsGrouping("mid", true).ColumnarWith(satKind)
 	top.AddSink("sink", "sum")
 	return top

@@ -109,29 +109,6 @@ func TestRunNetworkedGoroutineWorkers(t *testing.T) {
 	}
 }
 
-// TestWireMessageVectorRoundTrip checks the transport-vector ↔ frame
-// conversion is lossless, including EOS notices and markers.
-func TestWireMessageVectorRoundTrip(t *testing.T) {
-	msgs := []message{
-		{ch: 0, ev: stream.Item(int64(1), 2.5), sent: 77},
-		{ch: 3, ev: stream.Mark(stream.Marker{Seq: 9, Timestamp: 10})},
-		{ch: 1, eos: true},
-		{ch: 2, ev: stream.Item(int64(4), 0.25)},
-	}
-	ws := toWireMsgs(msgs, nil)
-	bp := frameToBatch(ws)
-	defer putBatch(bp)
-	got := *bp
-	if len(got) != len(msgs) {
-		t.Fatalf("round trip changed length: %d → %d", len(msgs), len(got))
-	}
-	for i := range msgs {
-		if got[i].ch != msgs[i].ch || got[i].eos != msgs[i].eos || got[i].sent != msgs[i].sent || got[i].ev != msgs[i].ev {
-			t.Fatalf("message %d changed: %+v → %+v", i, msgs[i], got[i])
-		}
-	}
-}
-
 // TestPlacementTable checks the shared placement rule: declaration
 // order, instance-major, round-robin over workers — identical in
 // every process, which is what lets workers route without a placement

@@ -106,7 +106,8 @@ type NetResult struct {
 	// attempt's tail.
 	Sinks map[string][]stream.Event
 	// Stats holds the per-executor counters reported by the workers of
-	// the successful attempt.
+	// the successful attempt, and their data links' counters summed
+	// (Stats.Wire).
 	Stats *metrics.Stats
 	// Wall is the real elapsed time including restarts.
 	Wall time.Duration
@@ -293,9 +294,9 @@ func RunNetworked(opts NetOptions) (*NetResult, error) {
 	start := time.Now()
 	var stats *metrics.Stats
 	for attempt := 0; ; attempt++ {
-		summaries, err := r.runAttempt(attempt)
+		dones, err := r.runAttempt(attempt)
 		if err == nil {
-			stats = rebuildStats(summaries)
+			stats = rebuildStats(dones)
 			break
 		}
 		// A failed attempt's uncommitted tail is discarded; the next
@@ -342,8 +343,8 @@ func RunNetworked(opts NetOptions) (*NetResult, error) {
 
 // runAttempt runs one full cluster attempt: spawn, rendezvous, stream
 // sink data, collect dones, shut down. It returns the workers' final
-// executor summaries on success.
-func (r *coordinator) runAttempt(attempt int) ([]netSummary, error) {
+// reports on success.
+func (r *coordinator) runAttempt(attempt int) ([]*netDone, error) {
 	W := r.opts.Workers
 	evc := make(chan coordEvent, 4*W)
 	stop := make(chan struct{})
@@ -409,7 +410,7 @@ func (r *coordinator) runAttempt(attempt int) ([]netSummary, error) {
 			}
 		}
 	}
-	fail := func(cause error) ([]netSummary, error) {
+	fail := func(cause error) ([]*netDone, error) {
 		killAll()
 		_ = drainExits(workerExitGracePeriod, false)
 		return nil, cause
@@ -472,9 +473,8 @@ func (r *coordinator) runAttempt(attempt int) ([]netSummary, error) {
 	}
 
 	// Main loop: sink traffic and completion reports.
-	var summaries []netSummary
-	doneCount := 0
-	for doneCount < W {
+	var dones []*netDone
+	for len(dones) < W {
 		select {
 		case ev := <-evc:
 			switch {
@@ -491,8 +491,7 @@ func (r *coordinator) runAttempt(attempt int) ([]netSummary, error) {
 				if ev.done.Failure != "" {
 					return fail(fmt.Errorf("worker %d reported failure: %s", ev.worker, ev.done.Failure))
 				}
-				summaries = append(summaries, ev.done.Summaries...)
-				doneCount++
+				dones = append(dones, ev.done)
 			case ev.exit:
 				exited[ev.worker] = true
 				return fail(fmt.Errorf("worker %d died mid-run: %v", ev.worker, ev.err))
@@ -500,7 +499,7 @@ func (r *coordinator) runAttempt(attempt int) ([]netSummary, error) {
 				return fail(fmt.Errorf("control connection of worker %d: %w", ev.worker, ev.err))
 			}
 		case <-timeout.C:
-			return fail(fmt.Errorf("attempt timeout: %d/%d workers done after %v", doneCount, W, r.opts.AttemptTimeout))
+			return fail(fmt.Errorf("attempt timeout: %d/%d workers done after %v", len(dones), W, r.opts.AttemptTimeout))
 		}
 	}
 
@@ -514,7 +513,7 @@ func (r *coordinator) runAttempt(attempt int) ([]netSummary, error) {
 		return nil, err
 	}
 	r.logf("storm: attempt %d complete: %d cuts committed", attempt, r.totalCommitted())
-	return summaries, nil
+	return dones, nil
 }
 
 // readCtrl relays one worker's control messages to the attempt loop.
@@ -607,20 +606,23 @@ func (r *coordinator) totalCommitted() int {
 }
 
 // rebuildStats reconstructs a metrics.Stats from the workers' final
-// summaries.
-func rebuildStats(summaries []netSummary) *metrics.Stats {
+// reports.
+func rebuildStats(dones []*netDone) *metrics.Stats {
 	stats := metrics.NewStats()
-	for _, s := range summaries {
-		is := stats.Instance(s.Component, s.Instance)
-		is.AddExecuted(s.Executed)
-		is.AddEmitted(s.Emitted)
-		is.AddBusy(time.Duration(s.BusyNs))
-		is.AddRestarts(s.Restarts)
-		is.AddReplayed(s.Replayed)
-		is.AddDropped(s.Dropped)
-		is.AddCombinedIn(s.CombIn)
-		is.AddCombinedOut(s.CombOut)
-		is.AddCuts(s.Cuts)
+	for _, d := range dones {
+		stats.AddWire(d.Wire)
+		for _, s := range d.Summaries {
+			is := stats.Instance(s.Component, s.Instance)
+			is.AddExecuted(s.Executed)
+			is.AddEmitted(s.Emitted)
+			is.AddBusy(time.Duration(s.BusyNs))
+			is.AddRestarts(s.Restarts)
+			is.AddReplayed(s.Replayed)
+			is.AddDropped(s.Dropped)
+			is.AddCombinedIn(s.CombIn)
+			is.AddCombinedOut(s.CombOut)
+			is.AddCuts(s.Cuts)
+		}
 	}
 	return stats
 }

@@ -26,6 +26,12 @@ import (
 // collected output to the coordinator as it arrives, cut by cut, so
 // the coordinator can commit prefixes at marker granularity and
 // splice replays after a process failure.
+//
+// It is also the receiving half of the data plane (net.go has the
+// sending half and the flow-control argument): per inbound connection a
+// dispatcher that decodes frames and never waits on anything but its
+// socket, and per hosted executor a pump that feeds the inbox from the
+// executor's ingress queue and returns the senders' credits.
 
 // Environment variable names of the worker spawn contract
 // (RunNetworked sets them; WorkerEnvConfig reads them).
@@ -65,10 +71,21 @@ func WorkerEnvConfig() (cfg WorkerConfig, spec string, ok bool) {
 }
 
 // inboxRef is one locally hosted executor's delivery point for the
-// frame dispatcher.
+// frame dispatchers: vectors from peers queue on ingress, whose capacity
+// is the peers' credit windows together, so a dispatcher's send never
+// blocks; the executor's pump moves them into the inbox.
 type inboxRef struct {
-	ch    chan *[]message
-	depth *atomic.Int64
+	ch      chan *[]message
+	depth   *atomic.Int64
+	ingress chan inbound
+}
+
+// inbound is one received vector, the worker that sent it and the
+// connection its credit returns on.
+type inbound struct {
+	bp   *[]message
+	peer int
+	conn net.Conn
 }
 
 // workerNet is a worker process's networked-transport state: the
@@ -78,20 +95,46 @@ type workerNet struct {
 	workers int
 	self    int
 	obs     bool
-	links   []*netLink
-	byGID   map[int]inboxRef
+	// window is the credit window per (sending worker, destination
+	// executor): the inbox capacity, so a remote edge buffers what a local
+	// one does.
+	window int
+	links  []*netLink
+	byGID  map[int]inboxRef
 	// failc surfaces the first dispatcher/transport failure;
 	// ServeWorker aborts the process-local run on it.
 	failc chan error
+
+	// stop ends the pumps; mu guards the inbound connections close shuts;
+	// wg counts the accept loop, the dispatchers and the pumps.
+	stop    chan struct{}
+	mu      sync.Mutex
+	inbound []net.Conn
+	closed  bool
+	wg      sync.WaitGroup
+}
+
+func newWorkerNet(workers, self, window int, obs bool) *workerNet {
+	return &workerNet{
+		workers: workers, self: self, window: window, obs: obs,
+		links: make([]*netLink, workers),
+		byGID: map[int]inboxRef{},
+		failc: make(chan error, 1),
+		stop:  make(chan struct{}),
+	}
 }
 
 func (w *workerNet) register(gid int, ch chan *[]message, depth *atomic.Int64) {
-	w.byGID[gid] = inboxRef{ch: ch, depth: depth}
+	// Sized to the number of sends that can be outstanding: every peer's
+	// whole window.
+	ingress := make(chan inbound, (w.workers-1)*w.window)
+	w.byGID[gid] = inboxRef{ch: ch, depth: depth, ingress: ingress}
 }
 
 // sinkTo resolves the vectorSink of a remote destination instance.
 func (w *workerNet) sinkTo(rc *runtimeComponent, k int) vectorSink {
-	return netSink{link: w.links[rc.workerOf[k]], dest: rc.gids[k]}
+	l := w.links[rc.workerOf[k]]
+	return netSink{link: l, dest: rc.gids[k], gate: l.gate(rc.gids[k])}
 }
 
 func (w *workerNet) fail(err error) {
@@ -101,22 +144,58 @@ func (w *workerNet) fail(err error) {
 	}
 }
 
+// serve accepts the peers' data connections and starts every hosted
+// executor's pump; close undoes it.
+func (w *workerNet) serve(ln net.Listener) {
+	for gid, ref := range w.byGID {
+		w.wg.Add(1)
+		go w.pump(gid, ref)
+	}
+	w.wg.Add(1)
+	go func() {
+		defer w.wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return // listener closed at worker shutdown
+			}
+			w.mu.Lock()
+			if w.closed {
+				w.mu.Unlock()
+				conn.Close()
+				return
+			}
+			w.inbound = append(w.inbound, conn)
+			w.wg.Add(1)
+			w.mu.Unlock()
+			go w.dispatch(conn)
+		}
+	}()
+}
+
 // dispatch serves one inbound data connection: it decodes frames and
-// delivers each as a pooled vector to the destination executor's
-// inbox (a blocking send — inbound backpressure propagates to the
-// remote sender through TCP).
+// queues each as a pooled vector on the destination executor's ingress.
+// The queue has room for every vector the peer holds a credit for, so
+// the send cannot block — a dispatcher only ever waits for the socket —
+// and a peer overrunning its window is a protocol error.
 func (w *workerNet) dispatch(conn net.Conn) {
+	defer w.wg.Done()
 	defer conn.Close()
-	br := bufio.NewReader(conn)
+	// Sized to take many coalesced frames per read.
+	br := bufio.NewReaderSize(conn, 64<<10)
 	var hdr [4]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return // peer connected and vanished before identifying
 	}
 	peer := int(binary.BigEndian.Uint32(hdr[:]))
+	if peer < 0 || peer >= w.workers {
+		w.fail(fmt.Errorf("data connection from worker %d of %d", peer, w.workers))
+		return
+	}
 	dec := codec.NewFrameDecoder(br)
+	var msgs []codec.Message
 	for {
-		var f codec.Frame
-		err := dec.Decode(&f)
+		dest, ms, err := dec.DecodeVector(msgs[:0])
 		if err == io.EOF {
 			return // peer finished and closed its link
 		}
@@ -124,17 +203,86 @@ func (w *workerNet) dispatch(conn net.Conn) {
 			w.fail(fmt.Errorf("inbound frame from worker %d: %w", peer, err))
 			return
 		}
-		ref, ok := w.byGID[int(f.Dest)]
+		bp := getBatch()
+		b := (*bp)[:0]
+		for i := range ms {
+			m := &ms[i]
+			b = append(b, message{ch: int(m.Ch), eos: m.EOS, sent: m.Sent, ev: m.Ev, cols: m.Cols})
+		}
+		*bp = b
+		clear(ms)
+		msgs = ms
+		ref, ok := w.byGID[int(dest)]
 		if !ok {
-			w.fail(fmt.Errorf("frame from worker %d addressed to executor %d, which is not hosted here", peer, f.Dest))
+			w.fail(fmt.Errorf("frame from worker %d addressed to executor %d, which is not hosted here", peer, dest))
 			return
 		}
-		bp := frameToBatch(f.Msgs)
 		if w.obs && ref.depth != nil {
-			ref.depth.Add(vecWeight(*bp))
+			ref.depth.Add(vecWeight(b))
 		}
-		ref.ch <- bp
+		select {
+		case ref.ingress <- inbound{bp: bp, peer: peer, conn: conn}:
+		default:
+			w.fail(fmt.Errorf("worker %d overran its window of %d vectors to executor %d", peer, w.window, dest))
+			return
+		}
 	}
+}
+
+// pump is the local stand-in for one executor's remote senders: it moves
+// received vectors from the ingress queue into the inbox — blocking
+// where a local sender would, on a full inbox — and returns a credit to
+// the sending worker for each one the inbox accepted. Credits go back in
+// batches of half a window, written straight to the connection's
+// otherwise idle reverse direction (the peer's grant reader never
+// blocks, so neither does this write for long).
+func (w *workerNet) pump(gid int, ref inboxRef) {
+	defer w.wg.Done()
+	batch := max(w.window/2, 1)
+	owed := make([]int, w.workers)
+	var grant [grantLen]byte
+	binary.LittleEndian.PutUint32(grant[:4], uint32(gid))
+	for {
+		var in inbound
+		select {
+		case in = <-ref.ingress:
+		case <-w.stop:
+			return
+		}
+		select {
+		case ref.ch <- in.bp:
+		case <-w.stop:
+			return
+		}
+		if owed[in.peer]++; owed[in.peer] < batch {
+			continue
+		}
+		binary.LittleEndian.PutUint32(grant[4:], uint32(owed[in.peer]))
+		owed[in.peer] = 0
+		if _, err := in.conn.Write(grant[:]); err != nil {
+			w.fail(fmt.Errorf("granting credits to worker %d: %w", in.peer, err))
+			return
+		}
+	}
+}
+
+// close shuts the transport down and waits for its goroutines: the
+// links, the pumps, and — by closing the inbound connections — the
+// dispatchers. The caller closes the listener first.
+func (w *workerNet) close() {
+	close(w.stop)
+	for _, l := range w.links {
+		if l != nil {
+			l.close()
+		}
+	}
+	w.mu.Lock()
+	w.closed = true
+	for _, c := range w.inbound {
+		c.Close()
+	}
+	w.mu.Unlock()
+	w.wg.Wait()
 }
 
 // ctrlWriter serializes control-plane writes (the main worker
@@ -160,6 +308,9 @@ type sinkTap struct {
 	sink string
 	cw   *ctrlWriter
 	buf  []codec.WireEvent
+	// err is the first failure to stream output (a key or value type the
+	// control plane's gob cannot carry, or a coordinator that is gone).
+	err error
 }
 
 const sinkTapFlushAt = 512
@@ -178,10 +329,11 @@ func (tap *sinkTap) flush() {
 	events := make([]codec.WireEvent, len(tap.buf))
 	copy(events, tap.buf)
 	tap.buf = tap.buf[:0]
-	// A control-plane write failure means the coordinator is gone; the
-	// run's output no longer has a consumer and the coordinator (or its
-	// death) will take this process down, so the tap does not escalate.
-	_ = tap.cw.send(netEnvelope{Sink: &netSinkData{Sink: tap.sink, Events: events}})
+	// The tap does not stop the sink: the worker reports the error with
+	// its Done, so output lost here fails the run instead of shortening it.
+	if err := tap.cw.send(netEnvelope{Sink: &netSinkData{Sink: tap.sink, Events: events}}); err != nil && tap.err == nil {
+		tap.err = err
+	}
 }
 
 // ServeWorker runs this process's share of the topology as one worker
@@ -198,18 +350,15 @@ func (t *Topology) ServeWorker(cfg WorkerConfig) error {
 		return fmt.Errorf("storm: worker id %d out of range for %d workers", cfg.Worker, cfg.Workers)
 	}
 	t.workers = cfg.Workers
-	w := &workerNet{
-		workers: cfg.Workers,
-		self:    cfg.Worker,
-		obs:     t.obs.Enabled,
-		byGID:   map[int]inboxRef{},
-		failc:   make(chan error, 1),
-	}
+	w := newWorkerNet(cfg.Workers, cfg.Worker, t.channelCap(), t.obs.Enabled)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return fmt.Errorf("storm: worker %d: data listen: %w", cfg.Worker, err)
 	}
+	// Runs last: links, pumps and dispatchers are gone when ServeWorker
+	// returns, on every path.
+	defer w.close()
 	defer ln.Close()
 
 	ctrl, err := net.Dial("tcp", cfg.CoordAddr)
@@ -237,17 +386,17 @@ func (t *Topology) ServeWorker(cfg WorkerConfig) error {
 	// Outgoing links to every peer. Dialing all pairs is quadratic in
 	// workers but trivial at the cluster sizes this runtime targets;
 	// links without traffic cost one idle connection.
-	w.links = make([]*netLink, cfg.Workers)
 	for p, addr := range start.Start.Peers {
 		if p == cfg.Worker {
 			continue
 		}
-		l, err := dialLink(addr, cfg.Worker)
+		l, err := dialLink(addr, cfg.Worker, w.window, func(err error) {
+			w.fail(fmt.Errorf("link to worker %d: %w", p, err))
+		})
 		if err != nil {
 			return fmt.Errorf("storm: worker %d: dial peer %d at %s: %w", cfg.Worker, p, addr, err)
 		}
 		w.links[p] = l
-		defer l.close()
 	}
 
 	rts, err := t.resolve(w)
@@ -264,15 +413,7 @@ func (t *Topology) ServeWorker(cfg WorkerConfig) error {
 		}
 	}
 
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return // listener closed at worker shutdown
-			}
-			go w.dispatch(conn)
-		}
-	}()
+	w.serve(ln)
 
 	logf("storm: worker %d/%d serving %d executors, data %s", cfg.Worker, cfg.Workers, len(w.byGID), ln.Addr())
 	type runOut struct {
@@ -296,9 +437,23 @@ func (t *Topology) ServeWorker(cfg WorkerConfig) error {
 	}
 	for _, tap := range taps {
 		tap.flush()
+		if tap.err != nil && out.err == nil {
+			out.err = fmt.Errorf("storm: worker %d: streaming sink %s to the coordinator: %w", cfg.Worker, tap.sink, tap.err)
+		}
 	}
 
+	// The run is over when its frames are on the wire, not when they are
+	// queued: a link that cannot take them fails the run.
 	done := &netDone{}
+	for p, l := range w.links {
+		if l == nil {
+			continue
+		}
+		if err := l.flush(); err != nil && out.err == nil {
+			out.err = fmt.Errorf("storm: worker %d: link to worker %d: %w", cfg.Worker, p, err)
+		}
+		done.Wire.Add(l.wire())
+	}
 	if out.err != nil {
 		done.Failure = out.err.Error()
 	}

@@ -468,3 +468,66 @@ func FuzzBatchFlush(f *testing.F) {
 		runDifferential(t, tr, 3, ops)
 	})
 }
+
+// TestNegativeFlushIntervalDisablesIdleFlush pins the documented meaning
+// of FlushInterval < 0: no idle flush, so a partial batch an idle bolt
+// holds stays unsent until the next marker (or EOS) flushes it. The
+// options used to be normalized twice, which turned a negative interval
+// back into the default and flushed the batch after a millisecond.
+func TestNegativeFlushIntervalDisablesIdleFlush(t *testing.T) {
+	release := make(chan struct{})
+	firstCut := make(chan struct{})
+	var arrived atomic.Int64
+	sent := 0
+	top := NewTopology("no-idle-flush")
+	top.SetTransport(TransportOptions{BatchSize: 1 << 20, FlushInterval: -1})
+	// Two markers, the second held back until the test lets go.
+	top.AddSpout("src", 1, func(int) Spout {
+		return SpoutFunc(func() (stream.Event, bool) {
+			switch sent++; sent {
+			case 1:
+				return stream.Mark(stream.Marker{Seq: 0}), true
+			case 2:
+				<-release
+				return stream.Mark(stream.Marker{Seq: 1}), true
+			}
+			return stream.Event{}, false
+		})
+	})
+	// trail forwards each marker and then emits one item behind it: a
+	// partial batch left in its output buffer while it waits for input.
+	top.AddBolt("trail", 1, func(int) Bolt {
+		return BoltFunc(func(e stream.Event, emit func(stream.Event)) {
+			emit(e)
+			emit(stream.Item(0, e.Marker.Seq))
+		})
+	}).ShuffleGrouping("src", false)
+	top.AddBolt("probe", 1, func(int) Bolt {
+		return BoltFunc(func(e stream.Event, emit func(stream.Event)) {
+			switch {
+			case !e.IsMarker:
+				arrived.Add(1)
+			case e.Marker.Seq == 0:
+				close(firstCut)
+			}
+		})
+	}).ShuffleGrouping("trail", false)
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := top.Run()
+		done <- err
+	}()
+	<-firstCut
+	time.Sleep(50 * DefaultFlushInterval)
+	if n := arrived.Load(); n != 0 {
+		t.Errorf("%d item(s) left an idle bolt's partial batch with the idle flush disabled", n)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n := arrived.Load(); n != 2 {
+		t.Fatalf("probe saw %d items in all, want 2", n)
+	}
+}

@@ -45,8 +45,18 @@ type Columns interface {
 	// key or value does not have the kind's types, and on markers.
 	AppendEvent(e Event)
 	// Slices returns the underlying typed slices ([]K, []V) boxed as
-	// any, for wire encoding.
+	// any — the form a batch of a kind without a wire layout travels in.
 	Slices() (keys, vals any)
+	// AppendWire appends the batch's key column, then its value column,
+	// to dst in the kind's wire layout (colwire.go). Only for kinds that
+	// are Wired.
+	AppendWire(dst []byte) []byte
+	// ReadWire replaces the batch's contents with rows rows decoded from
+	// the front of src, the inverse of AppendWire, reusing the batch's
+	// arenas, and returns the bytes consumed. Nothing decoded aliases
+	// src. On an error (ErrWireBounds) the contents are unspecified; the
+	// batch may still be released.
+	ReadWire(rows int, src []byte) (int, error)
 	// Release resets the batch and returns it to the kind's pool. The
 	// caller must not touch the batch (or aliases of its slices)
 	// afterwards — dttlint rule DTT007 enforces this for operator
@@ -133,6 +143,11 @@ type ColKind struct {
 	// slices in one. Both are typed closures over the kind's (K, V).
 	get        func() Columns
 	fromSlices func(keys, vals any) (Columns, error)
+	// keyWire/valWire are the columns' wire layouts, wired whether both
+	// have one, fingerprint the layout's identity (colwire.go).
+	keyWire, valWire colWire
+	wired            bool
+	fingerprint      uint64
 }
 
 // Name returns the kind's wire name, e.g. "cols[int64,stream.Unit]".
@@ -150,9 +165,10 @@ func (k *ColKind) String() string { return k.name }
 // Get returns an empty pooled batch of this kind.
 func (k *ColKind) Get() Columns { return k.get() }
 
-// FromSlices wraps decoded typed slices ([]K, []V boxed as any) in a
-// pooled batch, taking ownership of the slices. It is the wire-decode
-// counterpart of Columns.Slices.
+// FromSlices wraps typed slices ([]K, []V boxed as any) in a pooled
+// batch, which takes ownership of them: the counterpart of
+// Columns.Slices for kinds that travel without a wire layout. Slices of
+// the wrong type or of different lengths are an error.
 func (k *ColKind) FromSlices(keys, vals any) (Columns, error) {
 	return k.fromSlices(keys, vals)
 }
@@ -163,8 +179,9 @@ var (
 )
 
 // ColKindFor returns the canonical kind for the type pair (K, V),
-// creating (and gob-registering the slice types of) the kind on first
-// use. Calls with the same type arguments return the same pointer.
+// creating the kind on first use (and, when it has no wire layout,
+// gob-registering its slice types). Calls with the same type arguments
+// return the same pointer.
 func ColKindFor[K, V any]() *ColKind {
 	kt := reflect.TypeOf((*K)(nil)).Elem()
 	vt := reflect.TypeOf((*V)(nil)).Elem()
@@ -177,11 +194,13 @@ func ColKindFor[K, V any]() *ColKind {
 		return prev.(*ColKind)
 	}
 	// This goroutine won the canonical slot: publish the wire-name
-	// lookup and register the slice types so gob can carry them inside
-	// interface-typed frame fields.
+	// lookup, and for a kind that travels as gob register the slice types
+	// so gob can carry them inside interface-typed fields.
 	colKindsByName.Store(k.name, k)
-	gob.Register([]K{})
-	gob.Register([]V{})
+	if !k.wired {
+		gob.Register([]K{})
+		gob.Register([]V{})
+	}
 	return k
 }
 
@@ -225,6 +244,7 @@ func newColKind[K, V any](kt, vt reflect.Type) *ColKind {
 		c.Keys, c.Vals = ks, vs
 		return c, nil
 	}
+	k.setWire()
 	return k
 }
 

@@ -89,6 +89,13 @@ echo "== networked equivalence + chaos (multi-process localhost TCP, -race) =="
 # run. Skips itself with a clear reason where sandboxing forbids
 # sockets.
 go test -race -run 'TestNetworkedEquivalenceDifferential|TestChaosWorkerKillRecovery|TestNetworkedRescaleAtCommittedCut|TestChaosWorkerKillDuringRescale' -count 1 ./internal/queries/
+# Flow control of the data links: two workers saturating each other at
+# tiny inboxes must finish (a deadlock fails by the timeout), three times
+# over; then the invariant itself (a dispatcher never waits on a full
+# inbox), typed failures for frames no healthy peer sends, and the wire
+# counters.
+go test -race -run 'TestNetworkedSaturationNoDeadlock' -count 3 -timeout 120s ./internal/storm/
+go test -race -run 'TestDispatcherNeverBlocksOnFullInbox|TestDispatcherFailsTyped|TestRunNetworkedGoroutineWorkers' -count 1 ./internal/storm/
 
 echo "== transport benchmark gate (batched must beat batch-1) =="
 # Interleaved paired runs of generated Query IV with the default batched
@@ -252,5 +259,6 @@ go test -run xxx -fuzz 'FuzzBatchFlush$' -fuzztime "$FUZZTIME" ./internal/storm/
 go test -run xxx -fuzz 'FuzzCombinerFlush$' -fuzztime "$FUZZTIME" ./internal/storm/
 go test -run xxx -fuzz 'FuzzColMerge$' -fuzztime "$FUZZTIME" ./internal/storm/
 go test -run xxx -fuzz 'FuzzWireFrame$' -fuzztime "$FUZZTIME" ./internal/codec/
+go test -run xxx -fuzz 'FuzzWireColsFrame$' -fuzztime "$FUZZTIME" ./internal/codec/
 
 echo "== ok =="
