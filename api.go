@@ -133,11 +133,12 @@ func SliceSpout(events []Event) Spout { return storm.SliceSpout(events) }
 
 // --- columnar batches (DESIGN.md §9) ---------------------------------------
 
-// Columns is a typed struct-of-arrays batch of item rows, recycled
-// through per-kind arenas. The compiler selects the columnar
-// transport for an edge when both endpoints agree on a column kind;
-// markers never enter batches, so recovery and rescaling are
-// unaffected.
+// Columns is a struct-of-arrays batch of item rows, recycled through
+// per-kind arenas: the runtime's one carrier of items. The compiler
+// declares an edge typed when both endpoints agree on a column kind;
+// every other edge carries batches of the universal kind cols[any,any],
+// whose rows are boxed (key, value) pairs. Markers never enter batches,
+// so recovery and rescaling are unaffected.
 type Columns = stream.Columns
 
 // Cols is the concrete columnar batch: parallel Keys/Vals columns.
@@ -149,15 +150,15 @@ type Cols[K, V any] = stream.Cols[K, V]
 type ColKind = stream.ColKind
 
 // ColKindFor returns the canonical kind for the (K, V) type pair.
-// Declare it in SourceSpec.Cols to let edges out of a source go
-// columnar; spouts that additionally implement ColSpout fill typed
-// batches directly.
+// Declare it in SourceSpec.Cols to type the edges out of a source;
+// spouts that additionally implement ColSpout fill typed batches
+// directly.
 func ColKindFor[K, V any]() *ColKind { return stream.ColKindFor[K, V]() }
 
 // ColSpout is an optional Spout extension: a source that fills typed
 // column batches directly, skipping per-event boxing. A source whose
-// SourceSpec declares Cols but whose spout only implements Spout
-// degrades to boxed emission, not to wrong results.
+// SourceSpec declares Cols but whose spout only implements Spout emits
+// rows of the universal kind instead: slower, not wrong.
 type ColSpout = storm.ColSpout
 
 // Compile translates a type-checked DAG into a topology, inserting
@@ -186,9 +187,10 @@ func CompileWithPlan(d *DAG, sources map[string]SourceSpec, opts *CompileOptions
 // KeyedUnordered and SlidingAggregate templates implement it.
 type Combinable = core.Combinable
 
-// CombinerSpec is a sender-side combining buffer's configuration, for
-// hand-written topologies (BoltDecl.CombineWith); Compile installs
-// specs automatically when CompileOptions.Combiners is on.
+// CombinerSpec is a sender-side combining buffer's configuration as an
+// untyped monoid, for hand-written topologies (BoltDecl.CombineWith);
+// Compile installs typed combiners automatically when
+// CompileOptions.Combiners is on.
 type CombinerSpec = storm.CombinerSpec
 
 // DefaultCombinerCap is the combining buffer's default distinct-key

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"datatrace/internal/bench"
-	"datatrace/internal/codec"
 	"datatrace/internal/compile"
 	"datatrace/internal/core"
 	"datatrace/internal/db"
@@ -563,42 +562,3 @@ func BenchmarkSection2Seqnum(b *testing.B) {
 		}
 	}
 }
-
-// --- serialization boundary --------------------------------------------------
-
-func BenchmarkCodecRoundTrip(b *testing.B) {
-	codec.Register(workload.YahooEvent{})
-	conn := codec.NewConn()
-	e := stream.Item(int64(7), workload.YahooEvent{UserID: 1, AdID: 2, EventTime: 3})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := conn.RoundTrip(e); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchSerialized(b *testing.B, serialize bool) {
-	codec.Register(int64(0))
-	codec.Register(int(0))
-	in := benchStream(20000, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		top, err := compile.Compile(backendDAG(2), map[string]compile.SourceSpec{
-			"src": {Parallelism: 1, Factory: func(int) storm.Spout { return storm.SliceSpout(in) }},
-		}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if serialize {
-			top.SetSerializer(func() storm.Serializer { return codec.NewConn() })
-		}
-		if _, err := top.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(in)), "events/op")
-}
-
-func BenchmarkTopologyPlainEdges(b *testing.B)      { benchSerialized(b, false) }
-func BenchmarkTopologySerializedEdges(b *testing.B) { benchSerialized(b, true) }

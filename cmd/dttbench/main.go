@@ -6,7 +6,6 @@
 //	dttbench -figure recovery   # checkpoint-interval sweep of marker-cut recovery
 //	dttbench -figure transport  # batch-size sweep of the batched edge transport
 //	dttbench -figure fusion     # optimization-pass sweep (chain fusion × combiners)
-//	dttbench -figure columnar   # boxed vs typed-column batches across batch sizes
 //	dttbench -figure all        # everything, plus the section 2 experiment
 //	dttbench -section2          # only the motivation experiment
 //	dttbench -obs               # Query IV observability report on both runtimes
@@ -43,7 +42,7 @@ func main() {
 	// them); RunWorkerIfSpawned serves and exits in that case.
 	queries.RunWorkerIfSpawned()
 	var (
-		figure   = flag.String("figure", "all", "which figure to regenerate: 4, 6, backends, recovery, transport, fusion, columnar or all")
+		figure   = flag.String("figure", "all", "which figure to regenerate: 4, 6, backends, recovery, transport, fusion or all")
 		section2 = flag.Bool("section2", false, "run only the section 2 semantics experiment")
 		obs      = flag.Bool("obs", false, "run Query IV with observability on and print per-component p50/p99 exec latency, max queue depth and marker-cut lag for both runtimes")
 		csv      = flag.Bool("csv", false, "emit CSV instead of tables")
@@ -130,8 +129,6 @@ func main() {
 		runTransport(cfg, *csv)
 	case "fusion":
 		runFusion(cfg, *csv)
-	case "columnar":
-		runColumnar(cfg, *csv)
 	case "all":
 		emitFigure(bench.Figure4, cfg, *csv)
 		emitFigure(bench.Figure6, cfg, *csv)
@@ -139,10 +136,9 @@ func main() {
 		runRecovery(cfg, *csv)
 		runTransport(cfg, *csv)
 		runFusion(cfg, *csv)
-		runColumnar(cfg, *csv)
 		runSection2()
 	default:
-		fmt.Fprintf(os.Stderr, "dttbench: unknown figure %q (want 4, 6, backends, recovery, transport, fusion, columnar or all)\n", *figure)
+		fmt.Fprintf(os.Stderr, "dttbench: unknown figure %q (want 4, 6, backends, recovery, transport, fusion or all)\n", *figure)
 		os.Exit(2)
 	}
 }
@@ -188,19 +184,6 @@ func runTransport(cfg bench.Config, csv bool) {
 
 func runFusion(cfg bench.Config, csv bool) {
 	res, err := bench.FusionSweep(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dttbench:", err)
-		os.Exit(1)
-	}
-	if csv {
-		fmt.Print(res.CSV())
-		return
-	}
-	fmt.Println(res.Table())
-}
-
-func runColumnar(cfg bench.Config, csv bool) {
-	res, err := bench.ColumnarSweep(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dttbench:", err)
 		os.Exit(1)

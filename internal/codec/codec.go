@@ -2,21 +2,19 @@
 // tuple-serialization boundary a real distributed deployment has on
 // every inter-worker connection (the paper's §2 pipeline exists
 // precisely because deserialization is the expensive stage worth
-// parallelizing). The storm runtime can be configured to encode and
-// decode every routed event (Topology.SetCodec), which both charges a
-// realistic per-hop cost and enforces that all keys and values are
-// actually serializable — as Apache Storm's Kryo boundary does.
+// parallelizing). The networked storm runtime puts the frames of
+// frame.go on every connection between worker processes; Codec is the
+// single-event form.
 //
-// Encoding is gob-based: concrete key/value types are registered
-// once, and per-connection stream encoders amortize gob's type
-// descriptions the way a long-lived connection would.
+// Fallback encoding is gob-based: concrete key/value types are
+// registered once, and per-connection stream encoders amortize gob's
+// type descriptions the way a long-lived connection would.
 package codec
 
 import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sync"
 
 	"datatrace/internal/stream"
 )
@@ -32,7 +30,7 @@ type wire struct {
 }
 
 // Codec encodes and decodes events. Safe for concurrent use; each
-// call uses a fresh gob encoder (see Conn for the amortized form).
+// call uses a fresh gob encoder (FrameEncoder is the amortized form).
 type Codec struct{}
 
 // New creates a codec.
@@ -74,38 +72,4 @@ func fromWire(w wire) stream.Event {
 		return stream.Mark(stream.Marker{Seq: w.Seq, Timestamp: w.Ts})
 	}
 	return stream.Item(w.Key, w.Value)
-}
-
-// Conn is a long-lived encode/decode pair for one logical connection:
-// gob transmits each type's description once per Conn, as a TCP
-// connection between workers would. Conn is not safe for concurrent
-// use; give each connection its own.
-type Conn struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-	enc *gob.Encoder
-	dec *gob.Decoder
-}
-
-// NewConn creates a connected encoder/decoder pair (loopback).
-func NewConn() *Conn {
-	c := &Conn{}
-	c.enc = gob.NewEncoder(&c.buf)
-	c.dec = gob.NewDecoder(&c.buf)
-	return c
-}
-
-// RoundTrip encodes the event into the connection and decodes it back
-// — the cost one serialized hop pays.
-func (c *Conn) RoundTrip(e stream.Event) (stream.Event, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.enc.Encode(toWire(e)); err != nil {
-		return stream.Event{}, classify(fmt.Errorf("codec: conn encode %s: %w", e, err))
-	}
-	var w wire
-	if err := c.dec.Decode(&w); err != nil {
-		return stream.Event{}, classify(fmt.Errorf("codec: conn decode: %w", err))
-	}
-	return fromWire(w), nil
 }

@@ -2,12 +2,10 @@ package codec_test
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"datatrace/internal/codec"
-	"datatrace/internal/storm"
 	"datatrace/internal/stream"
 	"datatrace/internal/workload"
 )
@@ -67,20 +65,6 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestConnAmortizesTypeInfo(t *testing.T) {
-	conn := codec.NewConn()
-	for i := 0; i < 100; i++ {
-		e := stream.Item(int64(i), float64(i)*1.5)
-		got, err := conn.RoundTrip(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != e {
-			t.Fatalf("round trip changed %s into %s", e, got)
-		}
-	}
-}
-
 func TestDecodeGarbageFails(t *testing.T) {
 	c := codec.New()
 	if _, err := c.Decode([]byte("not gob")); err == nil {
@@ -93,120 +77,5 @@ func TestUnregisteredTypeFailsLoudly(t *testing.T) {
 	c := codec.New()
 	if _, err := c.Encode(stream.Item(int64(1), secret{X: 1})); err == nil {
 		t.Fatal("unregistered concrete type must fail to encode")
-	}
-}
-
-// TestSerializedTopologyPreservesTrace runs a parallel pipeline with
-// every connection serialized and checks the trace is unchanged — the
-// runtime analogue of Storm's Kryo boundary.
-func TestSerializedTopologyPreservesTrace(t *testing.T) {
-	var in []stream.Event
-	for b := 0; b < 3; b++ {
-		for i := 0; i < 15; i++ {
-			in = append(in, stream.Item(int64(i%4), float64(i)))
-		}
-		in = append(in, stream.Mark(stream.Marker{Seq: int64(b), Timestamp: int64(b + 1)}))
-	}
-	build := func(serialize bool) (*storm.Result, error) {
-		top := storm.NewTopology("wire")
-		if serialize {
-			top.SetSerializer(func() storm.Serializer { return codec.NewConn() })
-		}
-		top.AddSpout("src", 1, func(int) storm.Spout { return storm.SliceSpout(in) })
-		top.AddBolt("scale", 3, func(int) storm.Bolt {
-			return storm.BoltFunc(func(e stream.Event, emit func(stream.Event)) {
-				if e.IsMarker {
-					emit(e)
-					return
-				}
-				emit(stream.Item(e.Key, e.Value.(float64)*2))
-			})
-		}).FieldsGrouping("src", true)
-		top.AddSink("sink", "scale")
-		return top.Run()
-	}
-	plain, err := build(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wired, err := build(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stream.Equivalent(stream.U("Int64", "Float"), plain.Sinks["sink"], wired.Sinks["sink"]) {
-		t.Fatal("serialization changed the output trace")
-	}
-}
-
-// TestSerializationFailureSurfacesAsError: an unserializable value in
-// a serialized topology fails the run instead of hanging it.
-func TestSerializationFailureSurfacesAsError(t *testing.T) {
-	type hidden struct{ F func() } // functions cannot be encoded
-	in := []stream.Event{stream.Item(int64(1), hidden{})}
-	top := storm.NewTopology("bad")
-	top.SetSerializer(func() storm.Serializer { return codec.NewConn() })
-	top.AddSpout("src", 1, func(int) storm.Spout { return storm.SliceSpout(in) })
-	top.AddBolt("id", 1, func(int) storm.Bolt {
-		return storm.BoltFunc(func(e stream.Event, emit func(stream.Event)) { emit(e) })
-	}).ShuffleGrouping("src", true)
-	top.AddSink("sink", "id")
-	_, err := top.Run()
-	if err == nil {
-		t.Fatal("unserializable tuple must fail the topology")
-	}
-}
-
-// countingSerializer wraps a Conn and counts round trips (atomically:
-// each producer executor gets its own serializer, but they share the
-// counter).
-type countingSerializer struct {
-	conn *codec.Conn
-	n    *atomic.Int64
-}
-
-func (c countingSerializer) RoundTrip(e stream.Event) (stream.Event, error) {
-	c.n.Add(1)
-	return c.conn.RoundTrip(e)
-}
-
-// TestWorkerPlacementSkipsLocalHops: with all executors on one
-// worker, no send pays the wire format; with two workers, some do —
-// and the trace is preserved either way.
-func TestWorkerPlacementSkipsLocalHops(t *testing.T) {
-	var in []stream.Event
-	for b := 0; b < 2; b++ {
-		for i := 0; i < 10; i++ {
-			in = append(in, stream.Item(int64(i%3), float64(i)))
-		}
-		in = append(in, stream.Mark(stream.Marker{Seq: int64(b), Timestamp: int64(b + 1)}))
-	}
-	run := func(workers int) (int64, []stream.Event) {
-		var count atomic.Int64
-		top := storm.NewTopology("placed")
-		top.SetSerializer(func() storm.Serializer {
-			return countingSerializer{conn: codec.NewConn(), n: &count}
-		})
-		top.SetWorkers(workers)
-		top.AddSpout("src", 1, func(int) storm.Spout { return storm.SliceSpout(in) })
-		top.AddBolt("id", 2, func(int) storm.Bolt {
-			return storm.BoltFunc(func(e stream.Event, emit func(stream.Event)) { emit(e) })
-		}).ShuffleGrouping("src", true)
-		top.AddSink("sink", "id")
-		res, err := top.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return count.Load(), res.Sinks["sink"]
-	}
-	oneWorker, outOne := run(1)
-	if oneWorker != 0 {
-		t.Fatalf("single-worker placement paid %d round trips, want 0", oneWorker)
-	}
-	twoWorkers, outTwo := run(2)
-	if twoWorkers == 0 {
-		t.Fatal("two-worker placement paid no round trips")
-	}
-	if !stream.Equivalent(stream.U("Int64", "Float"), outOne, outTwo) {
-		t.Fatal("placement changed the output trace")
 	}
 }

@@ -43,8 +43,9 @@ import (
 // only exchanged between processes that lay the type out identically,
 // which workers re-executed from one binary do.
 //
-// Fallback. Boxed events, and batches of kinds without a wire layout,
-// ride gob inside the same frame: the frame's gob section is one value
+// Fallback. Boxed events, and batches of kinds without a wire layout —
+// the universal kind stream.AnyKind, which is what the runtime's
+// untyped edges carry, among them — ride gob inside the same frame: the frame's gob section is one value
 // holding the boxed events' keys and values and the fallback batches'
 // slices, in message order, written by a per-connection gob.Encoder so
 // type descriptors cross the link once. Every row that travels this way
@@ -231,9 +232,19 @@ func NewFrameEncoder(w io.Writer) *FrameEncoder {
 // per concrete type: a type whose *contents* can still vary in
 // encodability (say, a registered struct holding an any field) is
 // vetted only for the first value seen; such types do not occur on
-// this repository's wires.
+// this repository's wires — except an interface-typed column ([]any,
+// the universal kind's), whose every element is a value of its own
+// type and is vetted as one.
 func (e *FrameEncoder) vet(v any) error {
 	if v == nil {
+		return nil
+	}
+	if col, ok := v.([]any); ok {
+		for _, x := range col {
+			if err := e.vet(x); err != nil {
+				return err
+			}
+		}
 		return nil
 	}
 	rt := reflect.TypeOf(v)

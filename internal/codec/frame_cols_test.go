@@ -515,3 +515,50 @@ func FuzzWireColsFrame(f *testing.F) {
 		}
 	})
 }
+
+// TestUniversalBatchTakesTheFallback: a batch of the universal kind —
+// what the runtime's untyped edges carry — has no wire layout, so it
+// crosses as one gob value, every row counted in FallbackRows, nil keys
+// and values included; an unregistered element type is the typed error
+// that leaves the connection usable.
+func TestUniversalBatchTakesTheFallback(t *testing.T) {
+	Register(adEvent{})
+	rows := []stream.Event{
+		stream.Item(nil, nil), stream.Item(stream.Unit{}, int64(3)), stream.Item(int64(-1), "v"),
+		stream.Item("k", adEvent{UserID: 7}), stream.Item(nil, stream.Unit{}),
+	}
+	in := stream.AnyKind.Get()
+	for _, e := range rows {
+		in.AppendEvent(e)
+	}
+	var buf bytes.Buffer
+	enc := NewFrameEncoder(&buf)
+	type hidden struct{ X int }
+	bad := stream.AnyKind.Get()
+	bad.AppendEvent(stream.Item(int64(1), hidden{1}))
+	if err := enc.EncodeVector(3, []Message{{Ch: 1, Cols: bad}}); !errors.Is(err, ErrUnregisteredType) {
+		t.Fatalf("unregistered element: got %v, want ErrUnregisteredType", err)
+	}
+	bad.Release()
+	if err := enc.EncodeVector(3, []Message{{Ch: 2, Cols: in}, {Ch: 2, Ev: stream.Mark(stream.Marker{Seq: 1})}}); err != nil {
+		t.Fatal(err)
+	}
+	if enc.TypedRows != 0 || enc.FallbackRows != int64(len(rows)) {
+		t.Fatalf("typed %d fallback %d rows, want 0 and %d", enc.TypedRows, enc.FallbackRows, len(rows))
+	}
+	dest, out, err := NewFrameDecoder(&buf).DecodeVector(nil)
+	if err != nil || dest != 3 || len(out) != 2 {
+		t.Fatalf("decode: dest %d, %d messages, err %v", dest, len(out), err)
+	}
+	got := out[0].Cols
+	if got == nil || got.Kind() != stream.AnyKind || got.Len() != len(rows) || !out[1].Ev.IsMarker {
+		t.Fatalf("decoded %+v", out)
+	}
+	for i, want := range rows {
+		if e := got.EventAt(i); !reflect.DeepEqual(e, want) {
+			t.Errorf("row %d: got %v, want %v", i, e, want)
+		}
+	}
+	in.Release()
+	got.Release()
+}

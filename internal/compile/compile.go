@@ -56,9 +56,9 @@ type SourceSpec struct {
 	Factory func(instance int) storm.Spout
 	// Cols, when non-nil, declares the column kind the factory's spouts
 	// emit batches of (the spouts should implement storm.ColSpout with
-	// this kind). The compiler uses it to select the columnar transport
-	// for edges out of this source; a spout that never actually emits
-	// batches degrades to boxed delivery, not to wrong results.
+	// this kind). The compiler uses it to type the edges out of this
+	// source; a spout that emits event by event instead sends rows of
+	// the universal kind, which costs speed, not correctness.
 	Cols *stream.ColKind
 }
 
@@ -79,8 +79,8 @@ type Options struct {
 	FuseChains bool
 	// Combiners installs a sender-side combining buffer on every
 	// fields-grouped connection whose consumer is a lone keyed
-	// operator admitting pre-aggregation (core.Combinable with a usable
-	// monoid): producers fold a bounded per-destination map of partial
+	// operator admitting pre-aggregation (core.ColCombinable with a
+	// usable monoid): producers fold a bounded per-destination map of partial
 	// aggregates and the consumer is rewritten (PreCombined) to merge
 	// partials. Buffers drain into the batched transport on capacity,
 	// markers, EOS and transactional send blocks, so they are provably
@@ -91,17 +91,6 @@ type Options struct {
 	// before draining early. 0 selects storm.DefaultCombinerCap;
 	// negative is a compile error.
 	CombinerCap int
-	// Hash overrides the fields-grouping key hash (nil = stream.DefaultHash).
-	// A custom hash disables columnar edge selection: typed batch
-	// routing uses the kind's per-row key hashes (stream.DefaultHash
-	// specialized per type), which must agree with the boxed hash for a
-	// key to land on one consumer instance.
-	Hash func(any) int
-	// NoColumnar disables the columnar (struct-of-arrays) edge
-	// selection, keeping every edge on the boxed transport. The
-	// differential tests use it to run the boxed oracle; it is off (i.e.
-	// columnar selection is on) by default.
-	NoColumnar bool
 	// ChannelCap bounds executor inboxes (0 = runtime default).
 	ChannelCap int
 	// Recovery, when non-nil, enables marker-cut checkpointing and
@@ -132,9 +121,7 @@ type Options struct {
 	Transport *storm.TransportOptions
 	// Workers places the compiled executors onto this many workers
 	// (round-robin in declaration order — the same rule the networked
-	// runtime maps to processes). In the single-process runtime the
-	// placement selects which sends pay the serialization boundary;
-	// CompileWithPlan additionally surfaces the table as
+	// runtime maps to processes). CompileWithPlan surfaces the table as
 	// Plan.Placement. 0 leaves placement off.
 	Workers int
 }
@@ -265,20 +252,12 @@ func CompileWithPlan(d *core.DAG, sources map[string]SourceSpec, opts *Options) 
 
 	top := storm.NewTopology("compiled")
 	top.ChannelCap = opts.ChannelCap
-	if opts.Hash != nil {
-		top.SetHash(opts.Hash)
-	}
 	plan := &Plan{Name: "compiled"}
 
-	// Columnar edge selection requires the default key hash: typed
-	// batches route by the kind's precomputed per-row hashes
-	// (stream.DefaultHash specialized per type), and mixing them with a
-	// custom boxed hash would split one key across consumer instances.
-	columnar := !opts.NoColumnar && opts.Hash == nil
 	// outKind[name] is the column kind the emitted component produces
-	// batches of, nil when it emits boxed events only. Node order is
-	// topological, so a producer's kind is recorded before any consumer
-	// wires an edge from it.
+	// batches of, nil when it emits event by event (rows of the
+	// universal kind). Node order is topological, so a producer's kind
+	// is recorded before any consumer wires an edge from it.
 	outKind := map[string]*stream.ColKind{}
 
 	for _, n := range d.Nodes() {
@@ -290,9 +269,7 @@ func CompileWithPlan(d *core.DAG, sources map[string]SourceSpec, opts *Options) 
 				par = 1
 			}
 			top.AddSpout(n.Name, par, spec.Factory)
-			if columnar {
-				outKind[n.Name] = spec.Cols
-			}
+			outKind[n.Name] = spec.Cols
 		case core.OpNode:
 			if _, fusedAway := fusedInto[n.ID]; fusedAway {
 				continue
@@ -337,29 +314,19 @@ func CompileWithPlan(d *core.DAG, sources map[string]SourceSpec, opts *Options) 
 			// sender-side combining buffer over the same monoid. A fused
 			// sort excludes combining — its consumer needs the items
 			// themselves, in order.
-			var comb *storm.CombinerSpec
-			var colComb *storm.ColCombinerSpec
+			var comb *storm.ColCombinerSpec
 			if opts.Combiners && len(stageOps) == 1 && n.Op.Mode() == core.ParKeyed {
 				capKeys := opts.CombinerCap
 				if capKeys == 0 {
 					capKeys = storm.DefaultCombinerCap
 				}
-				// Prefer the typed combiner when the columnar transport is
-				// available: the fold runs over typed rows and the edge
-				// carries (key, partial aggregate) batches. Either way the
-				// consumer is rewritten to merge partials.
-				if cc, ok := n.Op.(core.ColCombinable); ok && columnar {
+				// The fold runs over typed rows and the edge carries (key,
+				// partial aggregate) batches; the consumer is rewritten to
+				// merge partials.
+				if cc, ok := n.Op.(core.ColCombinable); ok {
 					if inK, outK, mk, can := cc.ColCombiner(); can {
-						colComb = &storm.ColCombinerSpec{InKind: inK, OutKind: outK, New: mk, Cap: capKeys}
+						comb = &storm.ColCombinerSpec{InKind: inK, OutKind: outK, New: mk, Cap: capKeys}
 						stageOps[0] = cc.PreCombined()
-					}
-				}
-				if colComb == nil {
-					if c, ok := n.Op.(core.Combinable); ok {
-						if inFn, combineFn, can := c.CombinerMonoid(); can {
-							comb = &storm.CombinerSpec{In: inFn, Combine: combineFn, Cap: capKeys}
-							stageOps[0] = c.PreCombined()
-						}
 					}
 				}
 			}
@@ -379,23 +346,19 @@ func CompileWithPlan(d *core.DAG, sources map[string]SourceSpec, opts *Options) 
 			// pipeline after any PreCombined rewrite (which shifts the
 			// consumed kind from raw items to partial aggregates).
 			inK, outK := opsColKinds(ops)
-			if columnar {
-				outKind[n.Name] = outK
-			}
+			outKind[n.Name] = outK
 			decl := boltDecl(top, n.Name)
 			grouping := groupingFor(head, fusedSort != nil)
+			// Every edge carries column batches; what the compiler picks
+			// per edge is the kind: the combiner's output kind, the kind
+			// both endpoints expose, or (undeclared) the universal one.
 			for _, in := range inputs {
 				connect(decl, in.Name, grouping)
 				switch {
-				case colComb != nil:
-					decl.ColCombineWith(*colComb)
-					plan.CombinedEdges = append(plan.CombinedEdges, PlanEdge{From: in.Name, To: n.Name, Cap: colComb.Cap, Columnar: true})
 				case comb != nil:
-					decl.CombineWith(*comb)
-					plan.CombinedEdges = append(plan.CombinedEdges, PlanEdge{From: in.Name, To: n.Name, Cap: comb.Cap})
-				case columnar && inK != nil && outKind[in.Name] == inK:
-					// Both endpoints expose the same canonical kind: the
-					// edge moves typed batches end to end.
+					decl.ColCombineWith(*comb)
+					plan.CombinedEdges = append(plan.CombinedEdges, PlanEdge{From: in.Name, To: n.Name, Cap: comb.Cap, Columnar: true})
+				case inK != nil && outKind[in.Name] == inK:
 					decl.ColumnarWith(inK)
 					plan.ColumnarEdges = append(plan.ColumnarEdges, PlanEdge{From: in.Name, To: n.Name, Columnar: true})
 				}
@@ -445,13 +408,13 @@ func isSortOp(op core.Operator) bool {
 		in.Key == out.Key && in.Val == out.Val && op.Mode() == core.ParKeyed
 }
 
-// opsColKinds computes the columnar endpoint kinds of a bolt's stage
+// opsColKinds computes the typed endpoint kinds of a bolt's stage
 // pipeline: the kind its first stage consumes and the kind its last
 // stage produces. It returns (nil, nil) unless every stage exposes the
 // batch interface and the kinds chain stage to stage — the same
 // condition under which fusedBolt runs its batch pipeline — so the
-// compiler never declares an edge columnar that the bolt would only
-// ever drain row by row.
+// compiler never declares an edge typed that the bolt would only ever
+// drain row by row.
 func opsColKinds(ops []core.Operator) (in, out *stream.ColKind) {
 	var prev *stream.ColKind
 	for i, op := range ops {

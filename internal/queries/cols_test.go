@@ -9,41 +9,36 @@ import (
 	"datatrace/internal/stream"
 )
 
-// TestColumnarEquivalenceDifferential proves the columnar transport
-// semantics-preserving at the query level: every generated query I–VI
-// runs with the columnar (struct-of-arrays) edges on — the default —
-// and with NoColumnar set, at parallelism {1, 2, 4} × transport batch
-// size {1, 64}, and the two sink outputs must be equal as data
-// traces. The boxed run is the oracle: it exercises the same
-// operators through the per-event path that predates this transport.
-// Run under -race (scripts/check.sh does) so batch recycling through
-// the arena pools is exercised under real executor concurrency.
+// TestColumnarEquivalenceDifferential proves the column-batch
+// transport semantics-preserving at the query level: every generated
+// query I–VI runs with its typed sources and edges at parallelism
+// {1, 2, 4} × transport batch size {1, 64}, and the sink output must
+// equal the query's denotation (Def.Reference, i.e. DAG.Eval) as a data
+// trace. Run under -race (scripts/check.sh does) so batch recycling
+// through the arena pools is exercised under real executor concurrency.
 func TestColumnarEquivalenceDifferential(t *testing.T) {
 	for _, def := range All() {
 		def := def
 		t.Run("Query"+def.Name, func(t *testing.T) {
 			env := testEnv(t)
 			sinkType := def.SinkType(env)
-			run := func(par, batch int, boxed bool) []stream.Event {
-				t.Helper()
-				// Fresh env per run: Query II mutates the DB.
-				runEnv := testEnv(t)
-				res, err := Run(runEnv, Spec{
-					Query: def.Name, Variant: Generated, Par: par, SourcePar: 2,
-					NoColumnar: boxed,
-					Transport:  &storm.TransportOptions{BatchSize: batch},
-				})
-				if err != nil {
-					t.Fatalf("par=%d batch=%d boxed=%v: %v", par, batch, boxed, err)
-				}
-				return res.Sinks["sink"]
+			// Fresh env per run: Query II mutates the DB.
+			ref, err := def.Reference(testEnv(t))
+			if err != nil {
+				t.Fatal(err)
 			}
+			oracle := ref["sink"]
 			for _, par := range []int{1, 2, 4} {
 				for _, batch := range []int{1, 64} {
-					oracle := run(par, batch, true)
-					got := run(par, batch, false)
-					if !stream.Equivalent(sinkType, got, oracle) {
-						t.Fatalf("par=%d batch=%d: columnar trace differs from boxed oracle (%d vs %d events)",
+					res, err := Run(testEnv(t), Spec{
+						Query: def.Name, Variant: Generated, Par: par, SourcePar: 2,
+						Transport: &storm.TransportOptions{BatchSize: batch},
+					})
+					if err != nil {
+						t.Fatalf("par=%d batch=%d: %v", par, batch, err)
+					}
+					if got := res.Sinks["sink"]; !stream.Equivalent(sinkType, got, oracle) {
+						t.Fatalf("par=%d batch=%d: trace differs from the reference denotation (%d vs %d events)",
 							par, batch, len(got), len(oracle))
 					}
 				}
@@ -56,28 +51,26 @@ func TestColumnarEquivalenceDifferential(t *testing.T) {
 // selection on the flagship pipeline so the differential tests above
 // (and the default-path chaos/rescale tests) cannot pass vacuously:
 // with a columnar source, Query IV's plan must carry the source edge
-// as columnar and the combined fields edge as typed, and setting
-// NoColumnar must remove both.
+// as columnar and the combined fields edge as typed; a plain Spout
+// source (no SourceSpec.Cols) yields zero typed edges, and its run is
+// still the reference denotation.
 func TestColumnarPlanSelectsTypedEdges(t *testing.T) {
 	env := testEnv(t)
 	cols := env.Gen.ColPartitions(1, false)
-	build := func(opts *compile.Options) *compile.Plan {
+	build := func(src compile.SourceSpec) (*storm.Topology, *compile.Plan) {
 		t.Helper()
-		dag := QueryIVDAG(env, 2)
-		_, plan, err := compile.CompileWithPlan(dag, map[string]compile.SourceSpec{
-			"yahoo": {
-				Parallelism: 1,
-				Cols:        cols[0].ColKind(),
-				Factory:     func(int) storm.Spout { return cols[0] },
-			},
-		}, opts)
+		top, plan, err := compile.CompileWithPlan(QueryIVDAG(env, 2), map[string]compile.SourceSpec{"yahoo": src}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return plan
+		return top, plan
 	}
 
-	plan := build(nil) // nil options = all passes on, columnar on
+	_, plan := build(compile.SourceSpec{
+		Parallelism: 1,
+		Cols:        cols[0].ColKind(),
+		Factory:     func(int) storm.Spout { return cols[0] },
+	})
 	if len(plan.ColumnarEdges) == 0 {
 		t.Fatalf("no columnar edges selected, plan:\n%s", plan)
 	}
@@ -89,23 +82,35 @@ func TestColumnarPlanSelectsTypedEdges(t *testing.T) {
 		t.Fatalf("expected the Project→Count combined edge to be typed, plan:\n%s", plan)
 	}
 
-	boxed := build(&compile.Options{FuseSort: true, FuseChains: true, Combiners: true, NoColumnar: true})
-	if len(boxed.ColumnarEdges) != 0 {
-		t.Fatalf("NoColumnar plan still selected columnar edges:\n%s", boxed)
+	def, err := ByName("IV")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(boxed.CombinedEdges) != 1 || boxed.CombinedEdges[0].Columnar {
-		t.Fatalf("NoColumnar plan still selected a typed combined edge:\n%s", boxed)
+	top, plain := build(compile.SourceSpec{Parallelism: 1, Factory: func(int) storm.Spout {
+		return storm.SpoutFunc(def.Sources(env, 1)[0])
+	}})
+	if len(plain.ColumnarEdges) != 0 {
+		t.Fatalf("a plain Spout source still yields typed edges:\n%s", plain)
+	}
+	res, err := top.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := def.Reference(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stream.Equivalent(def.SinkType(env), res.Sinks["sink"], ref["sink"]) {
+		t.Fatal("the plain-source run differs from the reference denotation")
 	}
 }
 
 // TestColumnarRescaleAtCut rescales Query IV at marker-cut barriers
 // while its hot edges move typed batches: scale-out and scale-in at
-// batch sizes 1 and 64, each compared against a fixed-parallelism
-// BOXED oracle. Columnar buffers are sealed and flushed before every
-// marker enters the transport, so state migration at the cut sees
-// empty edges — this test is the query-level proof, with the oracle
-// on the other transport so a columnar-specific loss or duplication
-// cannot cancel out.
+// batch sizes 1 and 64, each compared against the query's reference
+// denotation. Open batches are sealed and flushed before every marker
+// enters the transport, so state migration at the cut sees empty edges
+// — this test is the query-level proof.
 func TestColumnarRescaleAtCut(t *testing.T) {
 	env := testEnv(t)
 	def, err := ByName("IV")
@@ -120,13 +125,9 @@ func TestColumnarRescaleAtCut(t *testing.T) {
 	probeSpec.Par = 2
 	target, _ := rescaleProbe(t, def, probeSpec)
 
-	oracleSpec := base
-	oracleSpec.Par = 2
-	oracleSpec.NoColumnar = true
-	oracleEnv := testEnv(t)
-	oracle, err := Run(oracleEnv, oracleSpec)
+	oracle, err := def.Reference(testEnv(t))
 	if err != nil {
-		t.Fatalf("boxed fixed-par oracle: %v", err)
+		t.Fatalf("reference: %v", err)
 	}
 
 	scenarios := []struct {
@@ -152,9 +153,9 @@ func TestColumnarRescaleAtCut(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s batch=%d: %v", sc.name, batch, err)
 			}
-			if !stream.Equivalent(sinkType, res.Sinks["sink"], oracle.Sinks["sink"]) {
-				t.Fatalf("%s batch=%d: columnar rescaled trace differs from boxed fixed-par oracle (%d vs %d events)",
-					sc.name, batch, len(res.Sinks["sink"]), len(oracle.Sinks["sink"]))
+			if !stream.Equivalent(sinkType, res.Sinks["sink"], oracle["sink"]) {
+				t.Fatalf("%s batch=%d: rescaled trace differs from the reference denotation (%d vs %d events)",
+					sc.name, batch, len(res.Sinks["sink"]), len(oracle["sink"]))
 			}
 		}
 	}
@@ -162,12 +163,10 @@ func TestColumnarRescaleAtCut(t *testing.T) {
 
 // TestColumnarChaosWorkerKill SIGKILLs a worker of a networked Query
 // IV cluster whose edges are columnar (the default) and checks that
-// the recovered, replayed, spliced output equals an undisturbed BOXED
-// in-process run — crossing both the process/recovery boundary and
-// the transport-representation boundary at once. Batches cross worker
-// links as typed WireCols frames, and recovery replays from committed
-// marker cuts, which the columnar transport must leave exactly where
-// the boxed one does.
+// the recovered, replayed, spliced output equals the query's reference
+// denotation. Typed batches cross worker links as raw columnar frames,
+// universal ones through the gob fallback, and recovery replays from
+// committed marker cuts.
 func TestColumnarChaosWorkerKill(t *testing.T) {
 	requireNet(t)
 	cfg := netTestCfg()
@@ -178,12 +177,6 @@ func TestColumnarChaosWorkerKill(t *testing.T) {
 	const opDelay = 500 * time.Microsecond
 
 	env, err := NewEnv(cfg, opDelay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracleSpec := spec
-	oracleSpec.NoColumnar = true
-	oracle, err := Run(env, oracleSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,9 +199,13 @@ func TestColumnarChaosWorkerKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := res.Sinks["sink"], oracle.Sinks["sink"]
+	oracle, err := def.Reference(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := res.Sinks["sink"], oracle["sink"]
 	if !stream.Equivalent(def.SinkType(env), got, want) {
-		t.Fatalf("post-recovery columnar trace differs from boxed undisturbed run\n got %d events\n want %d events",
+		t.Fatalf("post-recovery trace differs from the reference denotation\n got %d events\n want %d events",
 			len(got), len(want))
 	}
 	t.Logf("recovered: %d restarts, %d replayed cuts, wall %v", res.WorkerRestarts, res.ReplayedCuts, res.Wall)

@@ -141,11 +141,6 @@ type Spec struct {
 	// NoCombiners disables the compiler's shuffle-side combiner pass
 	// (Generated variant only; the pass is on by default).
 	NoCombiners bool
-	// NoColumnar disables the columnar (struct-of-arrays) transport:
-	// boxed source spouts and boxed edge selection (Generated variant
-	// only; columnar selection is on by default). The differential
-	// tests use it to run the boxed oracle.
-	NoColumnar bool
 	// Rescale, when set, schedules live rescaling steps at marker cuts
 	// (requires Recovery; in-process runs only — networked runs rescale
 	// through storm.NetOptions.Rescale). Excluded from the networked
@@ -185,7 +180,7 @@ func RunOn(env *Env, spec Spec, parts [][]stream.Event) (*storm.Result, error) {
 		sources[i] = workload.Iterator(storm.SliceSpout(p))
 	}
 	// Explicit event slices have no columnar source form; edges between
-	// compiled bolts may still go columnar.
+	// compiled bolts are typed all the same.
 	return runWith(env, spec, def, sources, nil)
 }
 
@@ -201,8 +196,8 @@ func runWith(env *Env, spec Spec, def Def, sources []workload.Iterator, cols []*
 // running it. workers > 0 places the executors (the networked runtime
 // builds with its worker count and serves its share; see netrun.go).
 // cols, when non-nil, provides the generator-backed columnar source
-// spouts the Generated variant prefers unless spec.NoColumnar is set;
-// explicit-input runs (RunOn) pass nil and keep boxed sources.
+// spouts the Generated variant prefers; explicit-input runs (RunOn)
+// pass nil and read their sources event by event.
 func buildWith(env *Env, spec Spec, def Def, sources []workload.Iterator, cols []*workload.YahooColSource, workers int) (*storm.Topology, error) {
 	if spec.Par < 1 {
 		spec.Par = 1
@@ -214,7 +209,6 @@ func buildWith(env *Env, spec Spec, def Def, sources []workload.Iterator, cols [
 			FuseSort:   true,
 			FuseChains: !spec.NoFuseChains,
 			Combiners:  !spec.NoCombiners,
-			NoColumnar: spec.NoColumnar,
 			Workers:    workers,
 		}
 		if spec.Recovery {
@@ -230,7 +224,7 @@ func buildWith(env *Env, spec Spec, def Def, sources []workload.Iterator, cols [
 		srcSpec := compile.SourceSpec{Parallelism: spec.SourcePar, Factory: func(i int) storm.Spout {
 			return storm.SpoutFunc(sources[i])
 		}}
-		if len(cols) > 0 && !spec.NoColumnar {
+		if len(cols) > 0 {
 			srcSpec.Cols = cols[0].ColKind()
 			srcSpec.Factory = func(i int) storm.Spout { return cols[i] }
 		}

@@ -6,35 +6,39 @@ import (
 	"datatrace/internal/stream"
 )
 
-// This file is the columnar (struct-of-arrays) hot path of the batched
-// edge transport. An edge declared columnar — by the compiler, when
-// both endpoint templates expose the same concrete column kind — moves
-// items as typed Columns batches instead of boxed events: the emitter
-// appends rows to a per-destination column buffer, seals a full buffer
-// into a single cols message, and the receiver hands the whole batch to
-// a ColProcessor bolt in one call. Boxed and columnar edges coexist
-// message-by-message on the same channels: a message either carries one
-// boxed event or one column batch.
+// This file is the runtime's one data path: items move between
+// executors as column batches (stream.Columns) and as nothing else. A
+// message carries a batch, a marker or an end-of-stream notice; the
+// receiver hands a batch whole to a ColProcessor bolt of its kind, and
+// row by row (EventAt) to any other bolt — a handcrafted Bolt or
+// ChannelBolt, a sink, an ordered-type template.
 //
-// Markers never enter a column batch. The emitter's push seals the
-// open column buffer before appending any boxed message (append in
-// transport.go), so on every channel a marker still follows all the
-// rows emitted before it — the FIFO discipline the MRG alignment and
-// the marker-cut protocols rely on. Because flushAll also drains and
-// seals column state, every point at which the recovery and rescale
-// protocols prove the transport empty (committed cuts, barriers, EOS)
-// still has nothing buffered anywhere: the columnar layer adds buffer
-// capacity, not new retention points.
+// "Boxed" is a kind, not a path. An event emitted through emit(e) is a
+// row of the universal kind stream.AnyKind, whose columns are []any; a
+// typed batch emitted through emitCols keeps its kind. A send buffer
+// takes the kind of the rows it is given: a row of another kind than
+// the open batch's crosses in a batch of its own kind, behind the
+// sealed open batch, and a bolt that does not consume that kind gets it
+// through the row-by-row fallback. An edge's declared kind
+// (ColumnarWith; the compiler declares it when both endpoint templates
+// expose the same concrete kind) is therefore a promise the runtime
+// does not depend on — a wrong declaration, or a bolt mixing emit(e)
+// with typed batches, costs smaller batches, never a wrong result. The
+// kind is compared once per emitted batch and destination, never per
+// row.
 //
-// Everything here preserves the data-trace semantics for the same
-// reason batching did (PR 3): a Columns batch denotes exactly its row
-// sequence, rows keep their per-channel order, and under U(K,V) the
-// per-channel interleaving is all that is observable.
+// Markers never enter a batch; transport.go has the sealing and flush
+// rules that keep a marker behind the rows emitted before it.
+//
+// Packing is unobservable: a batch denotes exactly its row sequence,
+// rows keep their per-channel order within and across batches (all an
+// O(K,V) edge needs), under U(K,V) only the per-channel interleaving is
+// observable, and Theorem 4.3 speaks of a block's items, not of how
+// they were grouped in transit.
 
-// ColSpout is an optional Spout extension: a source that can produce
-// typed column batches directly, skipping per-event boxing. The
-// executor calls NextCols while items are available and falls back to
-// Next at punctuation points.
+// ColSpout is an optional Spout extension: a source that fills typed
+// column batches directly, skipping per-event boxing. The executor calls
+// NextCols while items are available and Next at punctuation points.
 type ColSpout interface {
 	Spout
 	// ColKind is the kind of batches NextCols fills; nil disables the
@@ -42,23 +46,22 @@ type ColSpout interface {
 	ColKind() *stream.ColKind
 	// NextCols appends up to max item rows to out and returns how many
 	// it appended. It returns 0 exactly when the next event is a marker
-	// or end-of-stream — the executor then calls Next, so markers and
-	// EOS always travel the boxed path.
+	// or end-of-stream — the executor then calls Next.
 	NextCols(out stream.Columns, max int) int
 }
 
 // ColProcessor is an optional Bolt extension: a bolt that can consume
 // (and possibly produce) typed column batches. The executor uses
 // ProcessCols for every arriving batch whose kind matches InColKind,
-// and falls back to per-event Next calls otherwise, so a bolt behind a
-// mixed set of edges still sees every event exactly once.
+// and calls Next per row otherwise, so a bolt behind a mixed set of
+// edges still sees every event exactly once.
 type ColProcessor interface {
 	Bolt
 	// InColKind is the kind of batch ProcessCols accepts; nil disables
 	// the columnar receive path for this bolt.
 	InColKind() *stream.ColKind
 	// OutColKind is the kind of batch ProcessCols fills, nil when the
-	// bolt emits only boxed events.
+	// bolt emits only through Next's emit callback.
 	OutColKind() *stream.ColKind
 	// ProcessCols consumes every row of in, appending output rows to
 	// out (non-nil exactly when OutColKind is non-nil). The
@@ -67,45 +70,13 @@ type ColProcessor interface {
 	ProcessCols(in, out stream.Columns)
 }
 
-// ColCombinerSpec configures typed sender-side combining on one
-// columnar input edge of a bolt (see BoltDecl.ColCombineWith): the
-// columnar counterpart of CombinerSpec. The edge carries batches of
-// OutKind — each drain ships one (key, partial aggregate) row per
-// distinct key — while the producer emits batches of InKind.
-type ColCombinerSpec struct {
-	// InKind is the kind of rows the combiner folds (the producer's
-	// output kind); OutKind is the kind of rows it drains (the kind the
-	// edge carries and the consumer accepts).
-	InKind  *stream.ColKind
-	OutKind *stream.ColKind
-	// New builds one combining buffer per (subscription, destination).
-	New func() stream.ColCombiner
-	// Cap bounds the distinct keys a buffer holds before draining.
-	Cap int
-}
-
-// validate checks a spec at topology validation time.
-func (s *ColCombinerSpec) validate(bolt, from string, g Grouping) error {
-	if s.InKind == nil || s.OutKind == nil || s.New == nil {
-		return fmt.Errorf("storm: columnar combiner on edge %s→%s needs InKind, OutKind and New", from, bolt)
-	}
-	if s.Cap < 1 {
-		return fmt.Errorf("storm: columnar combiner on edge %s→%s needs a positive key cap, got %d", from, bolt, s.Cap)
-	}
-	if g != Fields {
-		return fmt.Errorf("storm: columnar combiner on edge %s→%s requires fields grouping, got %s (combining re-times items, which only a key-partitioned unordered edge tolerates)", from, bolt, g)
-	}
-	return nil
-}
-
-// ColumnarWith declares the bolt's most recently declared input edge
-// columnar: items on it travel as typed batches of the given kind.
-// The producer must emit batches of exactly this kind (pointer
-// equality — kinds are canonical) and the consumer must accept them;
-// the compiler checks both before selecting the columnar transport,
-// and the runtime falls back to boxed events row-by-row on any
-// mismatch, so a wrong declaration degrades performance, not
-// semantics.
+// ColumnarWith declares the kind of the bolt's most recently declared
+// input edge: its producer emits batches of exactly this kind (pointer
+// equality — kinds are canonical) and the bolt's ProcessCols accepts
+// them. The compiler checks both before declaring an edge typed, and
+// validation holds a combined edge's declaration to its combiner's
+// output kind; the runtime moves rows of any kind (see the header), so
+// a wrong declaration degrades performance, not semantics.
 func (d *BoltDecl) ColumnarWith(kind *stream.ColKind) *BoltDecl {
 	if len(d.c.inputs) == 0 {
 		panic(fmt.Sprintf("storm: ColumnarWith on %q before any input is declared", d.c.name))
@@ -117,115 +88,42 @@ func (d *BoltDecl) ColumnarWith(kind *stream.ColKind) *BoltDecl {
 	return d
 }
 
-// ColCombineWith attaches a typed sender-side combining buffer to the
-// bolt's most recently declared input edge and declares the edge
-// columnar with the combiner's output kind. The edge must use fields
-// grouping; validation enforces it at Run.
-func (d *BoltDecl) ColCombineWith(spec ColCombinerSpec) *BoltDecl {
-	if len(d.c.inputs) == 0 {
-		panic(fmt.Sprintf("storm: ColCombineWith on %q before any input is declared", d.c.name))
-	}
-	in := &d.c.inputs[len(d.c.inputs)-1]
-	in.colComb = &spec
-	in.cols = spec.OutKind
-	return d
-}
-
-// ---------------------------------------------------------------------------
-// Emitter-side columnar routing.
-// ---------------------------------------------------------------------------
-
-// How the rows of one typed emission travel one subscription.
-const (
-	rowsBoxed  = iota // as boxed events, through route/wire/push
-	rowsFolded        // folded into the edge's typed combining buffers
-	rowsTyped         // appended to the edge's column buffers
-)
-
-// rowMode classifies a subscription for rows of the given kind. The
-// serialization round-trip (SetSerializer) has no typed form, so its
-// presence forces the boxed fallback, as does a kind mismatch or a
-// boxed edge; the networked transport serializes whole column batches
-// at the link layer instead (net.go).
-func (em *emitter) rowMode(sub *subscription, kind *stream.ColKind) int {
-	switch {
-	case em.ser != nil:
-		return rowsBoxed
-	case sub.colComb != nil && sub.colComb.InKind == kind:
-		return rowsFolded
-	case sub.cols == kind:
-		return rowsTyped
-	}
-	return rowsBoxed
-}
-
-// stageCols is the staging half of one typed emission (block[i], see
-// emitter.send): for every typed subscription it fires the per-row
-// fault hooks the rows owe, for a boxed one it routes the rows into
-// out, and it records the batch itself as a routedMsg with a nil sub.
-// Nothing reaches a transport buffer here.
-func (em *emitter) stageCols(cols stream.Columns, i int, out []routedMsg) []routedMsg {
-	n, kind := cols.Len(), cols.Kind()
-	for si := range em.rc.subs {
-		sub := &em.rc.subs[si]
-		mode := em.rowMode(sub, kind)
-		if mode == rowsBoxed {
-			for r := 0; r < n; r++ {
-				out = em.routeTo(si, cols.EventAt(r), out)
-			}
-			continue
-		}
-		if em.faults != nil && em.faults.corrupt != nil {
-			sends := n
-			if mode == rowsTyped && sub.grouping == Broadcast {
-				sends *= len(sub.to.inboxes)
-			}
-			for ; sends > 0; sends-- {
-				em.faults.onSend(em.rc.name, em.instance, sub.to.name)
-			}
-		}
-	}
-	return append(out, routedMsg{si: i})
-}
-
-// pushCols is the delivery half of a typed emission: it moves the
-// batch's rows into every typed subscription's buffers — by typed
-// combiner fold or typed row append, no boxing — and releases the
-// batch. It cannot panic (combiner folds are pure by the template
-// contract).
-func (em *emitter) pushCols(cols stream.Columns) {
+// route moves the rows of one emitted batch — typed, or the emitter's
+// one-row universal scratch batch — into the buffers of every
+// subscription: by combiner fold on a combined edge, by row append
+// elsewhere. The batch stays the caller's. It cannot panic (combiner
+// folds are pure by the template contract).
+func (em *emitter) route(cols stream.Columns) {
 	n, kind := cols.Len(), cols.Kind()
 	em.stats.AddEmitted(int64(n))
 	for si := range em.rc.subs {
 		sub := &em.rc.subs[si]
 		bufs := em.bufs[em.bufBase[si]:][:len(sub.to.inboxes)]
-		switch mode := em.rowMode(sub, kind); {
-		case mode == rowsBoxed:
-		case mode == rowsFolded:
+		if sub.colComb != nil {
 			// The grouping is Fields (validated), so the destination
 			// comes from the row's key hash.
 			for i := 0; i < n; i++ {
-				b := &bufs[cols.HashAt(i)%len(bufs)]
-				c := b.colComb
-				before := c.Len()
-				if !c.Fold(cols, i) {
-					c.FoldEvent(cols.EventAt(i))
-				}
-				em.colpending += c.Len() - before
-				if c.Len() >= b.colCap {
-					em.drainColComb(b)
-				}
+				em.fold(&bufs[cols.HashAt(i)%len(bufs)], cols, i)
 			}
-		case sub.grouping == Shuffle:
+			continue
+		}
+		for k := range bufs {
+			if b := &bufs[k]; b.kind != kind {
+				em.seal(b)
+				b.kind = kind
+			}
+		}
+		switch sub.grouping {
+		case Shuffle:
 			k := em.rrNext[si]
 			for i := 0; i < n; i++ {
-				em.appendCol(&bufs[k], cols, i)
+				em.appendRow(&bufs[k], cols, i)
 				k = (k + 1) % len(bufs)
 			}
 			em.rrNext[si] = k
-		case sub.grouping == Fields:
+		case Fields:
 			for i := 0; i < n; i++ {
-				em.appendCol(&bufs[cols.HashAt(i)%len(bufs)], cols, i)
+				em.appendRow(&bufs[cols.HashAt(i)%len(bufs)], cols, i)
 			}
 		default: // Global: instance 0; Broadcast: every instance
 			if sub.grouping == Global {
@@ -233,94 +131,19 @@ func (em *emitter) pushCols(cols stream.Columns) {
 			}
 			for k := range bufs {
 				for i := 0; i < n; i++ {
-					em.appendCol(&bufs[k], cols, i)
+					em.appendRow(&bufs[k], cols, i)
 				}
 			}
 		}
 	}
-	cols.Release()
 }
 
-// appendCol appends one row of src to a destination's column buffer,
-// sealing and flushing when the buffer reaches the batch size — one
-// full column batch per flushed vector, which keeps the in-flight
-// bound (ChannelCap × BatchSize events per edge) intact.
-func (em *emitter) appendCol(b *outBuf, src stream.Columns, i int) {
-	cb := b.colBuf
-	if cb == nil {
-		cb = b.colKind.Get()
-		b.colBuf = cb
-	}
-	cb.AppendRow(src, i)
-	em.colpending++
-	if cb.Len() >= em.batchSize {
-		em.sealCols(b)
-		em.flushBuf(b)
-	}
-}
-
-// sealCols closes a destination's open column buffer into one cols
-// message on the transport buffer. Nil-safe and a no-op when nothing
-// is buffered. Ownership of the batch passes to the message; the
-// receiver (or the net sink, after serializing) releases it.
-func (em *emitter) sealCols(b *outBuf) {
-	cb := b.colBuf
-	if cb == nil || cb.Len() == 0 {
-		return
-	}
-	b.colBuf = nil
-	em.colpending -= cb.Len()
-	em.appendRaw(b, message{ch: b.colCh, cols: cb, sent: em.now})
-}
-
-// colCombine folds one boxed event into a columnar combining buffer
-// (the marker-free fallback rows of a columnar combined edge), with
-// the same cap discipline as the typed fold in pushCols.
-func (em *emitter) colCombine(b *outBuf, e stream.Event) {
-	c := b.colComb
-	before := c.Len()
-	c.FoldEvent(e)
-	em.colpending += c.Len() - before
-	if c.Len() >= b.colCap {
-		em.drainColComb(b)
-	}
-}
-
-// drainColComb drains a columnar combining buffer into its
-// destination's column buffer — one (key, partial aggregate) row per
-// distinct key, in first-seen key order — sealing and flushing if the
-// drain filled a batch. Nil-safe and a no-op when nothing is buffered.
-func (em *emitter) drainColComb(b *outBuf) {
-	c := b.colComb
-	if c == nil || c.Len() == 0 {
-		return
-	}
-	keys := c.Len()
-	if b.colBuf == nil {
-		b.colBuf = b.colKind.Get()
-	}
-	ins, outs := c.Drain(b.colBuf)
-	em.stats.AddCombinedIn(int64(ins))
-	em.stats.AddCombinedOut(int64(outs))
-	// Buffered keys became buffered rows; both count toward colpending,
-	// so the net change is outs - keys (zero: a drain moves every key).
-	em.colpending += outs - keys
-	if b.colBuf.Len() >= em.batchSize {
-		em.sealCols(b)
-		em.flushBuf(b)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Receiver-side MRG alignment.
-// ---------------------------------------------------------------------------
-
-// entry is one unit of executor traffic at rest: a boxed event (item or
-// marker) or a column batch. Merger channels, replay lists and the
-// per-block output buffer all hold entries.
+// entry is one unit of executor traffic at rest: a column batch, or
+// (cols nil) a marker. Merger channels, replay lists and the per-block
+// output buffer all hold entries.
 type entry struct {
-	ev   stream.Event
 	cols stream.Columns
+	mark stream.Marker
 }
 
 // rows is the number of events the entry stands for.
@@ -339,9 +162,8 @@ type colBlock struct {
 // colMerge is the runtime's MRG merger. It follows stream.MergeState
 // exactly — blocks close on markers, a block flushes when every channel
 // closed it, the merged marker carries the maximum timestamp — over
-// inputs that interleave boxed events and column batches, buffering
-// batches whole so alignment does not force reboxing (merge_test.go
-// holds the two together).
+// inputs whose items arrive as column batches, which it buffers whole
+// (merge_test.go holds the two together).
 //
 // It is also the replay buffer of marker-cut recovery, under one
 // ownership rule: the merger owns every batch it was handed, and pops
@@ -353,7 +175,7 @@ type colBlock struct {
 type colMerge struct {
 	queued [][]colBlock
 	open   [][]entry
-	// dev/dcols deliver one merged boxed event / column batch. dcols
+	// dev delivers one merged marker, dcols one column batch. dcols
 	// borrows the batch: the merger keeps ownership.
 	dev   func(stream.Event)
 	dcols func(stream.Columns)
@@ -365,39 +187,26 @@ func newColMerge(n int, dev func(stream.Event), dcols func(stream.Columns)) *col
 	return &colMerge{queued: make([][]colBlock, n), open: make([][]entry, n), dev: dev, dcols: dcols}
 }
 
-// Channels returns the merger's input channel count.
-func (m *colMerge) Channels() int { return len(m.open) }
-
-// Next consumes one boxed event from channel ch. The event is buffered
-// before any consumer code runs.
-func (m *colMerge) Next(ch int, e stream.Event) {
-	if !e.IsMarker {
-		m.add(ch, entry{ev: e})
+// Next consumes one entry from channel ch: a batch, of which it takes
+// ownership, or the marker that closes the channel's open block. The
+// entry is buffered before any consumer code runs.
+func (m *colMerge) Next(ch int, e entry) {
+	if e.cols != nil {
+		if m.open[ch] == nil && len(m.free) > 0 {
+			m.open[ch] = m.free[len(m.free)-1]
+			m.free = m.free[:len(m.free)-1]
+		}
+		m.open[ch] = append(m.open[ch], e)
 		return
 	}
-	m.queued[ch] = append(m.queued[ch], colBlock{items: m.open[ch], mark: e.Marker})
+	m.queued[ch] = append(m.queued[ch], colBlock{items: m.open[ch], mark: e.mark})
 	m.open[ch] = nil
 	m.advance()
 }
 
-// NextCols consumes one column batch from channel ch, taking ownership.
-func (m *colMerge) NextCols(ch int, c stream.Columns) { m.add(ch, entry{cols: c}) }
-
-func (m *colMerge) add(ch int, e entry) {
-	if m.open[ch] == nil && len(m.free) > 0 {
-		m.open[ch] = m.free[len(m.free)-1]
-		m.free = m.free[:len(m.free)-1]
-	}
-	m.open[ch] = append(m.open[ch], e)
-}
-
 func (m *colMerge) deliver(items []entry) {
 	for _, it := range items {
-		if it.cols != nil {
-			m.dcols(it.cols)
-		} else {
-			m.dev(it.ev)
-		}
+		m.dcols(it.cols)
 	}
 }
 
@@ -451,7 +260,7 @@ func (m *colMerge) Pending() [][]entry {
 	for ch := range out {
 		for _, b := range m.queued[ch] {
 			out[ch] = append(out[ch], b.items...)
-			out[ch] = append(out[ch], entry{ev: stream.Mark(b.mark)})
+			out[ch] = append(out[ch], entry{mark: b.mark})
 		}
 		out[ch] = append(out[ch], m.open[ch]...)
 	}

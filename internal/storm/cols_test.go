@@ -185,12 +185,12 @@ func plainColSum(int) Bolt {
 // heldBy describes what an emitter still buffers, "" when nothing.
 func heldBy(em *emitter) string {
 	s := ""
-	if em.pending != 0 || em.cpending != 0 || em.colpending != 0 {
-		s = fmt.Sprintf("pending=%d cpending=%d colpending=%d", em.pending, em.cpending, em.colpending)
+	if em.pending != 0 {
+		s = fmt.Sprintf("pending=%d", em.pending)
 	}
 	for i := range em.bufs {
 		b := &em.bufs[i]
-		if len(b.msgs) != 0 || b.colBuf != nil && b.colBuf.Len() != 0 || b.colComb != nil && b.colComb.Len() != 0 || b.comb != nil && len(b.comb.keys) != 0 {
+		if b.vec != nil || b.buf != nil || b.comb != nil && b.comb.Len() != 0 {
 			s += fmt.Sprintf(" buf%d holds output", i)
 		}
 	}
@@ -436,7 +436,7 @@ func TestFailedExecutorReleasesItsBatches(t *testing.T) {
 			if i == 0 {
 				// Aligned, the first batch waits in the merger for this
 				// marker; raw, the bolt has already failed on the batch.
-				vec = append(vec, message{ev: mk(0, 10)})
+				vec = append(vec, message{mark: mk(0, 10).Marker})
 			}
 		}
 		top := NewTopology("leak")
@@ -461,12 +461,13 @@ func TestFailedExecutorReleasesItsBatches(t *testing.T) {
 	}
 }
 
-// TestRawBoltDropAndLogDropsMarkers pins what a bolt on raw (unaligned)
-// inputs does once it fails under the drop-and-log policy: the run
-// survives, what it emitted before the failure stays, the offending
-// item and everything after it is dropped and counted, and — having no
-// cuts to complete — it forwards no further marker.
-func TestRawBoltDropAndLogDropsMarkers(t *testing.T) {
+// TestRawBoltDropAndLogForwardsMarkers pins what a bolt on raw
+// (unaligned) inputs does once it fails under the drop-and-log policy:
+// the run survives, what it emitted before the failure stays, the
+// offending item and everything after it is dropped and counted, and it
+// keeps forwarding markers — once each — so the aligned consumer behind
+// it completes every cut instead of draining at EOS.
+func TestRawBoltDropAndLogForwardsMarkers(t *testing.T) {
 	in := testStream(3, 8, 2) // 24 items, a marker after every 8
 	top := NewTopology("raw-drop")
 	top.AddSpout("src", 1, func(int) Spout { return SliceSpout(in) })
@@ -485,11 +486,16 @@ func TestRawBoltDropAndLogDropsMarkers(t *testing.T) {
 			items++
 		}
 	}
-	if items != 10 || markers != 1 {
-		t.Fatalf("sink saw %d items and %d markers, want the 10 items and 1 marker before the failure", items, markers)
+	if items != 10 || markers != 3 {
+		t.Fatalf("sink saw %d items and %d markers, want the 10 items before the failure and all 3 markers", items, markers)
 	}
 	if _, _, dropped := res.Stats.Recovery(); dropped != 14 {
 		t.Fatalf("dropped = %d, want the 14 items from the offending one on", dropped)
+	}
+	for _, c := range res.Stats.Snapshot().ByComponent() {
+		if c.Component == "sink" && c.Cuts != 3 {
+			t.Fatalf("the sink completed %d cuts, want 3", c.Cuts)
+		}
 	}
 }
 

@@ -6,61 +6,67 @@ import (
 	"datatrace/internal/stream"
 )
 
-// This file implements sender-side combining buffers (map-side
-// combine / partial aggregation) for fields-grouping edges whose
-// consumer aggregates through a commutative monoid. Instead of one
-// message per item, the emitter folds its block-local items per
-// (destination instance, key) with the consumer's own In/Combine and
-// ships one partial aggregate per (key, flush). Because the monoid is
-// associative and commutative, the consumer — rewritten by the
-// compiler to fold partial aggregates — computes the same per-block
-// aggregate whatever the split of items across senders and flushes,
-// so the output data trace is unchanged.
+// This file implements sender-side combining (map-side combine /
+// partial aggregation) for fields-grouping edges whose consumer
+// aggregates through a commutative monoid. Instead of one row per item,
+// the emitter folds its block-local rows per (destination instance,
+// key) through a stream.ColCombiner and ships one partial aggregate per
+// (key, drain). Because the monoid is associative and commutative, the
+// consumer — rewritten by the compiler to fold partial aggregates —
+// computes the same per-block aggregate whatever the split of items
+// across senders and drains, so the output data trace is unchanged.
+//
+// There is one mechanism, configured by a ColCombinerSpec: a typed
+// combiner folds rows of its input kind without boxing and drains rows
+// of its output kind; CombineWith's untyped In/Combine monoid is the
+// same thing over the universal kind (stream.NewAnyCombiner).
 //
 // Discipline (mirrors the transport's flush triggers, one layer up):
 //
 //   - cap: a combining buffer reaching Cap distinct keys drains into
-//     the batched transport buffer immediately, bounding memory.
-//   - marker: a marker pushed to a combined buffer drains it first,
-//     so the partial aggregates precede the marker on the channel and
-//     block membership is preserved (within a block the edge is
-//     unordered, so the reordering of items into first-seen key order
-//     is trace-invisible).
-//   - EOS/block/idle: eos, sendBlock and the idle flush all run
-//     through flushAll, which drains every combining buffer before
-//     flushing the transport buffers. In particular a committed
-//     marker cut leaves every combining buffer provably empty — the
-//     same invariant marker-cut recovery relies on for the transport
-//     buffers (see boltExec.restart) — so restarts never need to
-//     discard or reconstruct combiner state.
+//     the destination's open batch immediately, bounding memory.
+//   - marker: a marker drains the buffer first, so the partial
+//     aggregates precede the marker on the channel and block membership
+//     is preserved (within a block the edge is unordered, so the
+//     reordering of items into first-seen key order is trace-invisible).
+//   - EOS/block/idle: all run through flushAll, which drains every
+//     combining buffer first. In particular a committed marker cut
+//     leaves every combining buffer provably empty — the invariant
+//     marker-cut recovery relies on for the transport buffers too (see
+//     boltExec.restart) — so restarts never need to discard or
+//     reconstruct combiner state.
 //
-// In and Combine run inside the emitter's send path, including the
-// transactional sendBlock flush; they must be pure and non-panicking,
-// which the core template contract already requires. The per-item
-// serialization boundary (wire) is applied to each contributing item
-// before it reaches the combiner, so injected edge faults still count
-// per routed event; the flushed aggregate itself is a composition of
-// already-round-tripped values and is not re-serialized.
+// Folds run inside the emitter's delivery path, after a transactional
+// send staged its fault hooks; they must be pure and non-panicking,
+// which the core template contract already requires. Injected edge
+// faults count the rows folded, not the aggregates drained.
 
 // DefaultCombinerCap is the per-destination distinct-key capacity of
-// a combining buffer when CombinerSpec.Cap is zero at the compile
-// layer; the storm layer itself requires an explicit positive Cap.
+// a combining buffer when the compile layer's CombinerCap is zero; the
+// storm layer itself requires an explicit positive Cap.
 const DefaultCombinerCap = 1024
 
-// CombinerSpec configures sender-side combining on one input edge of
-// a bolt (see BoltDecl.CombineWith). In and Combine are the consumer
-// operator's aggregation monoid, untyped for the runtime; Cap bounds
-// the distinct keys a combining buffer holds before draining.
-type CombinerSpec struct {
-	In      func(key, value any) any
-	Combine func(x, y any) any
-	Cap     int
+// ColCombinerSpec configures sender-side combining on one input edge
+// of a bolt (see BoltDecl.ColCombineWith). The edge carries batches of
+// OutKind — each drain ships one (key, partial aggregate) row per
+// distinct key — while the producer emits rows of InKind; rows of any
+// other kind are folded boxed (ColCombiner.FoldEvent).
+type ColCombinerSpec struct {
+	// InKind is the kind of rows the combiner folds without boxing (the
+	// producer's output kind); OutKind is the kind of rows it drains (the
+	// kind the edge carries and the consumer accepts).
+	InKind  *stream.ColKind
+	OutKind *stream.ColKind
+	// New builds one combining buffer per (subscription, destination).
+	New func() stream.ColCombiner
+	// Cap bounds the distinct keys a buffer holds before draining.
+	Cap int
 }
 
 // validate checks a spec at topology validation time.
-func (s *CombinerSpec) validate(bolt, from string, g Grouping) error {
-	if s.In == nil || s.Combine == nil {
-		return fmt.Errorf("storm: combiner on edge %s→%s needs In and Combine", from, bolt)
+func (s *ColCombinerSpec) validate(bolt, from string, g Grouping) error {
+	if s.InKind == nil || s.OutKind == nil || s.New == nil {
+		return fmt.Errorf("storm: combiner on edge %s→%s needs In and Combine (CombineWith) or InKind, OutKind and New (ColCombineWith)", from, bolt)
 	}
 	if s.Cap < 1 {
 		return fmt.Errorf("storm: combiner on edge %s→%s needs a positive key cap, got %d", from, bolt, s.Cap)
@@ -71,69 +77,71 @@ func (s *CombinerSpec) validate(bolt, from string, g Grouping) error {
 	return nil
 }
 
-// CombineWith attaches a sender-side combining buffer to the bolt's
-// most recently declared input edge. The edge must use fields
-// grouping; validation enforces it at Run.
-func (d *BoltDecl) CombineWith(spec CombinerSpec) *BoltDecl {
+// ColCombineWith attaches a sender-side combining buffer to the bolt's
+// most recently declared input edge and declares the edge's kind to be
+// the combiner's output kind. The edge must use fields grouping;
+// validation enforces it at Run.
+func (d *BoltDecl) ColCombineWith(spec ColCombinerSpec) *BoltDecl {
 	if len(d.c.inputs) == 0 {
-		panic(fmt.Sprintf("storm: CombineWith on %q before any input is declared", d.c.name))
+		panic(fmt.Sprintf("storm: ColCombineWith on %q before any input is declared", d.c.name))
 	}
-	d.c.inputs[len(d.c.inputs)-1].combiner = &spec
+	in := &d.c.inputs[len(d.c.inputs)-1]
+	in.colComb = &spec
+	in.cols = spec.OutKind
 	return d
 }
 
-// combBuf is the combining state of one outBuf: an insertion-ordered
-// keyed map of partial aggregates for one (subscription, destination
-// instance) pair. ch is the receiver-side channel index every flushed
-// aggregate carries (one buffer serves exactly one sender channel).
-type combBuf struct {
-	spec *CombinerSpec
-	ch   int
-	idx  map[any]int
-	keys []any
-	vals []any
-	// ins counts items folded since the last drain; the stats counter
-	// is bumped once per drain rather than once per item (drains always
-	// precede markers, EOS and block commits, so the counter is exact
-	// whenever the buffer is empty — in particular at run end).
-	ins int64
+// CombinerSpec is a combiner given as an untyped monoid: In and Combine
+// are the consumer operator's aggregation monoid over boxed keys and
+// values; Cap bounds the distinct keys a combining buffer holds before
+// draining.
+type CombinerSpec struct {
+	In      func(key, value any) any
+	Combine func(x, y any) any
+	Cap     int
 }
 
-// combine folds one routed item into the buffer's partial aggregates,
-// draining into the transport buffer when the key cap is reached.
-func (em *emitter) combine(b *outBuf, e stream.Event) {
+// CombineWith is ColCombineWith for an untyped monoid: the combiner
+// folds and drains rows of the universal kind.
+func (d *BoltDecl) CombineWith(spec CombinerSpec) *BoltDecl {
+	cs := ColCombinerSpec{InKind: stream.AnyKind, OutKind: stream.AnyKind, Cap: spec.Cap}
+	if spec.In != nil && spec.Combine != nil {
+		cs.New = func() stream.ColCombiner { return stream.NewAnyCombiner(spec.In, spec.Combine) }
+	}
+	return d.ColCombineWith(cs)
+}
+
+// fold folds row i of cols into b's combining buffer, draining it when
+// the key cap is reached.
+func (em *emitter) fold(b *outBuf, cols stream.Columns, i int) {
 	c := b.comb
-	c.ins++
-	if i, ok := c.idx[e.Key]; ok {
-		c.vals[i] = c.spec.Combine(c.vals[i], c.spec.In(e.Key, e.Value))
-		return
+	before := c.Len()
+	if !c.Fold(cols, i) {
+		c.FoldEvent(cols.EventAt(i))
 	}
-	c.idx[e.Key] = len(c.keys)
-	c.keys = append(c.keys, e.Key)
-	c.vals = append(c.vals, c.spec.In(e.Key, e.Value))
-	em.cpending++
-	if len(c.keys) >= c.spec.Cap {
-		em.drainComb(b)
+	em.pending += c.Len() - before
+	if c.Len() >= b.combCap {
+		em.drain(b)
 	}
 }
 
-// drainComb moves a buffer's partial aggregates into its transport
-// buffer, one message per key in first-seen order. Nil-safe and a
+// drain moves a combining buffer's partial aggregates into its
+// destination's open batch — one row per distinct key, in first-seen
+// key order — sealing the batch if the drain filled it. Nil-safe and a
 // no-op when nothing is buffered.
-func (em *emitter) drainComb(b *outBuf) {
+func (em *emitter) drain(b *outBuf) {
 	c := b.comb
-	if c == nil || len(c.keys) == 0 {
+	if c == nil || c.Len() == 0 {
 		return
 	}
-	em.stats.AddCombinedIn(c.ins)
-	c.ins = 0
-	em.stats.AddCombinedOut(int64(len(c.keys)))
-	em.cpending -= len(c.keys)
-	for i, k := range c.keys {
-		delete(c.idx, k)
-		em.append(b, message{ch: c.ch, ev: stream.Item(k, c.vals[i]), sent: em.now})
-		c.vals[i] = nil
+	keys := c.Len()
+	cb := em.openBuf(b)
+	ins, outs := c.Drain(cb)
+	em.stats.AddCombinedIn(int64(ins))
+	em.stats.AddCombinedOut(int64(outs))
+	// Buffered keys became buffered rows; both count toward pending.
+	em.pending += outs - keys
+	if cb.Len() >= em.batchSize {
+		em.seal(b)
 	}
-	c.keys = c.keys[:0]
-	c.vals = c.vals[:0]
 }

@@ -31,6 +31,14 @@ func sumSpec(cap int) *CombinerSpec {
 	}
 }
 
+// asColSpec is the ColCombinerSpec CombineWith declares for spec.
+func asColSpec(spec *CombinerSpec) *ColCombinerSpec {
+	top := NewTopology("spec")
+	top.AddSpout("src", 1, nil)
+	top.AddBolt("dst", 1, nil).FieldsGrouping("src", true).CombineWith(*spec)
+	return top.components["dst"].inputs[0].colComb
+}
+
 // newCombinedPair is newTransportPair with a combining buffer on the
 // Fields edge.
 func newCombinedPair(tr TransportOptions, recvPar int, spec *CombinerSpec) *transportPair {
@@ -45,10 +53,10 @@ func newCombinedPair(tr TransportOptions, recvPar int, spec *CombinerSpec) *tran
 	send.workerOf = []int{-1}
 	send.subs = []subscription{
 		{to: recv, grouping: Shuffle, chBase: 0},
-		{to: recv, grouping: Fields, chBase: 1, combiner: spec},
+		{to: recv, grouping: Fields, chBase: 1, colComb: asColSpec(spec)},
 	}
 	return &transportPair{
-		em:   newEmitter(send, 0, metrics.NewStats().Instance("src", 0), stream.DefaultHash),
+		em:   newEmitter(send, 0, metrics.NewStats().Instance("src", 0), nil),
 		recv: recv,
 	}
 }
@@ -81,9 +89,8 @@ func runCombinedDifferential(t *testing.T, tr TransportOptions, recvPar int, spe
 	t.Helper()
 	combined := newCombinedPair(tr, recvPar, spec)
 	applyOps(combined.em, ops, true)
-	if combined.em.pending != 0 || combined.em.cpending != 0 {
-		t.Fatalf("combined emitter still holds %d transport / %d combiner events after EOS",
-			combined.em.pending, combined.em.cpending)
+	if combined.em.pending != 0 {
+		t.Fatalf("combined emitter still holds %d events after EOS", combined.em.pending)
 	}
 	model := newTransportPair(TransportOptions{BatchSize: 1, FlushInterval: -1}, recvPar)
 	applyOps(model.em, ops, false)
@@ -141,8 +148,8 @@ func TestCombinerDrainsOnCap(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p.em.emit(stream.Item(i, 1)) // all distinct keys
 		for _, b := range p.em.bufs {
-			if b.comb != nil && len(b.comb.keys) >= cap {
-				t.Fatalf("after %d distinct keys a combining buffer holds %d keys; cap %d must drain", i+1, len(b.comb.keys), cap)
+			if b.comb != nil && b.comb.Len() >= cap {
+				t.Fatalf("after %d distinct keys a combining buffer holds %d keys; cap %d must drain", i+1, b.comb.Len(), cap)
 			}
 		}
 	}
@@ -161,19 +168,25 @@ func TestCombinerEmptyAtMarkersAndEOS(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		p.em.emit(stream.Item(i%7, i))
 	}
-	if p.em.cpending == 0 {
+	held := 0
+	for _, b := range p.em.bufs {
+		if b.comb != nil {
+			held += b.comb.Len()
+		}
+	}
+	if held == 0 {
 		t.Fatal("expected combining buffers to hold partial aggregates before the marker")
 	}
 	p.em.emit(mk(1, 1))
-	if p.em.cpending != 0 || p.em.pending != 0 {
-		t.Fatalf("marker left %d combiner / %d transport events buffered", p.em.cpending, p.em.pending)
+	if p.em.pending != 0 {
+		t.Fatalf("marker left %d events buffered", p.em.pending)
 	}
 	for i := 0; i < 10; i++ {
 		p.em.emit(stream.Item(i, i))
 	}
 	p.em.eos()
-	if p.em.cpending != 0 || p.em.pending != 0 {
-		t.Fatalf("EOS left %d combiner / %d transport events buffered", p.em.cpending, p.em.pending)
+	if p.em.pending != 0 {
+		t.Fatalf("EOS left %d events buffered", p.em.pending)
 	}
 }
 
@@ -188,8 +201,8 @@ func TestCombinerStatsCounters(t *testing.T) {
 	recv.nChannels = 1
 	send := &runtimeComponent{component: &component{name: "src", parallelism: 1}}
 	send.workerOf = []int{-1}
-	send.subs = []subscription{{to: recv, grouping: Fields, chBase: 0, combiner: sumSpec(1024)}}
-	em := newEmitter(send, 0, stats.Instance("src", 0), stream.DefaultHash)
+	send.subs = []subscription{{to: recv, grouping: Fields, chBase: 0, colComb: asColSpec(sumSpec(1024))}}
+	em := newEmitter(send, 0, stats.Instance("src", 0), nil)
 	const items, keys = 200, 5
 	for i := 0; i < items; i++ {
 		em.emit(stream.Item(i%keys, 1))
@@ -345,6 +358,7 @@ func FuzzCombinerFlush(f *testing.F) {
 	f.Add(uint8(1), uint8(1), []byte{0, 9, 1, 9, 2, 9})
 	f.Add(uint8(64), uint8(200), []byte{40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 19, 29})
 	f.Add(uint8(200), uint8(3), []byte{7, 3, 7, 3, 7, 3, 9, 8, 7, 9})
+	f.Add(uint8(3), uint8(2), []byte{0, 6, 1, 16, 2, 9, 26, 3, 36, 8, 4, 7, 6, 9})
 	f.Fuzz(func(t *testing.T, rawBatch, rawCap uint8, script []byte) {
 		if len(script) > 512 {
 			script = script[:512]
@@ -358,6 +372,8 @@ func FuzzCombinerFlush(f *testing.F) {
 				ops = append(ops, tOp{kind: 3}) // flush (combined side only)
 			case 7:
 				ops = append(ops, tOp{kind: 2, key: int(b) % 5, val: 1000 + i, blockLen: int(b) % 4})
+			case 6:
+				ops = append(ops, tOp{kind: 4, key: int(b) % 5, val: i, blockLen: int(b) % 4}) // typed batch
 			default:
 				ops = append(ops, tOp{kind: 0, key: int(b) % 5, val: i})
 			}

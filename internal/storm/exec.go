@@ -14,19 +14,20 @@ import (
 	"datatrace/internal/stream"
 )
 
-// message is one unit of executor input: an event tagged with the
-// receiver-side input channel it arrived on, a typed column batch for
-// that channel, or an end-of-stream notice for it. Messages travel in
-// vectors — the batched edge transport (transport.go) groups them per
-// destination — and receivers unpack a vector one message at a time.
+// message is one unit of executor input, tagged with the receiver-side
+// input channel it arrived on: a column batch of items, a marker, or an
+// end-of-stream notice. Messages travel in vectors — the batched edge
+// transport (transport.go) groups them per destination — and receivers
+// unpack a vector one message at a time.
 type message struct {
-	ch  int
-	ev  stream.Event
-	eos bool
-	// cols, when set, makes this message a column batch of items only
-	// (markers never enter batches; see cols.go) and ev is unused. The
-	// receiver owns the batch and releases it after consumption.
+	ch int
+	// cols, when set, makes this message a batch of items (markers never
+	// enter batches; see cols.go). The receiver owns the batch and
+	// releases it after consumption.
 	cols stream.Columns
+	// mark is the marker when cols is nil and eos is false.
+	mark stream.Marker
+	eos  bool
 	// sent is the send wall time (UnixNano) when observability is
 	// enabled, 0 otherwise; receivers derive emit-to-receive inbox
 	// latency from it.
@@ -61,13 +62,8 @@ type subscription struct {
 	// chBase is the receiver-side channel index of the sender's
 	// instance 0 for this edge; instance k uses chBase + k.
 	chBase int
-	// combiner, when set, pre-aggregates this edge's traffic in the
+	// colComb, when set, pre-aggregates this edge's traffic in the
 	// sender's combining buffers (see combiner.go).
-	combiner *CombinerSpec
-	// cols, when set, declares the edge columnar: items travel as
-	// typed batches of this kind (see cols.go). colComb, when set, is
-	// the typed sender-side combining pass the rows fold through.
-	cols    *stream.ColKind
 	colComb *ColCombinerSpec
 }
 
@@ -80,18 +76,16 @@ type runtimeComponent struct {
 	// entries so routing arithmetic is placement-blind.
 	inboxes []chan *[]message
 	// depths[i] is inbox i's depth in *events* (a channel slot holds a
-	// whole vector, and a cols message a whole batch of rows): senders
+	// whole vector, and a message a whole batch of rows): senders
 	// add a vector's weight (vecWeight) at flush, the receiver subtracts
 	// it at dequeue. Maintained only when observability is enabled;
 	// feeds the sampled queue-depth gauge.
-	depths            []atomic.Int64
-	subs              []subscription
-	nChannels         int // receiver-side input channel count
-	aligned           bool
-	transport         TransportOptions // as set; newEmitter normalizes, once
-	serializerFactory func() Serializer
-	// workerOf[i] is the worker hosting instance i (-1: no placement,
-	// every serialized send pays the wire format).
+	depths    []atomic.Int64
+	subs      []subscription
+	nChannels int // receiver-side input channel count
+	aligned   bool
+	transport TransportOptions // as set; newEmitter normalizes, once
+	// workerOf[i] is the worker hosting instance i.
 	workerOf []int
 	// gids[i] is instance i's global executor index (declaration
 	// order) — the frame destination id of the networked transport.
@@ -112,17 +106,29 @@ func (rc *runtimeComponent) localInst(i int) bool {
 	return rc.net == nil || rc.workerOf[i] == rc.net.self
 }
 
-// appendSink records a block of events a sink instance received,
-// feeding the worker's sink tap when one is installed.
+// record adds one event to the sink's record, feeding the worker's
+// sink tap when one is installed. The caller holds sinkMu.
+func (rc *runtimeComponent) record(e stream.Event) {
+	rc.sinkOut = append(rc.sinkOut, e)
+	if rc.sinkTap != nil {
+		rc.sinkTap(e)
+	}
+}
+
+// appendSink records a block a sink instance received, batches row by
+// row.
 func (rc *runtimeComponent) appendSink(block []entry) {
 	rc.sinkMu.Lock()
-	for i := range block {
-		rc.sinkOut = append(rc.sinkOut, block[i].ev)
-		if rc.sinkTap != nil {
-			rc.sinkTap(block[i].ev)
+	defer rc.sinkMu.Unlock()
+	for _, e := range block {
+		if e.cols == nil {
+			rc.record(stream.Mark(e.mark))
+			continue
+		}
+		for i := 0; i < e.cols.Len(); i++ {
+			rc.record(e.cols.EventAt(i))
 		}
 	}
-	rc.sinkMu.Unlock()
 }
 
 // Placed is one executor's process placement.
@@ -210,13 +216,13 @@ func (t *Topology) resolve(w *workerNet) (map[string]*runtimeComponent, error) {
 
 	rts := make(map[string]*runtimeComponent, len(t.order))
 	for _, name := range t.order {
-		rts[name] = &runtimeComponent{component: t.components[name], transport: t.transport, net: w, serializerFactory: t.serializer}
+		rts[name] = &runtimeComponent{component: t.components[name], transport: t.transport, net: w}
 	}
 	for _, name := range t.order {
 		rc := rts[name]
 		for _, in := range rc.inputs {
 			src := rts[in.from]
-			src.subs = append(src.subs, subscription{to: rc, grouping: in.grouping, combiner: in.combiner, cols: in.cols, colComb: in.colComb})
+			src.subs = append(src.subs, subscription{to: rc, grouping: in.grouping, colComb: in.colComb})
 			rc.aligned = rc.aligned || in.aligned
 		}
 	}
@@ -259,11 +265,7 @@ func (t *Topology) layout(rts map[string]*runtimeComponent, workers int) {
 	}
 	for _, p := range t.Placement(workers) {
 		rc := rts[p.Component]
-		rc.gids[p.Instance] = p.GID
-		rc.workerOf[p.Instance] = -1
-		if workers > 0 {
-			rc.workerOf[p.Instance] = p.Worker
-		}
+		rc.gids[p.Instance], rc.workerOf[p.Instance] = p.GID, p.Worker
 	}
 	// Subscriptions were appended in this same walk order, so a cursor
 	// per producer finds each edge's entry.
@@ -284,10 +286,6 @@ func (t *Topology) layout(rts map[string]*runtimeComponent, workers int) {
 // execute starts one executor goroutine per locally placed instance
 // and waits for the DAG to drain.
 func (t *Topology) execute(rts map[string]*runtimeComponent) (*Result, error) {
-	hash := t.hash
-	if hash == nil {
-		hash = stream.DefaultHash
-	}
 	stats := metrics.NewStats()
 	stats.SetObservability(t.obs)
 	t.live.Store(stats)
@@ -295,7 +293,7 @@ func (t *Topology) execute(rts map[string]*runtimeComponent) (*Result, error) {
 	var failMu sync.Mutex
 	var failures []error
 
-	cg := newCutGate(t, rts, hash)
+	cg := newCutGate(t, rts)
 	t.gate.Store(cg)
 	if t.rescalePlan != nil && !cg.supported {
 		return nil, fmt.Errorf("storm: rescale plan: %s", cg.reason)
@@ -314,9 +312,9 @@ func (t *Topology) execute(rts map[string]*runtimeComponent) (*Result, error) {
 			defer wg.Done()
 			run := func() error {
 				if rc.spout != nil {
-					return runSpout(rc, i, is, hash, ef, t.recovery, cg, g)
+					return runSpout(rc, i, is, ef, t.recovery, cg, g)
 				}
-				return runBolt(rc, i, is, hash, ef, t.recovery, cg, g)
+				return runBolt(rc, i, is, ef, t.recovery, cg, g)
 			}
 			var err error
 			if t.obs.Enabled {
@@ -399,21 +397,14 @@ func (t *Topology) execute(rts map[string]*runtimeComponent) (*Result, error) {
 	return res, nil
 }
 
-// emitter routes one sender instance's output events to subscribers.
+// emitter routes one sender instance's output to subscribers.
 type emitter struct {
 	rc       *runtimeComponent
 	instance int
-	hash     func(any) int
 	// rrNext is the per-subscription round-robin cursor.
 	rrNext []int
 	stats  *metrics.InstanceStats
-	// ser, when set, round-trips emitted events through the wire
-	// encoding (per send; skipped for same-worker destinations when
-	// placement is set).
-	ser Serializer
-	// worker is this executor's worker, or -1 without placement.
-	worker int
-	// faults, when set, injects serializer corruption on chosen edges.
+	// faults, when set, injects send failures on chosen edges.
 	faults *executorFaults
 	// stamp turns on send-time stamping of outgoing messages (queue
 	// latency observability); derived from the executor's stats record.
@@ -422,26 +413,22 @@ type emitter struct {
 	// once per processed input when stamp is on and reused for every
 	// send — emitted messages carry it instead of paying time.Now per
 	// emission. It under-reports the send time by at most the message's
-	// own processing latency, which the exec histogram bounds. A
-	// message buffered by the transport keeps the stamp of its emit, so
-	// the receiver's queue latency includes buffered residency.
+	// own processing latency, which the exec histogram bounds. A batch
+	// carries the stamp of its first row, so the receiver's queue latency
+	// includes buffered residency.
 	now int64
-	// scratch is the reused routing buffer of emit.
-	scratch []routedMsg
+	// row is the one-row universal batch a boxed emission is routed as.
+	row *stream.Cols[any, any]
 
 	// Batched transport state (see transport.go). bufs holds one send
 	// buffer per (subscription, destination instance), flattened;
 	// bufBase[si] indexes subscription si's instance-0 buffer. pending
-	// counts buffered messages across all bufs; cpending counts partial
-	// aggregates held by boxed combining buffers (combiner.go);
-	// colpending counts rows held by open column buffers plus keys held
-	// by columnar combining buffers (cols.go); oldest is the idle-flush
-	// deadline anchor (zero when nothing is pending).
+	// counts the events held by all bufs — rows of open batches, events
+	// of unflushed vectors, keys of combining buffers; oldest is the
+	// idle-flush deadline anchor (zero when nothing is pending).
 	bufs       []outBuf
 	bufBase    []int
 	pending    int
-	cpending   int
-	colpending int
 	oldest     time.Time
 	batchSize  int
 	flushEvery time.Duration
@@ -450,16 +437,14 @@ type emitter struct {
 	idle *time.Timer
 }
 
-func newEmitter(rc *runtimeComponent, instance int, is *metrics.InstanceStats, hash func(any) int) *emitter {
+func newEmitter(rc *runtimeComponent, instance int, is *metrics.InstanceStats, ef *executorFaults) *emitter {
 	tr := rc.transport.normalized()
 	em := &emitter{
-		rc: rc, instance: instance, hash: hash,
+		rc: rc, instance: instance, faults: ef,
 		rrNext: make([]int, len(rc.subs)),
-		stats:  is, worker: rc.workerOf[instance], stamp: is.ObsEnabled(),
+		stats:  is, stamp: is.ObsEnabled(),
+		row:       stream.AnyKind.Get().(*stream.Cols[any, any]),
 		batchSize: tr.BatchSize, flushEvery: tr.FlushInterval,
-	}
-	if rc.serializerFactory != nil && len(rc.subs) > 0 {
-		em.ser = rc.serializerFactory()
 	}
 	em.rebuildBufs()
 	return em
@@ -482,177 +467,110 @@ func (em *emitter) rebuildBufs() {
 	for si := range rc.subs {
 		sub := &rc.subs[si]
 		for k := range sub.to.inboxes {
-			var b outBuf
+			b := outBuf{ch: sub.chBase + em.instance}
 			if sub.to.localInst(k) {
-				b = outBuf{sink: chanSink{ch: sub.to.inboxes[k]}, depth: &sub.to.depths[k]}
+				b.sink, b.depth = chanSink{ch: sub.to.inboxes[k]}, &sub.to.depths[k]
 			} else {
-				b = outBuf{sink: rc.net.sinkTo(sub.to, k)}
-			}
-			if sub.combiner != nil {
-				b.comb = &combBuf{spec: sub.combiner, ch: sub.chBase + em.instance, idx: map[any]int{}}
-			}
-			if sub.cols != nil {
-				b.colKind = sub.cols
-				b.colCh = sub.chBase + em.instance
+				b.sink = rc.net.sinkTo(sub.to, k)
 			}
 			if sub.colComb != nil {
-				b.colComb = sub.colComb.New()
-				b.colCap = sub.colComb.Cap
+				b.comb, b.combCap, b.kind = sub.colComb.New(), sub.colComb.Cap, sub.colComb.OutKind
 			}
 			em.bufs[em.bufBase[si]+k] = b
 		}
 	}
 }
 
-// routedMsg is one event resolved to a concrete destination. A nil sub
-// marks a staged typed emission instead: si then indexes the batch in
-// the block being sent (see send).
-type routedMsg struct {
-	sub    *subscription
-	si     int // the subscription's index in rc.subs
-	target int
-	ch     int
-	e      stream.Event
-}
-
-// route resolves the destinations of one emitted event, advancing the
-// round-robin cursors, without serializing or sending.
-func (em *emitter) route(e stream.Event, out []routedMsg) []routedMsg {
-	em.stats.AddEmitted(1)
+// stage fires the send-fault hooks that n emitted rows, or one marker,
+// owe on every subscription: one send per row and destination (a marker
+// and a broadcast edge reach every instance). Emission is two-phase —
+// everything is staged before the first buffer append, so an injected
+// failure leaves nothing partially delivered.
+func (em *emitter) stage(n int, marker bool) {
+	if em.faults == nil || em.faults.corrupt == nil {
+		return
+	}
 	for si := range em.rc.subs {
-		out = em.routeTo(si, e, out)
-	}
-	return out
-}
-
-// routeTo is route for one subscription.
-func (em *emitter) routeTo(si int, e stream.Event, out []routedMsg) []routedMsg {
-	sub := &em.rc.subs[si]
-	ch := sub.chBase + em.instance
-	g := sub.grouping
-	if e.IsMarker {
-		// Markers are always broadcast so they reach every consumer
-		// instance and can act as punctuations.
-		g = Broadcast
-	}
-	switch g {
-	case Shuffle:
-		k := em.rrNext[si]
-		em.rrNext[si] = (k + 1) % len(sub.to.inboxes)
-		out = append(out, routedMsg{sub, si, k, ch, e})
-	case Fields:
-		out = append(out, routedMsg{sub, si, em.hash(e.Key) % len(sub.to.inboxes), ch, e})
-	case Global:
-		out = append(out, routedMsg{sub, si, 0, ch, e})
-	case Broadcast:
-		for k := range sub.to.inboxes {
-			out = append(out, routedMsg{sub, si, k, ch, e})
+		sub := &em.rc.subs[si]
+		sends := n
+		if marker || sub.grouping == Broadcast {
+			sends *= len(sub.to.inboxes)
+		}
+		for ; sends > 0; sends-- {
+			em.faults.onSend(em.rc.name, em.instance, sub.to.name)
 		}
 	}
-	return out
 }
 
-// wire applies the serialization boundary to one routed message in
-// place, paying the wire format when the hop crosses a worker
-// boundary (or unconditionally when no placement is configured). A
-// serialization failure — or an injected corruption fault — panics
-// and is converted to an executor failure by guard.
-func (em *emitter) wire(r *routedMsg) {
-	em.faults.onSend(em.rc.name, em.instance, r.sub.to.name)
-	if em.ser != nil && (em.worker < 0 || em.worker != r.sub.to.workerOf[r.target]) {
-		roundTripped, err := em.ser.RoundTrip(r.e)
-		if err != nil {
-			panic(err)
-		}
-		r.e = roundTripped
-	}
-}
-
+// emit sends one event: a marker to every destination, flushing
+// everything — markers punctuate every buffer, and aligned consumers
+// must not wait on a partial batch to complete a cut — an item as one
+// row of the universal kind.
 func (em *emitter) emit(e stream.Event) {
-	em.scratch = em.route(e, em.scratch[:0])
-	for i := range em.scratch {
-		r := &em.scratch[i]
-		em.wire(r)
-		em.push(r)
-	}
+	em.stage(1, e.IsMarker)
 	if e.IsMarker {
-		// Markers flush everything: they punctuate every buffer (being
-		// broadcast), and aligned consumers must not wait on a partial
-		// batch to complete a cut.
+		em.mark(e.Marker)
 		em.flushAll()
+		return
 	}
+	r := em.row
+	r.Keys, r.Vals = append(r.Keys[:0], e.Key), append(r.Vals[:0], e.Value)
+	em.route(r)
 }
 
-// emitCols routes one batch of emitted rows to every subscription,
-// taking ownership of the batch: typed where the edge carries its kind,
-// boxed row by row elsewhere.
+// emitCols sends one batch of emitted rows, taking ownership of it.
 func (em *emitter) emitCols(cols stream.Columns) {
-	one := [1]entry{{cols: cols}}
-	em.send(one[:])
+	em.stage(cols.Len(), false)
+	em.route(cols)
+	cols.Release()
 }
 
-// send delivers a block of emissions — boxed events and typed batches
-// in emission order — in two phases: every destination is routed and
-// every fault hook and serialization fires before the first buffer
-// append, so a failure leaves nothing partially delivered. Delivery
-// itself cannot panic. Each batch is consumed (released, its entry
-// cleared) as it is delivered, so a caller that recovers from a staging
-// panic still owns exactly the batches left in block.
+// send delivers a block of emissions — batches and markers in emission
+// order — transactionally: every fault hook fires before the first
+// buffer append, and delivery itself cannot panic. Each batch is
+// consumed (released, its entry cleared) as it is delivered, so a
+// caller that recovers from a staging panic still owns exactly the
+// batches left in block. The caller flushes.
 func (em *emitter) send(block []entry) {
-	batch := em.scratch[:0]
 	for i := range block {
-		switch c := block[i].cols; {
-		case c == nil:
-			batch = em.route(block[i].ev, batch)
-		case c.Len() == 0:
+		em.stage(block[i].rows(), block[i].cols == nil)
+	}
+	for i := range block {
+		if c := block[i].cols; c != nil {
 			block[i].cols = nil
+			em.route(c)
 			c.Release()
-		default:
-			batch = em.stageCols(c, i, batch)
+		} else {
+			em.mark(block[i].mark)
 		}
 	}
-	for i := range batch {
-		if batch[i].sub != nil {
-			em.wire(&batch[i])
-		}
-	}
-	for i := range batch {
-		r := &batch[i]
-		if r.sub == nil {
-			c := block[r.si].cols
-			block[r.si].cols = nil
-			em.pushCols(c)
-			continue
-		}
-		em.push(r)
-	}
-	// Keep the grown buffer for the next call (one executor goroutine
-	// owns the emitter; emit and send never run concurrently).
-	em.scratch = batch[:0]
 }
 
-// sendBlock is send for a marker-cut block: transactional, and flushed
-// when done — a committed cut leaves nothing buffered, so marker-cut
-// recovery can regenerate a failed block without duplicating output
-// downstream.
-func (em *emitter) sendBlock(block []entry) {
-	em.send(block)
-	em.flushAll()
+// mark appends a marker to every destination's vector.
+func (em *emitter) mark(m stream.Marker) {
+	em.stats.AddEmitted(1)
+	em.punctuate(message{mark: m, sent: em.now})
 }
 
 // eos notifies every downstream instance that this sender instance's
-// channel has ended: the notice is appended behind any still-buffered
-// events and everything is flushed, so EOS is the last message each
-// channel delivers.
+// channel has ended, and flushes: EOS is the last message each channel
+// delivers.
 func (em *emitter) eos() {
-	for si := range em.rc.subs {
-		sub := &em.rc.subs[si]
-		ch := sub.chBase + em.instance
-		for k := range sub.to.inboxes {
-			em.pushEOS(&em.bufs[em.bufBase[si]+k], ch)
-		}
-	}
+	em.punctuate(message{eos: true})
 	em.flushAll()
+}
+
+// punctuate appends a marker or EOS to every destination's vector,
+// behind the aggregates and rows the buffer still holds in its
+// combining buffer and open batch.
+func (em *emitter) punctuate(m message) {
+	for i := range em.bufs {
+		b := &em.bufs[i]
+		em.drain(b)
+		em.seal(b)
+		m.ch = b.ch
+		em.appendMsg(b, m, 1)
+	}
 }
 
 // guard runs fn, converting a panic into an error so the topology can
@@ -668,9 +586,8 @@ func guard(component string, instance int, fn func()) (err error) {
 	return nil
 }
 
-func runSpout(rc *runtimeComponent, instance int, is *metrics.InstanceStats, hash func(any) int, ef *executorFaults, pol RecoveryPolicy, cg *cutGate, g *execGate) error {
-	em := newEmitter(rc, instance, is, hash)
-	em.faults = ef
+func runSpout(rc *runtimeComponent, instance int, is *metrics.InstanceStats, ef *executorFaults, pol RecoveryPolicy, cg *cutGate, g *execGate) error {
+	em := newEmitter(rc, instance, is, ef)
 	if g != nil {
 		g.em = em
 		defer cg.leave(g)
@@ -679,9 +596,8 @@ func runSpout(rc *runtimeComponent, instance int, is *metrics.InstanceStats, has
 		spout := rc.spout(instance)
 		// A ColSpout fills typed batches directly — no per-event boxing,
 		// one emitCols per batch. Markers and EOS still come through Next
-		// (NextCols returns 0 there), so punctuation and shutdown are the
-		// boxed path's. Observability needs per-event stamps and latency,
-		// so it keeps every source boxed.
+		// (NextCols returns 0 there). Observability needs per-event stamps
+		// and latency, so it reads every source event by event.
 		var cs ColSpout
 		var kind *stream.ColKind
 		var batch stream.Columns
@@ -691,7 +607,7 @@ func runSpout(rc *runtimeComponent, instance int, is *metrics.InstanceStats, has
 			defer func() { batch.Release() }()
 		}
 		// Clock reads and counter updates amortize over strides of
-		// events — on a fast boxed source the clock is a measurable share
+		// events — on a fast per-event source the clock is a measurable share
 		// of the loop. The stride stays 1 under observability (exact
 		// per-event latency; each read ends one event and starts the next)
 		// and on columnar sources (a batch per read already). Otherwise
@@ -777,12 +693,12 @@ func runSpout(rc *runtimeComponent, instance int, is *metrics.InstanceStats, has
 }
 
 // boltExec is one bolt executor: the single receive loop every bolt
-// instance runs, raw or aligned, boxed or columnar, with or without
-// marker-cut recovery. Recovery is a policy on the loop (rec, see
-// recovery.go), not a second loop: with it on, a block's emissions park
-// in out until its cut commits and a panic rolls the executor back to
-// its last cut; with it off, emissions go straight to the transport and
-// a panic fails (or degrades) the executor.
+// instance runs, raw or aligned, with or without marker-cut recovery.
+// Recovery is a policy on the loop (rec, see recovery.go), not a second
+// loop: with it on, a block's emissions park in out until its cut
+// commits and a panic rolls the executor back to its last cut; with it
+// off, emissions go straight to the transport and a panic fails (or
+// degrades) the executor.
 type boltExec struct {
 	rc       *runtimeComponent
 	instance int
@@ -811,6 +727,10 @@ type boltExec struct {
 	inKind, outKind *stream.ColKind
 	chBolt          ChannelBolt
 	ch              int
+	// row is the row being delivered when a batch goes to the bolt row by
+	// row: on raw inputs the rows before it are done with — their output
+	// is out — so a failure there drops only the rest (discard).
+	row int
 	// merge aligns the input channels on markers; nil on raw inputs.
 	merge *colMerge
 	// emitFn is the bolt's emit callback, allocated once per executor:
@@ -846,25 +766,25 @@ type boltExec struct {
 }
 
 // runBolt is the executor loop of every bolt instance.
-func runBolt(rc *runtimeComponent, instance int, is *metrics.InstanceStats, hash func(any) int, ef *executorFaults, pol RecoveryPolicy, cg *cutGate, g *execGate) error {
+func runBolt(rc *runtimeComponent, instance int, is *metrics.InstanceStats, ef *executorFaults, pol RecoveryPolicy, cg *cutGate, g *execGate) error {
 	x := &boltExec{
 		rc: rc, instance: instance, is: is, ef: ef, pol: pol, cg: cg, g: g,
-		em:      newEmitter(rc, instance, is, hash),
+		em:      newEmitter(rc, instance, is, ef),
 		rec:     pol.Enabled && rc.aligned,
 		eosLeft: rc.nChannels,
 		rrSnap:  make([]int, len(rc.subs)),
 	}
-	x.em.faults = ef
 	switch {
 	case x.rec:
-		x.emitFn = func(e stream.Event) { x.out = append(x.out, entry{ev: e}) }
+		x.emitFn = x.park
 		if is.ObsEnabled() {
 			x.markerSeen = map[int64]int64{}
 		}
 	case rc.isSink:
 		x.emitFn = func(e stream.Event) {
-			one := [1]entry{{ev: e}}
-			rc.appendSink(one[:])
+			rc.sinkMu.Lock()
+			rc.record(e)
+			rc.sinkMu.Unlock()
 		}
 	default:
 		x.emitFn = x.em.emit
@@ -960,10 +880,9 @@ func (x *boltExec) held() [][]entry {
 }
 
 // runVector consumes one received vector. Processing runs under one
-// panic guard and
-// one busy-time clock pair per vector when observability is off; with
-// it on the clock is read once per message, each message's end time
-// being the next one's start. On a panic the in-flight message is
+// panic guard and one busy-time clock pair per vector when observability
+// is off; with it on the clock is read once per message, each message's
+// end time being the next one's start. On a panic the in-flight message is
 // handled exactly once: the guard is re-entered at the same message
 // with absorbed and fired preserved, so a message the merger already
 // holds is not fed twice and an injected Nth-event fault neither
@@ -989,7 +908,7 @@ func (x *boltExec) runVector(batch []message) {
 			if m := &batch[bi]; m.eos {
 				x.eosLeft--
 			} else {
-				x.discard(entry{ev: m.ev, cols: m.cols})
+				x.discard(entry{cols: m.cols, mark: m.mark})
 			}
 			bi++
 			continue
@@ -1004,7 +923,7 @@ func (x *boltExec) runVector(batch []message) {
 					bi++
 					continue
 				}
-				in := entry{ev: m.ev, cols: m.cols}
+				in := entry{cols: m.cols, mark: m.mark}
 				if obs && fired == 0 && !absorbed {
 					now := t0.UnixNano()
 					x.em.now = now
@@ -1019,9 +938,9 @@ func (x *boltExec) runVector(batch []message) {
 						}
 					}
 					weight -= int64(in.rows())
-					if x.markerSeen != nil && m.ev.IsMarker && m.cols == nil {
-						if _, ok := x.markerSeen[m.ev.Marker.Seq]; !ok {
-							x.markerSeen[m.ev.Marker.Seq] = now
+					if x.markerSeen != nil && m.cols == nil {
+						if _, ok := x.markerSeen[m.mark.Seq]; !ok {
+							x.markerSeen[m.mark.Seq] = now
 						}
 					}
 				}
@@ -1054,11 +973,15 @@ func (x *boltExec) runVector(batch []message) {
 		// only after the bolt returned). Under recovery, roll back to the
 		// last cut, replay all of it and resume the same message with
 		// absorbed set, so only its remaining fault hooks run; otherwise,
-		// or when recovery gives up, fail hands it to discard.
+		// or when recovery gives up, fail hands it to discard. On aligned
+		// inputs the block is replayed or dropped whole, with its output.
 		m := &batch[bi]
 		pending := x.held()
+		if x.merge != nil {
+			x.row = 0
+		}
 		if !absorbed || x.merge == nil {
-			pending[m.ch] = append(pending[m.ch], entry{ev: m.ev, cols: m.cols})
+			pending[m.ch] = append(pending[m.ch], entry{cols: m.cols, mark: m.mark})
 			absorbed = true
 		}
 		if x.rec {
@@ -1073,26 +996,39 @@ func (x *boltExec) runVector(batch []message) {
 	}
 }
 
-// absorb hands one live message to the merger, or on raw inputs
-// straight to the bolt.
+// absorb hands one live message to the merger, which takes ownership of
+// a batch, or on raw inputs straight to the bolt, releasing a batch
+// once the bolt returned.
 func (x *boltExec) absorb(ch int, in entry) {
-	switch {
-	case x.merge != nil && in.cols != nil:
-		x.merge.NextCols(ch, in.cols)
-	case x.merge != nil:
-		x.merge.Next(ch, in.ev)
-	case in.cols != nil:
-		x.ch = ch
-		x.deliverCols(in.cols)
-		in.cols.Release()
-	default:
-		x.ch = ch
-		x.deliver(in.ev)
+	if x.merge != nil {
+		x.merge.Next(ch, in)
+		return
 	}
+	x.ch = ch
+	if in.cols == nil {
+		x.deliver(stream.Mark(in.mark))
+		return
+	}
+	x.deliverCols(in.cols)
+	in.cols.Release()
 }
 
-// deliver runs the bolt on one event: a live one on raw inputs, a
-// merged one (item, or the cut-completing marker) on aligned inputs.
+// park is the emit callback under recovery: the event joins the block's
+// parked output, an item as a row of the universal batch at its end.
+func (x *boltExec) park(e stream.Event) {
+	if e.IsMarker {
+		x.out = append(x.out, entry{mark: e.Marker})
+		return
+	}
+	if n := len(x.out); n == 0 || x.out[n-1].cols == nil || x.out[n-1].cols.Kind() != stream.AnyKind {
+		x.out = append(x.out, entry{cols: stream.AnyKind.Get()})
+	}
+	x.out[len(x.out)-1].cols.AppendEvent(e)
+}
+
+// deliver runs the bolt on one event: a row of a batch the bolt does
+// not consume whole, or a marker (on aligned inputs, the merged one that
+// completes the cut).
 func (x *boltExec) deliver(e stream.Event) {
 	x.is.AddExecuted(1)
 	if x.chBolt != nil {
@@ -1107,15 +1043,17 @@ func (x *boltExec) deliver(e stream.Event) {
 
 // deliverCols runs the bolt on one column batch, which stays the
 // caller's: whole through ProcessCols when the bolt consumes batches of
-// its kind — exactly so under recovery as without — and boxed row by
-// row otherwise, so a bolt behind mixed or mismatched edges still sees
-// every event.
+// its kind — exactly so under recovery as without — and row by row
+// otherwise, which is how every bolt without a columnar surface (a
+// handcrafted Bolt or ChannelBolt, a sink, an ordered-type template)
+// and every bolt behind a mismatched edge sees its items.
 func (x *boltExec) deliverCols(c stream.Columns) {
 	n := c.Len()
 	if x.inKind == nil || c.Kind() != x.inKind {
-		for i := 0; i < n; i++ {
-			x.deliver(c.EventAt(i))
+		for x.row = 0; x.row < n; x.row++ {
+			x.deliver(c.EventAt(x.row))
 		}
+		x.row = 0
 		return
 	}
 	x.is.AddExecuted(int64(n))

@@ -30,11 +30,10 @@ const (
 	// SlowFault delays the target executor by Delay on every event,
 	// modelling a straggler.
 	SlowFault
-	// CorruptFault fails the serialization of the AtEvent-th send by
-	// the target executor on the edge to component To, modelling a
-	// poisoned wire encoding. The producing executor crashes (and, if
-	// recoverable, restarts) exactly as a real serializer error would
-	// make it.
+	// CorruptFault fails the AtEvent-th send by the target executor on
+	// the edge to component To, modelling a poisoned wire encoding. The
+	// producing executor crashes (and, if recoverable, restarts) exactly
+	// as a real serializer error would make it.
 	CorruptFault
 )
 
@@ -90,12 +89,11 @@ func (p *FaultPlan) SlowExecutor(component string, instance int, perEvent time.D
 }
 
 // CorruptEdge fails the atSend-th send (1-based) from executor
-// from[fromInstance] to component to. Sends are counted per routed
-// event, not per transport vector, so the fault keeps per-event
-// granularity under the batched transport; it fires at wire time —
-// when the event is serialized toward its batch, before any of the
-// batch reaches the channel — so a corrupted emission never leaves a
-// vector partially delivered.
+// from[fromInstance] to component to. Sends are counted per routed row
+// (and marker copy), not per batch or vector, so the fault keeps
+// per-event granularity under the batched transport; it fires when an
+// emission is staged (emitter.stage), before any row of it reaches a
+// buffer, so a corrupted emission is never partially delivered.
 func (p *FaultPlan) CorruptEdge(from string, fromInstance int, to string, atSend int64) *FaultPlan {
 	return p.add(Fault{Kind: CorruptFault, Component: from, Instance: fromInstance, To: to, AtEvent: atSend, Times: 1})
 }

@@ -253,18 +253,11 @@ func TestSlowExecutorOnlyDelays(t *testing.T) {
 	}
 }
 
-// flakySerializer fails round trips on command (never here; injected
-// corruption uses the fault plan), otherwise it is the identity.
-type identitySerializer struct{}
-
-func (identitySerializer) RoundTrip(e stream.Event) (stream.Event, error) { return e, nil }
-
 func TestCorruptEdgeRecoversProducer(t *testing.T) {
 	in := testStream(6, 8, 4)
 	ref := referenceRun(t, func() *Topology { return sumTopology(in, 2) })
 
 	top := sumTopology(in, 2)
-	top.SetSerializer(func() Serializer { return identitySerializer{} })
 	top.SetRecovery(RecoveryPolicy{Enabled: true})
 	top.SetFaultPlan(NewFaultPlan().CorruptEdge("sum", 0, "sink", 4))
 	res, err := top.Run()

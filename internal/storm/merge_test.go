@@ -80,12 +80,14 @@ func (p *mergePair) apply(op mOp) {
 	case 0:
 		e := stream.Item(mergeKey(p.next), p.next)
 		p.next++
-		p.cm.Next(ch, e)
+		c := stream.AnyKind.Get() // a boxed emission is a one-row universal batch
+		c.AppendEvent(e)
+		p.cm.Next(ch, entry{cols: c})
 		p.model.Next(ch, e, p.wantEv)
 	case 1:
 		e := stream.Mark(stream.Marker{Seq: p.seq[ch], Timestamp: op.ts})
 		p.seq[ch]++
-		p.cm.Next(ch, e)
+		p.cm.Next(ch, entry{mark: e.Marker})
 		p.model.Next(ch, e, p.wantEv)
 	case 2:
 		c := mergeKind.Get().(*stream.Cols[mergeKey, int])
@@ -95,7 +97,7 @@ func (p *mergePair) apply(op mOp) {
 			p.next++
 		}
 		p.live = append(p.live, c)
-		p.cm.NextCols(ch, c)
+		p.cm.Next(ch, entry{cols: c})
 	case 3:
 		p.handover()
 	}
@@ -108,7 +110,7 @@ func expand(pending [][]entry) [][]stream.Event {
 	for ch, es := range pending {
 		for _, e := range es {
 			if e.cols == nil {
-				out[ch] = append(out[ch], e.ev)
+				out[ch] = append(out[ch], stream.Mark(e.mark))
 				continue
 			}
 			for i := 0; i < e.cols.Len(); i++ {
@@ -129,11 +131,7 @@ func (p *mergePair) handover() {
 	p.cm = p.fresh()
 	for ch, es := range pending {
 		for _, e := range es {
-			if e.cols != nil {
-				p.cm.NextCols(ch, e.cols)
-			} else {
-				p.cm.Next(ch, e.ev)
-			}
+			p.cm.Next(ch, e)
 		}
 	}
 	if len(p.got) != before {

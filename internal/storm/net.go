@@ -12,13 +12,16 @@ import (
 
 	"datatrace/internal/codec"
 	"datatrace/internal/metrics"
+	"datatrace/internal/stream"
 )
 
 // This file is the sending half of the networked runtime's data plane:
 // the TCP form of the vectorSink seam. Each ordered pair of workers
 // shares one TCP connection (a netLink, dialled by the sender); a
 // flushed message vector crossing a worker boundary becomes one binary
-// frame (codec/frame.go) addressed to the destination executor's global
+// frame (codec/frame.go; a batch of a wired kind as its columns' memory,
+// any other — the universal kind's among them — through the counted gob
+// fallback) addressed to the destination executor's global
 // index. Per-(sender,channel) FIFO order is preserved: one connection
 // per worker pair, frames encoded and queued atomically under the link
 // lock, written in queue order, and delivered by the receiver in stream
@@ -171,7 +174,8 @@ func (l *netLink) send(dest int, msgs []message) error {
 	ws := l.scratch[:0]
 	for i := range msgs {
 		m := &msgs[i]
-		ws = append(ws, codec.Message{Ch: int32(m.ch), EOS: m.eos, Sent: m.sent, Ev: m.ev, Cols: m.cols})
+		// The codec reads Ev only when the message is neither EOS nor a batch.
+		ws = append(ws, codec.Message{Ch: int32(m.ch), EOS: m.eos, Sent: m.sent, Ev: stream.Mark(m.mark), Cols: m.cols})
 	}
 	err := l.enc.EncodeVector(int32(dest), ws)
 	clear(ws)

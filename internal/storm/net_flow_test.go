@@ -39,7 +39,9 @@ func flowWorker(t *testing.T, window int, inboxes map[int]chan *[]message) (*wor
 
 func oneItemVector(i int) *[]message {
 	bp := getBatch()
-	*bp = append((*bp)[:0], message{ch: 0, ev: stream.Item(int64(i), int64(i))})
+	c := stream.AnyKind.Get()
+	c.AppendEvent(stream.Item(int64(i), int64(i)))
+	*bp = append((*bp)[:0], message{ch: 0, cols: c})
 	return bp
 }
 

@@ -207,7 +207,14 @@ func (w *workerNet) dispatch(conn net.Conn) {
 		b := (*bp)[:0]
 		for i := range ms {
 			m := &ms[i]
-			b = append(b, message{ch: int(m.Ch), eos: m.EOS, sent: m.Sent, ev: m.Ev, cols: m.Cols})
+			msg := message{ch: int(m.Ch), eos: m.EOS, sent: m.Sent, mark: m.Ev.Marker, cols: m.Cols}
+			if m.Cols == nil && !m.EOS && !m.Ev.IsMarker {
+				// A boxed item: the frame format can carry one, though no
+				// emitter of this runtime sends any.
+				msg.cols = stream.AnyKind.Get()
+				msg.cols.AppendEvent(m.Ev)
+			}
+			b = append(b, msg)
 		}
 		*bp = b
 		clear(ms)

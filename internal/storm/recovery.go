@@ -3,6 +3,8 @@ package storm
 import (
 	"fmt"
 	"time"
+
+	"datatrace/internal/stream"
 )
 
 // This file is the marker-cut recovery policy of the bolt executor
@@ -19,19 +21,20 @@ import (
 // untouched. With the policy on (RecoveryPolicy.Enabled, aligned
 // inputs):
 //
-//   - Emissions park. A block's output — boxed events and typed column
-//     batches, in emission order — collects in boltExec.out instead of
-//     entering the transport.
+//   - Emissions park. A block's output — column batches and markers,
+//     in emission order; an event emitted through the emit callback is a
+//     row of a universal-kind batch — collects in boltExec.out instead
+//     of entering the transport.
 //   - The cut commits in order (completeCut): snapshot the instance
 //     (Recoverable — core.Snapshotter under the compile adapters); then
-//     flush the parked block transactionally (emitter.sendBlock: every
-//     route, fault hook and serialization fires before the first
-//     transport append, and the flush leaves no buffer — transport,
-//     combiner or column — holding anything); then record the snapshot
-//     and the round-robin cursors as the checkpoint. Nothing of a block
-//     is visible downstream before its snapshot succeeded, and typed
-//     batches stay typed through the flush, so the typed combiners and
-//     columnar edges downstream stay in use.
+//     flush the parked block transactionally (emitter.send: every fault
+//     hook fires before the first transport append, and the flush
+//     leaves no buffer — combiner, open batch or vector — holding
+//     anything); then record the snapshot and the round-robin cursors
+//     as the checkpoint. Nothing of a block is visible downstream
+//     before its snapshot succeeded, and batches keep their kind
+//     through the flush, so the typed combiners and edges downstream
+//     stay in use.
 //   - The merger is the replay buffer, and owns its batches. It pops a
 //     block — releasing the block's column batches to their arenas —
 //     only after the block's marker was delivered, i.e. after the cut
@@ -53,8 +56,7 @@ import (
 // topology, or drop items and keep forwarding sequence-deduplicated
 // markers so downstream alignment still progresses. Executors outside
 // the policy (raw inputs, or recovery disabled) take the same exit on
-// their first panic, except that a raw-input executor aligns nothing and
-// so, degraded, drops markers along with the items.
+// their first panic.
 
 // Recoverable is the optional Bolt extension enabling marker-cut
 // recovery: a snapshot taken at a cut restores an equivalent bolt on
@@ -107,14 +109,18 @@ func (x *boltExec) completeCut(seq int64) {
 	}
 }
 
-// flushOut sends the parked block downstream (or appends it to the
-// sink's record) and empties the buffer: events were copied on send,
-// batches consumed by it, so the backing array serves the next block.
+// flushOut sends the parked block downstream and flushes — a committed
+// cut leaves nothing buffered, so recovery can regenerate a failed
+// block without duplicating output downstream — or, on a sink, appends
+// the block to the sink's record. Either way the batches are consumed
+// and the buffer emptied: the backing array serves the next block.
 func (x *boltExec) flushOut() {
 	if x.rc.isSink {
 		x.rc.appendSink(x.out)
+		release(x.out)
 	} else if len(x.out) > 0 {
-		x.em.sendBlock(x.out)
+		x.em.send(x.out)
+		x.em.flushAll()
 	}
 	x.out = x.out[:0]
 }
@@ -151,14 +157,13 @@ func (x *boltExec) recoverFrom(cause error, pending [][]entry) ([][]entry, error
 // restart rebuilds the executor at its last committed cut: a fresh
 // bolt instance restored from the snapshot, reset round-robin cursors,
 // an empty merger (the caller holds the old one's input), and an empty
-// output buffer, its parked batches released. The emitter's buffers —
-// transport, combining and column — need no discard: between cuts
-// every emission is parked in out (never pushed to the transport), a
-// crash inside a cut's flush can only fire before the first buffer
-// append (send stages everything first; delivery and flushAll cannot
-// panic — combiner In/Combine and folds are pure by the template
-// contract), and sendBlock ends in flushAll, so every buffer layer is
-// provably empty at every restart point.
+// output buffer, its parked batches released. The emitter's buffers
+// need no discard: between cuts every emission is parked in out (never
+// pushed to the transport), a crash inside a cut's flush can only fire
+// before the first buffer append (send stages everything first;
+// delivery and flushAll cannot panic — combiner folds are pure by the
+// template contract), and flushOut ends in flushAll, so every buffer
+// layer is provably empty at every restart point.
 func (x *boltExec) restart() error {
 	b := x.newBolt()
 	r, ok := b.(Recoverable)
@@ -287,10 +292,10 @@ func (x *boltExec) fail(cause error, pending [][]entry) {
 }
 
 // degradeState is an executor after an unrecoverable failure under
-// the drop-and-log policy: items are dropped (and counted), and on
-// aligned inputs markers are forwarded once each — deduplicated by
-// sequence number across the executor's input channels — so downstream
-// marker alignment keeps progressing.
+// the drop-and-log policy: items are dropped (and counted), and markers
+// are forwarded once each — deduplicated by sequence number across the
+// executor's input channels, aligned or raw — so downstream marker
+// alignment keeps progressing.
 type degradeState struct {
 	// seen[seq] counts input channels that delivered marker seq.
 	seen    map[int64]int
@@ -299,27 +304,22 @@ type degradeState struct {
 
 // discard consumes one unit of input the failed executor will not
 // process: dropped and counted in degraded mode, silently otherwise. A
-// batch is released either way.
+// batch is released either way; of the one a raw-input bolt failed in,
+// the rows from the offending one on are the dropped ones.
 func (x *boltExec) discard(e entry) {
 	d := x.degraded
 	if e.cols != nil {
 		if d != nil {
-			x.is.AddDropped(int64(e.cols.Len()))
+			x.is.AddDropped(int64(e.cols.Len() - x.row))
 		}
+		x.row = 0
 		e.cols.Release()
 		return
 	}
 	if d == nil {
 		return
 	}
-	if !e.ev.IsMarker {
-		x.is.AddDropped(1)
-		return
-	}
-	if !x.rec {
-		return // raw inputs have no cut to complete: markers are dropped uncounted
-	}
-	seq := e.ev.Marker.Seq
+	seq := e.mark.Seq
 	if d.seen[seq]++; d.seen[seq] < x.rc.nChannels {
 		return
 	}
@@ -329,7 +329,7 @@ func (x *boltExec) discard(e entry) {
 	}
 	// Channels deliver markers in sequence order, so completions are
 	// in sequence order too; forward each completed marker once.
-	if err := guard(x.rc.name, x.instance, func() { x.em.emit(e.ev) }); err != nil {
+	if err := guard(x.rc.name, x.instance, func() { x.em.emit(stream.Mark(e.mark)) }); err != nil {
 		x.pol.logf("storm: degraded %s[%d] stopped forwarding markers: %v", x.rc.name, x.instance, err)
 		d.stopped = true
 	}

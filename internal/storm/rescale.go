@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"datatrace/internal/metrics"
+	"datatrace/internal/stream"
 )
 
 // This file implements elastic rescaling with live state migration at
@@ -272,7 +273,6 @@ type cutGate struct {
 
 	t     *Topology
 	rts   map[string]*runtimeComponent
-	hash  func(any) int
 	spawn func(rc *runtimeComponent, inst int, g *execGate)
 
 	// supported is false when the run cannot host a barrier; reason
@@ -295,8 +295,8 @@ type cutGate struct {
 	rescales   int
 }
 
-func newCutGate(t *Topology, rts map[string]*runtimeComponent, hash func(any) int) *cutGate {
-	cg := &cutGate{t: t, rts: rts, hash: hash, supported: true}
+func newCutGate(t *Topology, rts map[string]*runtimeComponent) *cutGate {
+	cg := &cutGate{t: t, rts: rts, supported: true}
 	cg.cond = sync.NewCond(&cg.mu)
 	for _, name := range t.order {
 		c := t.components[name]
@@ -497,7 +497,7 @@ func (cg *cutGate) rewire(req *rescaleReq) error {
 	if !ok {
 		return fmt.Errorf("storm: rescale %q: bolt does not implement Resharder", rc.name)
 	}
-	owner := func(k any) int { return cg.hash(k) % q }
+	owner := func(k any) int { return stream.DefaultHash(k) % q }
 	newSnaps, err := rs.Reshard(snaps, q, owner)
 	if err != nil {
 		return fmt.Errorf("storm: rescale %q: re-sharding state: %w", rc.name, err)
@@ -564,7 +564,6 @@ func (cg *cutGate) refresh(g *execGate) {
 	if target == nil || g.em == nil {
 		return
 	}
-	g.em.worker = g.rc.workerOf[g.inst]
 	for si := range g.rc.subs {
 		if g.rc.subs[si].to == target {
 			// The target's instance count changed: restart the edge's
@@ -580,7 +579,7 @@ func (cg *cutGate) refresh(g *execGate) {
 	if len(g.rc.subs) > 0 {
 		g.em.rebuildBufs()
 	}
-	if g.x != nil && g.rc.nChannels != g.x.merge.Channels() {
+	if g.x != nil && g.rc.nChannels != len(g.x.merge.open) {
 		// A consumer of the target: new input width, and the merger is
 		// empty at the barrier, so a fresh one loses nothing.
 		g.x.merge = g.x.newMerge()

@@ -133,13 +133,10 @@ type connection struct {
 	// aligned requests receiver-side MRG marker alignment across all
 	// input channels of the consumer (all its connections jointly).
 	aligned bool
-	// combiner, when set, installs a sender-side combining buffer on
-	// this edge (see BoltDecl.CombineWith and combiner.go).
-	combiner *CombinerSpec
-	// cols, when set, declares the edge columnar: items travel as
-	// typed struct-of-arrays batches of this kind (see cols.go).
-	// colComb, when set, installs a typed sender-side combining buffer
-	// (the columnar counterpart of combiner; the two are exclusive).
+	// cols is the edge's declared column kind (BoltDecl.ColumnarWith);
+	// nil means the universal kind. colComb, when set, installs a
+	// sender-side combining buffer draining rows of that kind
+	// (combiner.go).
 	cols    *stream.ColKind
 	colComb *ColCombinerSpec
 }
@@ -154,13 +151,6 @@ type component struct {
 	isSink      bool
 }
 
-// Serializer round-trips an event through a wire encoding, modelling
-// the serialization boundary of an inter-worker connection (see
-// internal/codec). A failure aborts the emitting executor.
-type Serializer interface {
-	RoundTrip(e stream.Event) (stream.Event, error)
-}
-
 // Topology is a declared (not yet running) dataflow of spouts and
 // bolts — Storm's TopologyBuilder.
 type Topology struct {
@@ -172,8 +162,6 @@ type Topology struct {
 	// to TransportOptions.BatchSize events), so the in-flight event
 	// bound per edge is ChannelCap × BatchSize.
 	ChannelCap  int
-	hash        func(any) int
-	serializer  func() Serializer
 	workers     int
 	faultPlan   *FaultPlan
 	rescalePlan *RescalePlan
@@ -194,23 +182,9 @@ func NewTopology(name string) *Topology {
 	return &Topology{name: name, components: map[string]*component{}}
 }
 
-// SetHash overrides the key hash used by Fields groupings.
-func (t *Topology) SetHash(h func(any) int) { t.hash = h }
-
-// SetSerializer makes emitted events pass through a wire
-// encode/decode round trip; the factory is invoked once per producer
-// executor (so stream encoders can amortize type descriptions). nil
-// disables serialization (the default). By default every send is
-// serialized; combine with SetWorkers to serialize only sends that
-// cross a worker boundary, as a real deployment would.
-func (t *Topology) SetSerializer(factory func() Serializer) { t.serializer = factory }
-
 // SetWorkers places executors onto n workers (round-robin in
-// declaration order). Placement affects only the serialization
-// boundary: with a serializer set, sends between executors on the
-// same worker skip the wire format (in-process hand-off), sends
-// across workers pay it — Storm's intra- vs inter-worker distinction.
-// n ≤ 0 restores the default (every send serialized).
+// declaration order, see Placement) — the table the networked runtime
+// maps to processes. n ≤ 0 removes the placement.
 func (t *Topology) SetWorkers(n int) { t.workers = n }
 
 // SetFaultPlan installs a deterministic failure schedule for the next
@@ -396,14 +370,6 @@ func (t *Topology) validate() error {
 			}
 			if in.aligned {
 				aligned++
-			}
-			if in.combiner != nil {
-				if err := in.combiner.validate(name, in.from, in.grouping); err != nil {
-					return err
-				}
-				if in.cols != nil {
-					return fmt.Errorf("storm: edge %s→%s mixes a boxed combiner with the columnar transport; use ColCombineWith", in.from, name)
-				}
 			}
 			if in.colComb != nil {
 				if err := in.colComb.validate(name, in.from, in.grouping); err != nil {

@@ -9,38 +9,39 @@ import (
 	"datatrace/internal/stream"
 )
 
-// This file implements the batched edge transport: instead of one
-// channel send per routed event, each emitter accumulates a
-// per-(subscription, destination-instance) buffer and flushes it as a
-// message vector, amortizing the synchronization cost of a channel op
-// over BatchSize events. Receivers drain one vector per channel op
-// and feed its events through the existing execute path one at a
-// time, so operator semantics are untouched.
+// This file implements the batched edge transport. Every item travels
+// in a column batch (cols.go): an emitter appends the rows it emits to
+// one open batch per (subscription, destination instance), seals a full
+// batch into a message and hands the destination a vector of messages —
+// batches, markers and end-of-stream notices — per channel operation.
 //
 // The transport preserves per-(sender,channel) FIFO order: every
 // receiver-side channel is fed by exactly one buffer (a channel
 // identifies one sender instance on one edge, and a buffer holds one
-// edge's traffic to one destination instance), and buffers append and
-// flush in order. The interleaving *across* channels of one inbox is
-// unspecified — exactly as it already is across sender instances —
-// and the MRG merger and ChannelBolt consumers only ever rely on
-// per-channel order.
+// edge's traffic to one destination instance), rows keep their order
+// within and across the batches of a buffer, and the open batch is
+// sealed before anything else — a marker, an EOS, a batch of another
+// kind — enters the vector behind it, so at the points where recovery
+// and rescaling need the transport empty (committed cuts, barriers,
+// EOS) flushAll leaves nothing buffered. The interleaving *across*
+// channels of one inbox is unspecified — exactly as it already is
+// across sender instances — and the MRG merger and ChannelBolt
+// consumers only ever rely on per-channel order.
 //
 // Flush triggers, chosen so batching is invisible to the protocol
 // layers above:
 //
-//   - size: a buffer reaching BatchSize flushes immediately.
+//   - size: an open batch reaching BatchSize rows is sealed, and a
+//     vector holding BatchSize events or more is flushed.
 //   - marker: emitting a marker flushes every buffer. Markers are
 //     broadcast punctuations; a marker parked behind a partial batch
 //     would stall aligned consumers waiting to complete the cut, and
 //     marker-cut recovery relies on a cut's emissions being fully on
 //     the wire when the cut commits.
-//   - block: sendBlock flushes when the block is done, keeping the
-//     transactional all-routed-and-serialized-before-first-send
-//     contract of marker-cut recovery (the block's events may span
-//     several vectors, but nothing of the block stays buffered).
+//   - block: a committed cut's parked output is sent and then flushed
+//     (boltExec.flushOut), so nothing of the block stays buffered.
 //   - EOS: eos appends the end-of-stream notices after any buffered
-//     events and flushes, so EOS is always the last message a channel
+//     rows and flushes, so EOS is always the last message a channel
 //     delivers.
 //   - idle: a bolt waiting on an empty inbox with buffered output
 //     flushes after FlushInterval, so low-rate streams don't stall
@@ -48,10 +49,9 @@ import (
 //     spout blocked inside Next cannot flush — periodic markers or
 //     EOS bound the residency of its buffered output.
 //
-// With BatchSize 1 every push flushes immediately: the emitter never
-// holds a buffered event, tick and recvBatch take their zero-cost
-// early-outs, and the transport reproduces the unbatched runtime
-// exactly (one single-event vector per routed event).
+// With BatchSize 1 every row is sealed and flushed as it is appended:
+// the emitter never holds a buffered event, tick and recvBatch take
+// their zero-cost early-outs, and every vector carries one message.
 
 // DefaultBatchSize is the per-destination buffer capacity used when
 // TransportOptions.BatchSize is zero.
@@ -105,11 +105,12 @@ func (o TransportOptions) normalized() TransportOptions {
 
 // batchPool recycles message vectors between receivers (which drain
 // a vector and return it) and senders (which fill the next one): the
-// boxed *[]message travels over the inbox channel, so the steady-state
-// transport moves one pointer per flush and allocates nothing.
+// *[]message travels over the inbox channel, so the steady-state
+// transport moves one pointer per flush and allocates nothing. A vector
+// usually holds a batch, or a batch and the marker or EOS behind it.
 var batchPool = sync.Pool{
 	New: func() any {
-		b := make([]message, 0, DefaultBatchSize)
+		b := make([]message, 0, 4)
 		return &b
 	},
 }
@@ -118,22 +119,21 @@ func getBatch() *[]message {
 	return batchPool.Get().(*[]message)
 }
 
-// putBatch returns a drained vector to the pool. Callers must have
-// copied every event they keep: the backing array is reused by the
-// next sender that flushes.
+// putBatch returns a drained vector to the pool; the backing array is
+// reused by the next sender that flushes.
 func putBatch(b *[]message) {
 	batchPool.Put(b)
 }
 
 // vectorSink abstracts the delivery of one flushed message vector to
 // one destination executor — the seam between the batching layer and
-// the physical transport. chanSink hands the boxed vector to a local
-// inbox channel; netSink (net.go) serializes it into a length-prefixed
+// the physical transport. chanSink hands the vector to a local inbox
+// channel; netSink (net.go) serializes it into a length-prefixed
 // frame on the destination worker's TCP link. Everything above this
 // interface (batching, combining, flush triggers, routing) is
 // transport-agnostic.
 type vectorSink interface {
-	// deliver takes ownership of the boxed vector: the receiver (or
+	// deliver takes ownership of the vector: the receiver (or
 	// the sink itself, for transports that serialize) returns it to
 	// the batch pool once consumed.
 	deliver(b *[]message)
@@ -149,9 +149,8 @@ type chanSink struct {
 func (s chanSink) deliver(b *[]message) { s.ch <- b }
 
 // outBuf is one emitter's send buffer for one destination instance of
-// one subscription. msgs is the working slice of box's backing array
-// (kept unboxed so the append hot path skips a pointer chase); the
-// two are reconciled at flush.
+// one subscription: the open batch rows are appended to, and the vector
+// of sealed messages behind it.
 type outBuf struct {
 	sink vectorSink
 	// depth is the destination inbox's event-depth counter (see
@@ -160,137 +159,113 @@ type outBuf struct {
 	// on. nil for remote destinations: the receiving worker's dispatcher
 	// accounts arrivals instead.
 	depth *atomic.Int64
-	box   *[]message
-	msgs  []message
-	// comb, when set, pre-aggregates this buffer's items per key
-	// before they enter msgs (see combiner.go); nil on ordinary edges.
-	comb *combBuf
-	// colKind/colCh/colBuf are the columnar-edge state (cols.go):
-	// colBuf accumulates typed rows for this destination and is sealed
-	// into one cols message — carrying channel colCh — when full, or
-	// when any boxed message (a marker in particular) must follow it.
-	// colComb, when set, is the typed combining buffer the rows fold
-	// through first; colCap is its drain threshold.
-	colKind *stream.ColKind
-	colCh   int
-	colBuf  stream.Columns
-	colComb stream.ColCombiner
-	colCap  int
+	// vec is the vector being filled, nil when empty; weight is its size
+	// in events (vecWeight).
+	vec    *[]message
+	weight int
+	// ch is the receiver-side channel every message of this buffer
+	// carries.
+	ch int
+	// buf is the open batch (nil, or non-empty), sent the send stamp of
+	// its first row, and kind its kind: the kind of the rows last routed
+	// here (route), or the combiner's output kind.
+	kind *stream.ColKind
+	buf  stream.Columns
+	sent int64
+	// comb, when set, pre-aggregates this buffer's rows per key before
+	// they enter buf (see combiner.go); combCap is its drain threshold.
+	comb    stream.ColCombiner
+	combCap int
 }
 
-// push appends one routed message to its destination buffer, flushing
-// the buffer when it reaches the batch size. On a combined edge,
-// items are folded into the combining buffer instead; a marker drains
-// it first so the partial aggregates stay inside their block.
-func (em *emitter) push(r *routedMsg) {
-	b := &em.bufs[em.bufBase[r.si]+r.target]
-	if b.colComb != nil {
-		if !r.e.IsMarker {
-			em.colCombine(b, r.e)
-			return
-		}
-		em.drainColComb(b)
+// openBuf returns b's open batch, taking one from the kind's pool when
+// there is none.
+func (em *emitter) openBuf(b *outBuf) stream.Columns {
+	if b.buf == nil {
+		b.buf, b.sent = b.kind.Get(), em.now
 	}
-	if b.comb != nil {
-		if !r.e.IsMarker {
-			em.combine(b, r.e)
-			return
-		}
-		em.drainComb(b)
-	}
-	em.append(b, message{ch: r.ch, ev: r.e, sent: em.now})
+	return b.buf
 }
 
-// append places one boxed message in a transport buffer, flushing at
-// the batch size. Any open column buffer is sealed first, so the boxed
-// message — a marker in particular — follows every row emitted before
-// it on the channel.
-func (em *emitter) append(b *outBuf, m message) {
-	if b.colBuf != nil {
-		em.sealCols(b)
-	}
-	em.appendRaw(b, m)
-}
-
-// appendRaw is append without the column-buffer seal — the shared tail
-// of append and sealCols itself.
-func (em *emitter) appendRaw(b *outBuf, m message) {
-	if b.box == nil {
-		b.box = getBatch()
-		b.msgs = (*b.box)[:0]
-	}
-	b.msgs = append(b.msgs, m)
+// appendRow appends one row of src, a batch of b's kind, to b's open
+// batch, sealing it when it reaches the batch size.
+func (em *emitter) appendRow(b *outBuf, src stream.Columns, i int) {
+	cb := em.openBuf(b)
+	cb.AppendRow(src, i)
 	em.pending++
-	if len(b.msgs) >= em.batchSize {
+	if cb.Len() >= em.batchSize {
+		em.seal(b)
+	}
+}
+
+// seal closes b's open batch into one message of the vector. Nil-safe
+// and a no-op when no batch is open. Ownership of the batch passes to
+// the message; the receiver (or the net sink, after serializing)
+// releases it.
+func (em *emitter) seal(b *outBuf) {
+	cb := b.buf
+	if cb == nil {
+		return
+	}
+	b.buf = nil
+	em.pending -= cb.Len()
+	em.appendMsg(b, message{ch: b.ch, cols: cb, sent: b.sent}, cb.Len())
+}
+
+// appendMsg places one message weighing n events in b's vector and
+// flushes the vector once it holds a batch size of events — one full
+// batch per vector in the steady state, which keeps the in-flight bound
+// (ChannelCap × BatchSize events per edge, within a factor of two)
+// intact. Callers seal the open batch first, so the message follows
+// every row emitted before it on the channel.
+func (em *emitter) appendMsg(b *outBuf, m message, n int) {
+	if b.vec == nil {
+		b.vec = getBatch()
+		*b.vec = (*b.vec)[:0]
+	}
+	*b.vec = append(*b.vec, m)
+	b.weight += n
+	em.pending += n
+	if b.weight >= em.batchSize {
 		em.flushBuf(b)
 	}
 }
 
-// pushEOS appends an end-of-stream notice for channel ch to buffer b,
-// after any events still held by its combining, columnar or transport
-// buffers.
-func (em *emitter) pushEOS(b *outBuf, ch int) {
-	em.drainColComb(b)
-	em.sealCols(b)
-	em.drainComb(b)
-	if b.box == nil {
-		b.box = getBatch()
-		b.msgs = (*b.box)[:0]
-	}
-	b.msgs = append(b.msgs, message{ch: ch, eos: true})
-	em.pending++
-}
-
 // vecWeight is a vector's size in events, the unit of the inbox-depth
-// gauges: a column batch counts its rows, any other message one.
-func vecWeight(msgs []message) int64 {
-	w := int64(len(msgs))
+// gauges: a batch counts its rows, any other message one.
+func vecWeight(msgs []message) (w int64) {
 	for i := range msgs {
-		if c := msgs[i].cols; c != nil {
-			w += int64(c.Len()) - 1
-		}
+		w += int64(entry{cols: msgs[i].cols}.rows())
 	}
 	return w
 }
 
 // flushBuf sends one buffer's accumulated vector through its sink (a
-// blocking delivery: a full inbox — or a TCP link's backpressure —
-// applies here, exactly where the unbatched transport blocked).
+// blocking delivery: a full inbox — or a spent credit window on a TCP
+// link — applies backpressure here).
 func (em *emitter) flushBuf(b *outBuf) {
-	n := len(b.msgs)
-	if n == 0 {
+	if b.vec == nil {
 		return
 	}
 	if em.stamp && b.depth != nil {
-		b.depth.Add(vecWeight(b.msgs))
+		b.depth.Add(int64(b.weight))
 	}
-	em.pending -= n
-	*b.box = b.msgs
-	b.sink.deliver(b.box)
-	b.box, b.msgs = nil, nil
+	em.pending -= b.weight
+	b.sink.deliver(b.vec)
+	b.vec, b.weight = nil, 0
 }
 
-// flushAll drains every combining buffer (boxed and columnar), seals
-// every open column buffer, flushes every non-empty transport buffer
-// and clears the idle-flush deadline. This is the trigger behind
-// blocks, EOS and the idle flush — after it returns, nothing the
-// emitter sent is held back anywhere.
+// flushAll drains every combining buffer, seals every open batch,
+// flushes every non-empty vector and clears the idle-flush deadline.
+// This is the trigger behind markers, blocks, EOS and the idle flush —
+// after it returns, nothing the emitter sent is held back anywhere.
 func (em *emitter) flushAll() {
-	if em.cpending > 0 {
-		for i := range em.bufs {
-			em.drainComb(&em.bufs[i])
-		}
-	}
-	if em.colpending > 0 {
-		for i := range em.bufs {
-			b := &em.bufs[i]
-			em.drainColComb(b)
-			em.sealCols(b)
-		}
-	}
 	if em.pending > 0 {
 		for i := range em.bufs {
-			em.flushBuf(&em.bufs[i])
+			b := &em.bufs[i]
+			em.drain(b)
+			em.seal(b)
+			em.flushBuf(b)
 		}
 	}
 	em.oldest = time.Time{}
@@ -301,7 +276,7 @@ func (em *emitter) flushAll() {
 // BatchSize 1 and no combined edges nothing is ever held, so the
 // idle-flush hooks below never read the clock or arm a timer.
 func (em *emitter) quiet() bool {
-	return em.pending == 0 && em.cpending == 0 && em.colpending == 0 || em.flushEvery <= 0
+	return em.pending == 0 || em.flushEvery <= 0
 }
 
 // tick is the idle-flush hook called between an executor's loop
@@ -329,8 +304,7 @@ func (em *emitter) tickAt(now time.Time) {
 // wait is bounded: if nothing arrives within the flush interval the
 // buffers are flushed and recvBatch returns nil (the caller retries),
 // so a quiet input edge can never strand this executor's buffered
-// output behind a blocking receive. Events held by combining buffers
-// count as buffered output here too. On the hot path it is a plain
+// output behind a blocking receive. On the hot path it is a plain
 // channel receive. The bounded wait reuses the emitter's one timer:
 // since Go 1.23 a Reset or Stop leaves no stale tick behind, so no
 // drain is needed.

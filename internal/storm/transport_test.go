@@ -49,7 +49,7 @@ func newTransportPair(tr TransportOptions, recvPar int) *transportPair {
 		{to: recv, grouping: Fields, chBase: 1},
 	}
 	return &transportPair{
-		em:   newEmitter(send, 0, metrics.NewStats().Instance("src", 0), stream.DefaultHash),
+		em:   newEmitter(send, 0, metrics.NewStats().Instance("src", 0), nil),
 		recv: recv,
 	}
 }
@@ -83,7 +83,7 @@ func (p *transportPair) drain() [][]message {
 
 // tOp is one scripted emitter operation.
 type tOp struct {
-	kind     byte // 0 emit item, 1 emit marker, 2 sendBlock, 3 flushAll
+	kind     byte // 0 emit item, 1 emit marker, 2 send block + flush, 3 flushAll, 4 emit typed batch
 	key, val int
 	blockLen int
 }
@@ -102,17 +102,26 @@ func applyOps(em *emitter, ops []tOp, flushes bool) {
 			seq++
 			em.emit(mk(seq, seq))
 		case 2:
-			evs := make([]entry, 0, op.blockLen+1)
+			// A block as the recovery policy parks it: boxed emissions in
+			// one universal batch, a typed batch, the marker.
+			boxed, typed := stream.AnyKind.Get(), intKind.Get()
 			for i := 0; i < op.blockLen; i++ {
-				evs = append(evs, entry{ev: stream.Item(op.key, op.val+i)})
+				boxed.AppendEvent(stream.Item(op.key, op.val+i))
+				typed.AppendEvent(stream.Item(op.key+i, op.val))
 			}
 			seq++
-			evs = append(evs, entry{ev: mk(seq, seq)})
-			em.sendBlock(evs)
+			em.send([]entry{{cols: boxed}, {cols: typed}, {mark: stream.Marker{Seq: seq, Timestamp: seq}}})
+			em.flushAll()
 		case 3:
 			if flushes {
 				em.flushAll()
 			}
+		case 4:
+			typed := intKind.Get()
+			for i := 0; i <= op.blockLen; i++ {
+				typed.AppendEvent(stream.Item(op.key+i, op.val))
+			}
+			em.emitCols(typed)
 		}
 	}
 	em.eos()
@@ -122,8 +131,10 @@ func randomOps(r *rand.Rand, n int) []tOp {
 	ops := make([]tOp, 0, n)
 	for i := 0; i < n; i++ {
 		switch k := r.Intn(10); {
-		case k < 6:
+		case k < 5:
 			ops = append(ops, tOp{kind: 0, key: r.Intn(5), val: i})
+		case k < 6:
+			ops = append(ops, tOp{kind: 4, key: r.Intn(5), val: i, blockLen: r.Intn(4)})
 		case k < 7:
 			ops = append(ops, tOp{kind: 1})
 		case k < 8:
@@ -135,8 +146,21 @@ func randomOps(r *rand.Rand, n int) []tOp {
 	return ops
 }
 
+// events expands one non-EOS message: a batch's rows, or the marker.
+func (m message) events() []stream.Event {
+	if m.cols == nil {
+		return []stream.Event{stream.Mark(m.mark)}
+	}
+	evs := make([]stream.Event, m.cols.Len())
+	for i := range evs {
+		evs[i] = m.cols.EventAt(i)
+	}
+	return evs
+}
+
 // byChannel projects one inbox's flat message sequence per channel,
-// failing if any channel's EOS is not its final message.
+// batches expanded to rows, failing if any channel's EOS is not its
+// final message.
 func byChannel(t *testing.T, inbox int, msgs []message) map[int][]stream.Event {
 	t.Helper()
 	out := map[int][]stream.Event{}
@@ -149,7 +173,7 @@ func byChannel(t *testing.T, inbox int, msgs []message) map[int][]stream.Event {
 			closed[m.ch] = true
 			continue
 		}
-		out[m.ch] = append(out[m.ch], m.ev)
+		out[m.ch] = append(out[m.ch], m.events()...)
 	}
 	return out
 }
@@ -243,8 +267,8 @@ func TestMarkerFlushesAllBuffers(t *testing.T) {
 	total, markers := 0, 0
 	for _, msgs := range p.drain() {
 		for _, m := range msgs {
-			total++
-			if m.ev.IsMarker {
+			total += len(m.events())
+			if m.cols == nil {
 				markers++
 			}
 		}
@@ -252,7 +276,7 @@ func TestMarkerFlushesAllBuffers(t *testing.T) {
 	// 50 items (each routed to both edges' targets once) + the marker
 	// broadcast to every instance on both edges.
 	if want := 50*2 + 2*2; total != want {
-		t.Fatalf("drained %d messages after marker flush, want %d", total, want)
+		t.Fatalf("drained %d events after marker flush, want %d", total, want)
 	}
 	if markers != 4 {
 		t.Fatalf("drained %d marker copies, want 4 (broadcast on 2 edges × 2 instances)", markers)
@@ -447,6 +471,7 @@ func FuzzBatchFlush(f *testing.F) {
 	f.Add(uint8(1), []byte{0, 9, 1, 9, 2, 9})
 	f.Add(uint8(64), []byte{40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 19, 29})
 	f.Add(uint8(200), []byte{7, 3, 7, 3, 7, 3, 9})
+	f.Add(uint8(3), []byte{0, 6, 1, 16, 2, 9, 26, 3, 36, 8, 4, 7, 6, 9})
 	f.Fuzz(func(t *testing.T, rawBatch uint8, script []byte) {
 		if len(script) > 512 {
 			script = script[:512]
@@ -460,6 +485,8 @@ func FuzzBatchFlush(f *testing.F) {
 				ops = append(ops, tOp{kind: 3}) // flush (batched side only)
 			case 7:
 				ops = append(ops, tOp{kind: 2, key: int(b) % 5, val: 1000 + i, blockLen: int(b) % 4})
+			case 6:
+				ops = append(ops, tOp{kind: 4, key: int(b) % 5, val: i, blockLen: int(b) % 4}) // typed batch
 			default:
 				ops = append(ops, tOp{kind: 0, key: int(b) % 5, val: i})
 			}

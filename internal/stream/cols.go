@@ -8,14 +8,15 @@ import (
 	"sync"
 )
 
-// This file defines the typed columnar (struct-of-arrays) batch layout
-// used on hot edges. A Columns value carries a block fragment of items
-// as two parallel typed slices — no per-item interface boxing — and is
-// recycled through a per-kind sync.Pool. Markers never enter a
-// Columns batch: the transport seals and flushes column buffers when a
-// marker passes, so every marker still travels as a boxed Event and
-// the buffers-empty-at-cut invariant of the recovery and rescale
-// protocols is untouched.
+// This file defines the columnar (struct-of-arrays) batch, the one
+// carrier of items in the runtime. A Columns value carries a block
+// fragment of items as two parallel typed slices — no per-item interface
+// boxing when the kind's types are concrete — and is recycled through a
+// per-kind sync.Pool. Items of an edge without a typed kind ride the
+// universal kind AnyKind, whose rows are boxed (key, value) pairs.
+// Markers never enter a Columns batch: the transport seals the open
+// batch when a marker passes, so the buffers-empty-at-cut invariant of
+// the recovery and rescale protocols is untouched.
 //
 // The layout is semantically invisible: a Columns batch denotes
 // exactly the item sequence EventAt(0..Len), and under U(K,V) any
@@ -42,7 +43,8 @@ type Columns interface {
 	// AppendRow appends row i of src (same kind) to this batch.
 	AppendRow(src Columns, i int)
 	// AppendEvent appends a boxed item event; panics if the event's
-	// key or value does not have the kind's types, and on markers.
+	// key or value does not have the kind's types, and on markers. An
+	// interface-typed column (AnyKind's in particular) accepts nil.
 	AppendEvent(e Event)
 	// Slices returns the underlying typed slices ([]K, []V) boxed as
 	// any — the form a batch of a kind without a wire layout travels in.
@@ -106,8 +108,18 @@ func (c *Cols[K, V]) AppendEvent(e Event) {
 	if e.IsMarker {
 		panic("stream: marker appended to a Columns batch")
 	}
-	c.Keys = append(c.Keys, e.Key.(K))
-	c.Vals = append(c.Vals, e.Value.(V))
+	c.Keys = append(c.Keys, unbox[K](e.Key))
+	c.Vals = append(c.Vals, unbox[V](e.Value))
+}
+
+// unbox is v.(T), except that a nil v is the zero T when T is an
+// interface type: a nil key or value is a legal row of such a column.
+func unbox[T any](v any) T {
+	t, ok := v.(T)
+	if !ok && (v != nil || any(t) != nil) {
+		return v.(T) // panics with the runtime's conversion message
+	}
+	return t
 }
 
 // Append appends one typed row.
@@ -165,8 +177,9 @@ func (k *ColKind) String() string { return k.name }
 // Get returns an empty pooled batch of this kind.
 func (k *ColKind) Get() Columns { return k.get() }
 
-// FromSlices wraps typed slices ([]K, []V boxed as any) in a pooled
-// batch, which takes ownership of them: the counterpart of
+// FromSlices wraps typed slices ([]K, []V boxed as any) in a batch,
+// which takes ownership of them (Release pools it, slices and all): the
+// counterpart of
 // Columns.Slices for kinds that travel without a wire layout. Slices of
 // the wrong type or of different lengths are an error.
 func (k *ColKind) FromSlices(keys, vals any) (Columns, error) {
@@ -177,6 +190,12 @@ var (
 	colKinds       sync.Map // [2]reflect.Type -> *ColKind
 	colKindsByName sync.Map // string -> *ColKind
 )
+
+// AnyKind is the universal kind cols[any,any]: its rows are boxed
+// (key, value) pairs, so every item event is a row of it. Edges without
+// a typed kind carry batches of it; it has no wire layout and crosses a
+// link through the codec's gob fallback.
+var AnyKind = ColKindFor[any, any]()
 
 // ColKindFor returns the canonical kind for the type pair (K, V),
 // creating the kind on first use (and, when it has no wire layout,
@@ -222,7 +241,13 @@ func newColKind[K, V any](kt, vt reflect.Type) *ColKind {
 		val:  vt,
 	}
 	hash := keyHashFor[K]()
-	k.pool.New = func() any { return &Cols[K, V]{kind: k, hash: hash} }
+	// A new batch's arenas start at the transport's default batch size
+	// (storm.DefaultBatchSize): a pool miss costs three allocations, not
+	// one per doubling.
+	const rows = 64
+	k.pool.New = func() any {
+		return &Cols[K, V]{kind: k, hash: hash, Keys: make([]K, 0, rows), Vals: make([]V, 0, rows)}
+	}
 	k.get = func() Columns {
 		c := k.pool.Get().(*Cols[K, V])
 		c.pooled = false
@@ -240,9 +265,8 @@ func newColKind[K, V any](kt, vt reflect.Type) *ColKind {
 		if len(ks) != len(vs) {
 			return nil, fmt.Errorf("stream: %s ragged columns: %d keys, %d values", k.name, len(ks), len(vs))
 		}
-		c := k.get().(*Cols[K, V])
-		c.Keys, c.Vals = ks, vs
-		return c, nil
+		// Not from the pool: a pooled batch's arenas would be dropped.
+		return &Cols[K, V]{kind: k, hash: hash, Keys: ks, Vals: vs}, nil
 	}
 	k.setWire()
 	return k
@@ -294,16 +318,14 @@ func hashKeyUint64(k uint64) int {
 	return fnvBytes(strconv.AppendUint(buf[:0], k, 10))
 }
 
-// ColCombiner is the typed sender-side combining buffer used on
-// columnar combined edges (the columnar counterpart of the boxed
-// per-destination combining buffer). The transport folds rows (or
-// stray boxed items) into the buffer and drains it — into a batch of
-// the combiner's output kind — when a marker passes or the buffer
+// ColCombiner is the sender-side combining buffer of a combined edge.
+// The transport folds rows into the buffer and drains it — into a batch
+// of the combiner's output kind — when a marker passes or the buffer
 // reaches its capacity.
 type ColCombiner interface {
 	// Fold folds row i of in into the buffer; false when in is not of
 	// the combiner's input kind (the caller then falls back to
-	// FoldEvent on the boxed row).
+	// FoldEvent on the row, boxed).
 	Fold(in Columns, i int) bool
 	// FoldEvent folds a boxed item event.
 	FoldEvent(e Event)
@@ -314,3 +336,49 @@ type ColCombiner interface {
 	// Len returns the number of distinct buffered keys.
 	Len() int
 }
+
+// NewAnyCombiner returns the combiner of an untyped monoid — in injects
+// one boxed key-value pair, combine merges two partial aggregates —
+// folding rows of any kind and draining rows of AnyKind: an
+// insertion-ordered keyed map of boxed partial aggregates.
+func NewAnyCombiner(in func(key, value any) any, combine func(x, y any) any) ColCombiner {
+	return &anyCombiner{in: in, combine: combine, idx: map[any]int{}}
+}
+
+type anyCombiner struct {
+	in      func(key, value any) any
+	combine func(x, y any) any
+	idx     map[any]int
+	keys    []any
+	vals    []any
+	ins     int
+}
+
+func (c *anyCombiner) Fold(in Columns, i int) bool {
+	c.FoldEvent(in.EventAt(i))
+	return true
+}
+
+func (c *anyCombiner) FoldEvent(e Event) {
+	c.ins++
+	if i, ok := c.idx[e.Key]; ok {
+		c.vals[i] = c.combine(c.vals[i], c.in(e.Key, e.Value))
+		return
+	}
+	c.idx[e.Key] = len(c.keys)
+	c.keys = append(c.keys, e.Key)
+	c.vals = append(c.vals, c.in(e.Key, e.Value))
+}
+
+func (c *anyCombiner) Drain(out Columns) (ins, outs int) {
+	t := out.(*Cols[any, any])
+	t.Keys, t.Vals = append(t.Keys, c.keys...), append(t.Vals, c.vals...)
+	ins, outs = c.ins, len(c.keys)
+	clear(c.idx)
+	clear(c.keys)
+	clear(c.vals)
+	c.keys, c.vals, c.ins = c.keys[:0], c.vals[:0], 0
+	return ins, outs
+}
+
+func (c *anyCombiner) Len() int { return len(c.keys) }

@@ -26,6 +26,13 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== internal/storm line-count ratchet =="
+# Non-test lines of the runtime are a tracked metric (ROADMAP aim 2):
+# they may only go down. Lower STORM_LINES_MAX with the PR that shrinks them.
+STORM_LINES_MAX=5181
+lines="$(find internal/storm -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+[ "$lines" -le "$STORM_LINES_MAX" ] || { echo "internal/storm has $lines non-test lines, more than $STORM_LINES_MAX" >&2; exit 1; }
+
 echo "== dttlint (streaming determinism analyzer, self-check) =="
 # The analyzer's own determinism contract, enforced on the repository
 # that defines it: any DTT00N finding (or analysis failure) fails the
@@ -66,18 +73,20 @@ echo "== rescale equivalence (queries I-VI, live rescales at marker cuts, -race)
 # fixed-parallelism oracle exactly.
 go test -race -run 'TestRescaleEquivalenceDifferential' -count 1 ./internal/queries/
 
-echo "== columnar equivalence + chaos (typed batches vs boxed oracle, -race) =="
-# The columnar hot path against the boxed transport as its own oracle:
-# queries I-VI differentially at par x batch sweeps, the Query IV plan
-# assertion (typed edges actually selected — no vacuous pass), live
-# rescales at marker cuts on columnar edges, and a worker-kill chaos
-# run over the networked runtime with columnar frames.
+echo "== column-batch equivalence + chaos (typed and universal batches vs DAG.Eval, -race) =="
+# The one data path against the queries' reference denotation
+# (Def.Reference = DAG.Eval): queries I-VI at par x batch sweeps, the
+# Query IV plan assertion (typed edges actually selected — no vacuous
+# pass — and none without a typed source), live rescales at marker cuts
+# on typed edges, and a worker-kill chaos run over the networked runtime
+# with columnar frames.
 go test -race -run 'TestColumnarEquivalenceDifferential|TestColumnarPlanSelectsTypedEdges|TestColumnarRescaleAtCut|TestColumnarChaosWorkerKill' -count 1 ./internal/queries/
-# Columnar batches under marker-cut recovery: the merger against its
-# model, typed delivery asserted in use on generated Query IV, the
-# recovery invariants on columnar topologies, and crashes at batch
-# granularity (first/middle/last row, marker, cut flush, replay).
-go test -race -run 'TestColMergeMatchesMergeState|TestColumnarRecoveryUsesProcessCols|TestColumnarRecoveryTakesTypedPath|TestBuffersEmptyAtRestartsAndBarriers|TestBlockInvisibleBeforeSnapshot|TestDropAndLogDrainReleasesBatches|TestFailedExecutorReleasesItsBatches|TestRawBoltDropAndLogDropsMarkers|TestQueueDepthCountsBatchRows' -count 1 ./internal/storm/
+# Batches under marker-cut recovery: the merger against its model,
+# typed delivery asserted in use on generated Query IV, the recovery
+# invariants on typed topologies, crashes at batch granularity
+# (first/middle/last row, marker, cut flush, replay), and one producer
+# mixing boxed emissions, typed batches and markers on one edge.
+go test -race -run 'TestColMergeMatchesMergeState|TestColumnarRecoveryUsesProcessCols|TestColumnarRecoveryTakesTypedPath|TestBuffersEmptyAtRestartsAndBarriers|TestBlockInvisibleBeforeSnapshot|TestDropAndLogDrainReleasesBatches|TestFailedExecutorReleasesItsBatches|TestRawBoltDropAndLogForwardsMarkers|TestQueueDepthCountsBatchRows|TestMixedEmissionsKeepChannelOrder|TestRowOfAnotherKindCrossesInItsOwnBatch' -count 1 ./internal/storm/
 go test -race -run 'TestChaosColumnarRecoveryMidBatch' -count 1 ./internal/queries/
 
 echo "== networked equivalence + chaos (multi-process localhost TCP, -race) =="
@@ -132,23 +141,25 @@ echo "== fusion benchmark gate (hop count + alloc-ratio floor + dense timing gua
 # ~4x, leaving a true dense-point fusion margin of ~5-15%, and
 # shared-host noise of the same magnitude swings individual
 # interleaved pair ratios from 0.94 to 1.18. So the gate has a
-# deterministic half and a timing guard:
+# deterministic half, an allocation guard and a timing guard:
 #   1a. Hop count — TestChainFusionRemovesAnEdgeHop runs generated
 #      Query IV fused and unfused and requires the executor deliveries
 #      to differ by exactly the removed Filter->Project edge's traffic.
 #      A count, so it repeats exactly.
-#   1b. Allocation floor — on the workload-paced generated Query IV
-#      pair, chain fusion's structural effect (no intermediate edge
-#      between fused stages, hence no vectors, column buffers and
-#      batches to fill for it) is an unfused/fused allocs/op ratio of
-#      1.18. Every benchmark iteration starts with empty pools
-#      (benchQueryCfg), so each side repeats to ~1% on a quiet box and
-#      single samples stray 4-7% on a busy one (ratios 1.10-1.23 in 15
-#      single pairs); the gate takes each side's median of three
-#      interleaved runs. If the pass silently stops applying, the
-#      ratio collapses to 1.00; FUSION_ALLOC_FLOOR (default 1.10)
-#      fails before that. (EXPERIMENTS.md, "PR 12 update", has why the
-#      floor is no longer the 1.25 of PRs 9-11.)
+#   1b. Allocation guard — on the workload-paced generated Query IV
+#      pair, each side's median allocs/op of three interleaved runs
+#      (every iteration starts with empty pools, benchQueryCfg). Up to
+#      PR 16 the removed edge showed here as an unfused/fused ratio of
+#      1.17 (5 191 / 4 437 at the PR 17 parent): a cold batch grew its
+#      arenas by doubling, ~15 allocations each, and the extra edge
+#      filled more of them. PR 17 starts arenas at the default batch
+#      size (three allocations per cold batch), which took a quarter of
+#      the allocations off both sides (3 217 fused, 3 039 unfused) and
+#      the ratio to 0.94 — the edge's cold-start cost no longer shows,
+#      so this half cannot tell whether the pass applies (1a does,
+#      exactly). It stays as a guard that fusion does not allocate
+#      materially *more*: FUSION_ALLOC_FLOOR, re-based 1.10 -> 0.85.
+#      (EXPERIMENTS.md, "One data path (PR 17)".)
 #   2. Timing guard — the median of interleaved dense-point pair
 #      ratios must stay >= FUSION_FLOOR (default 0.90): fusion may be
 #      within noise of parity, but must never make the dense point
@@ -157,7 +168,7 @@ echo "== fusion benchmark gate (hop count + alloc-ratio floor + dense timing gua
 #      the trend.
 go test -count 1 -run 'TestChainFusionRemovesAnEdgeHop' ./internal/queries/
 fgate="$(
-    AFLOOR="${FUSION_ALLOC_FLOOR:-1.10}"
+    AFLOOR="${FUSION_ALLOC_FLOOR:-0.85}"
     TFLOOR="${FUSION_FLOOR:-0.90}"
     {
         for i in 1 2 3 4 5; do
