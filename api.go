@@ -184,13 +184,15 @@ func CompileWithPlan(d *DAG, sources map[string]SourceSpec, opts *CompileOptions
 
 // Combinable is the optional Operator extension that exposes a keyed
 // operator's aggregation monoid for sender-side combining; the
-// KeyedUnordered and SlidingAggregate templates implement it.
+// KeyedUnordered and SlidingAggregate templates implement it (and its
+// typed refinement), and Compile honours it on any operator.
 type Combinable = core.Combinable
 
 // CombinerSpec is a sender-side combining buffer's configuration as an
 // untyped monoid, for hand-written topologies (BoltDecl.CombineWith);
-// Compile installs typed combiners automatically when
-// CompileOptions.Combiners is on.
+// Compile installs combiners automatically when
+// CompileOptions.Combiners is on (typed for the templates, over this
+// untyped monoid for an operator that is only Combinable).
 type CombinerSpec = storm.CombinerSpec
 
 // DefaultCombinerCap is the combining buffer's default distinct-key

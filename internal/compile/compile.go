@@ -79,10 +79,11 @@ type Options struct {
 	FuseChains bool
 	// Combiners installs a sender-side combining buffer on every
 	// fields-grouped connection whose consumer is a lone keyed
-	// operator admitting pre-aggregation (core.ColCombinable with a
-	// usable monoid): producers fold a bounded per-destination map of partial
-	// aggregates and the consumer is rewritten (PreCombined) to merge
-	// partials. Buffers drain into the batched transport on capacity,
+	// operator admitting pre-aggregation (core.ColCombinable, folding
+	// typed rows, or core.Combinable alone, folding boxed ones, with a
+	// usable monoid): producers fold a bounded per-destination map of
+	// partial aggregates and the consumer is rewritten (PreCombined) to
+	// merge partials. Buffers drain into the batched transport on capacity,
 	// markers, EOS and transactional send blocks, so they are provably
 	// empty at every recovery restart point. Enabled by default in
 	// Compile's nil-Options path.
@@ -320,13 +321,20 @@ func CompileWithPlan(d *core.DAG, sources map[string]SourceSpec, opts *Options) 
 				if capKeys == 0 {
 					capKeys = storm.DefaultCombinerCap
 				}
-				// The fold runs over typed rows and the edge carries (key,
-				// partial aggregate) batches; the consumer is rewritten to
-				// merge partials.
+				// The edge carries (key, partial aggregate) batches and the
+				// consumer is rewritten to merge partials. A typed combiner
+				// folds typed rows; an operator exposing only the untyped
+				// monoid gets the same buffer over the universal kind.
 				if cc, ok := n.Op.(core.ColCombinable); ok {
 					if inK, outK, mk, can := cc.ColCombiner(); can {
 						comb = &storm.ColCombinerSpec{InKind: inK, OutKind: outK, New: mk, Cap: capKeys}
 						stageOps[0] = cc.PreCombined()
+					}
+				} else if c, ok := n.Op.(core.Combinable); ok {
+					if in, combine, can := c.CombinerMonoid(); can {
+						mk := func() stream.ColCombiner { return stream.NewAnyCombiner(in, combine) }
+						comb = &storm.ColCombinerSpec{InKind: stream.AnyKind, OutKind: stream.AnyKind, New: mk, Cap: capKeys}
+						stageOps[0] = c.PreCombined()
 					}
 				}
 			}
@@ -349,17 +357,17 @@ func CompileWithPlan(d *core.DAG, sources map[string]SourceSpec, opts *Options) 
 			outKind[n.Name] = outK
 			decl := boltDecl(top, n.Name)
 			grouping := groupingFor(head, fusedSort != nil)
-			// Every edge carries column batches; what the compiler picks
-			// per edge is the kind: the combiner's output kind, the kind
-			// both endpoints expose, or (undeclared) the universal one.
+			// Every edge carries column batches, of the kind of the rows
+			// its producer emits; the plan records which edges that makes
+			// typed: a combined edge (the combiner's output kind) and an
+			// edge whose two endpoints expose the same kind.
 			for _, in := range inputs {
 				connect(decl, in.Name, grouping)
 				switch {
 				case comb != nil:
 					decl.ColCombineWith(*comb)
-					plan.CombinedEdges = append(plan.CombinedEdges, PlanEdge{From: in.Name, To: n.Name, Cap: comb.Cap, Columnar: true})
+					plan.CombinedEdges = append(plan.CombinedEdges, PlanEdge{From: in.Name, To: n.Name, Cap: comb.Cap, Columnar: comb.OutKind != stream.AnyKind})
 				case inK != nil && outKind[in.Name] == inK:
-					decl.ColumnarWith(inK)
 					plan.ColumnarEdges = append(plan.ColumnarEdges, PlanEdge{From: in.Name, To: n.Name, Columnar: true})
 				}
 			}

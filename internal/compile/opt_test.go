@@ -315,6 +315,47 @@ func TestCombinerPassInstallsOnKeyedEdge(t *testing.T) {
 	}
 }
 
+// untypedOnly hides an operator's typed surfaces (ColCombinable and the
+// column kinds) behind the Combinable interface.
+type untypedOnly struct{ core.Combinable }
+
+// TestCombinerPassUsesUntypedMonoid: an operator that is Combinable but
+// not ColCombinable still gets a combiner, built from CombinerMonoid
+// over the universal kind, and the run is trace-equivalent.
+func TestCombinerPassUsesUntypedMonoid(t *testing.T) {
+	var in []stream.Event
+	for b := 0; b < 5; b++ {
+		for i := 0; i < 200; i++ {
+			in = append(in, stream.Item(i%4, i))
+		}
+		in = append(in, mk(int64(b), int64(b*10)))
+	}
+	ref, err := pipelineDAG(1, 1).Eval(map[string][]stream.Event{"src": in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := core.NewDAG()
+	src := d.Source("src", stream.U("Int", "Int"))
+	d.Sink("out", d.Op(untypedOnly{sumPerKey().(core.Combinable)}, 2, d.Op(evenFilter(), 2, src)))
+	top, plan, err := CompileWithPlan(d, optSources(in), &Options{Combiners: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.CombinedEdges) != 1 || plan.CombinedEdges[0].Columnar {
+		t.Fatalf("plan.CombinedEdges = %+v, want one edge combined over the universal kind", plan.CombinedEdges)
+	}
+	res, err := top.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.EquivalentOutputs(ref, res.Sinks); err != nil {
+		t.Fatal(err)
+	}
+	if cin, cout := res.Stats.Combined(); cin == 0 || cout == 0 || cout >= cin {
+		t.Fatalf("combiner stats in=%d out=%d: expected compression (0 < out < in)", cin, cout)
+	}
+}
+
 // TestCombinerPassSkipsPerItemEmitters pins the soundness gate: a
 // KeyedUnordered with an OnItem callback emits per item, so combining
 // its input would change the trace — the pass must leave it alone.

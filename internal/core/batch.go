@@ -248,8 +248,9 @@ func (in *slidingInstance[K, V, A]) ProcessCols(ic, _ stream.Columns) {
 
 // ColCombinable is implemented by operators that admit *typed*
 // sender-side pre-aggregation: the columnar counterpart of Combinable.
-// The compiler prefers it on columnar combined edges so the fold runs
-// over typed rows with no boxing.
+// The compiler prefers it — the fold runs over typed rows with no
+// boxing — and builds a universal-kind combiner from CombinerMonoid for
+// an operator that is Combinable only.
 type ColCombinable interface {
 	Combinable
 	// ColCombiner returns the input kind the buffer folds (the

@@ -1,10 +1,6 @@
 package storm
 
-import (
-	"fmt"
-
-	"datatrace/internal/stream"
-)
+import "datatrace/internal/stream"
 
 // This file is the runtime's one data path: items move between
 // executors as column batches (stream.Columns) and as nothing else. A
@@ -19,13 +15,12 @@ import (
 // takes the kind of the rows it is given: a row of another kind than
 // the open batch's crosses in a batch of its own kind, behind the
 // sealed open batch, and a bolt that does not consume that kind gets it
-// through the row-by-row fallback. An edge's declared kind
-// (ColumnarWith; the compiler declares it when both endpoint templates
-// expose the same concrete kind) is therefore a promise the runtime
-// does not depend on — a wrong declaration, or a bolt mixing emit(e)
-// with typed batches, costs smaller batches, never a wrong result. The
-// kind is compared once per emitted batch and destination, never per
-// row.
+// through the row-by-row fallback. No edge has a kind of its own (the
+// compiler records as typed the edges whose endpoint templates expose
+// the same concrete kind, Plan.ColumnarEdges): a bolt mixing emit(e)
+// with typed batches costs smaller batches, never a wrong result. The
+// kind is compared once per emitted batch and subscription (a one-row
+// batch for emit(e)), never per destination or per row of a typed batch.
 //
 // Markers never enter a batch; transport.go has the sealing and flush
 // rules that keep a marker behind the rows emitted before it.
@@ -70,23 +65,13 @@ type ColProcessor interface {
 	ProcessCols(in, out stream.Columns)
 }
 
-// ColumnarWith declares the kind of the bolt's most recently declared
-// input edge: its producer emits batches of exactly this kind (pointer
-// equality — kinds are canonical) and the bolt's ProcessCols accepts
-// them. The compiler checks both before declaring an edge typed, and
-// validation holds a combined edge's declaration to its combiner's
-// output kind; the runtime moves rows of any kind (see the header), so
-// a wrong declaration degrades performance, not semantics.
-func (d *BoltDecl) ColumnarWith(kind *stream.ColKind) *BoltDecl {
-	if len(d.c.inputs) == 0 {
-		panic(fmt.Sprintf("storm: ColumnarWith on %q before any input is declared", d.c.name))
-	}
-	if kind == nil {
-		panic(fmt.Sprintf("storm: ColumnarWith on %q with a nil kind", d.c.name))
-	}
-	d.c.inputs[len(d.c.inputs)-1].cols = kind
-	return d
-}
+// ColumnarWith documents the kind of the bolt's most recently declared
+// input edge: its producer emits batches of this kind and the bolt's
+// ProcessCols accepts them (the compiler checks both and records the
+// edge in Plan.ColumnarEdges). It is a hint the runtime does not read —
+// a send buffer takes the kind of the rows it is given (see the header)
+// — kept so that topologies declaring their typed edges keep compiling.
+func (d *BoltDecl) ColumnarWith(*stream.ColKind) *BoltDecl { return d }
 
 // route moves the rows of one emitted batch — typed, or the emitter's
 // one-row universal scratch batch — into the buffers of every
@@ -107,10 +92,11 @@ func (em *emitter) route(cols stream.Columns) {
 			}
 			continue
 		}
-		for k := range bufs {
-			if b := &bufs[k]; b.kind != kind {
-				em.seal(b)
-				b.kind = kind
+		if em.kinds[si] != kind {
+			em.kinds[si] = kind
+			for k := range bufs {
+				em.seal(&bufs[k])
+				bufs[k].kind = kind
 			}
 		}
 		switch sub.grouping {

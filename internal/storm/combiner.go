@@ -78,16 +78,14 @@ func (s *ColCombinerSpec) validate(bolt, from string, g Grouping) error {
 }
 
 // ColCombineWith attaches a sender-side combining buffer to the bolt's
-// most recently declared input edge and declares the edge's kind to be
-// the combiner's output kind. The edge must use fields grouping;
-// validation enforces it at Run.
+// most recently declared input edge, which then carries batches of the
+// combiner's output kind. The edge must use fields grouping; validation
+// enforces it at Run.
 func (d *BoltDecl) ColCombineWith(spec ColCombinerSpec) *BoltDecl {
 	if len(d.c.inputs) == 0 {
 		panic(fmt.Sprintf("storm: ColCombineWith on %q before any input is declared", d.c.name))
 	}
-	in := &d.c.inputs[len(d.c.inputs)-1]
-	in.colComb = &spec
-	in.cols = spec.OutKind
+	d.c.inputs[len(d.c.inputs)-1].colComb = &spec
 	return d
 }
 

@@ -403,7 +403,10 @@ type emitter struct {
 	instance int
 	// rrNext is the per-subscription round-robin cursor.
 	rrNext []int
-	stats  *metrics.InstanceStats
+	// kinds is the per-subscription kind of the rows last routed: the kind
+	// of every open batch on the subscription's (non-combined) buffers.
+	kinds []*stream.ColKind
+	stats *metrics.InstanceStats
 	// faults, when set, injects send failures on chosen edges.
 	faults *executorFaults
 	// stamp turns on send-time stamping of outgoing messages (queue
@@ -458,6 +461,7 @@ func newEmitter(rc *runtimeComponent, instance int, is *metrics.InstanceStats, e
 func (em *emitter) rebuildBufs() {
 	rc := em.rc
 	em.bufBase = make([]int, len(rc.subs))
+	em.kinds = make([]*stream.ColKind, len(rc.subs))
 	n := 0
 	for si := range rc.subs {
 		em.bufBase[si] = n
@@ -728,8 +732,8 @@ type boltExec struct {
 	chBolt          ChannelBolt
 	ch              int
 	// row is the row being delivered when a batch goes to the bolt row by
-	// row: on raw inputs the rows before it are done with — their output
-	// is out — so a failure there drops only the rest (discard).
+	// row; only fail reads it, and only on raw inputs, where the rows
+	// before it are done with — their output is out.
 	row int
 	// merge aligns the input channels on markers; nil on raw inputs.
 	merge *colMerge
@@ -908,7 +912,7 @@ func (x *boltExec) runVector(batch []message) {
 			if m := &batch[bi]; m.eos {
 				x.eosLeft--
 			} else {
-				x.discard(entry{cols: m.cols, mark: m.mark})
+				x.discard(entry{cols: m.cols, mark: m.mark}, 0)
 			}
 			bi++
 			continue
@@ -977,9 +981,6 @@ func (x *boltExec) runVector(batch []message) {
 		// inputs the block is replayed or dropped whole, with its output.
 		m := &batch[bi]
 		pending := x.held()
-		if x.merge != nil {
-			x.row = 0
-		}
 		if !absorbed || x.merge == nil {
 			pending[m.ch] = append(pending[m.ch], entry{cols: m.cols, mark: m.mark})
 			absorbed = true

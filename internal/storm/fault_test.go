@@ -197,6 +197,47 @@ func (p *fragileBolt) Next(e stream.Event, emit func(stream.Event)) {
 	emit(e)
 }
 
+// poisonBolt is a stateless Recoverable bolt that fails on one item
+// value, live and on every replay.
+type poisonBolt struct{ poison int }
+
+func (p poisonBolt) Next(e stream.Event, emit func(stream.Event)) {
+	if !e.IsMarker && e.Value == p.poison {
+		panic("poison item")
+	}
+	emit(e)
+}
+func (poisonBolt) Snapshot() ([]byte, error) { return nil, nil }
+func (poisonBolt) Restore([]byte) error      { return nil }
+
+// TestPoisonItemDropsWholeBlocks: an aligned Recoverable bolt that
+// fails mid-batch live and again mid-replay runs out of restarts and
+// degrades. Aligned blocks are dropped whole, so every item is either at
+// the sink or counted in Dropped — the rows the failed deliveries had got
+// through are not subtracted from the count.
+func TestPoisonItemDropsWholeBlocks(t *testing.T) {
+	in := testStream(3, 8, 2) // 24 items, a marker after every 8
+	top := NewTopology("poison")
+	top.AddSpout("src", 1, func(int) Spout { return SliceSpout(in) })
+	top.AddBolt("frail", 1, func(int) Bolt { return poisonBolt{poison: 13} }).ShuffleGrouping("src", true)
+	top.AddSink("sink", "frail")
+	top.SetRecovery(RecoveryPolicy{Enabled: true, MaxRestarts: 1, OnUnrecoverable: DropAndLog})
+	res, err := top.Run()
+	if err != nil {
+		t.Fatalf("drop-and-log must keep the topology alive: %v", err)
+	}
+	items := 0
+	for _, e := range res.Sinks["sink"] {
+		if !e.IsMarker {
+			items++
+		}
+	}
+	_, _, dropped := res.Stats.Recovery()
+	if items != 8 || dropped != 16 {
+		t.Fatalf("sink saw %d items, dropped = %d; want the committed block's 8 and the other 16", items, dropped)
+	}
+}
+
 func TestNonSnapshottableBoltAbortsByDefault(t *testing.T) {
 	in := testStream(3, 8, 2)
 	top := NewTopology("fragile")

@@ -279,9 +279,18 @@ func (x *boltExec) fail(cause error, pending [][]entry) {
 	} else {
 		x.fatal = cause
 	}
+	// On raw inputs pending is the in-flight message alone, and the rows a
+	// row-by-row delivery got through are not dropped; an aligned block is
+	// dropped whole, wherever its last delivery (live or replayed) stopped.
+	done := 0
+	if x.merge == nil {
+		done = x.row
+	}
+	x.row = 0
 	for _, buf := range pending {
 		for _, e := range buf {
-			x.discard(e)
+			x.discard(e, done)
+			done = 0
 		}
 	}
 	release(x.out)
@@ -304,15 +313,14 @@ type degradeState struct {
 
 // discard consumes one unit of input the failed executor will not
 // process: dropped and counted in degraded mode, silently otherwise. A
-// batch is released either way; of the one a raw-input bolt failed in,
-// the rows from the offending one on are the dropped ones.
-func (x *boltExec) discard(e entry) {
+// batch is released either way; its first done rows are not counted
+// (the ones a raw-input bolt finished before failing in it).
+func (x *boltExec) discard(e entry, done int) {
 	d := x.degraded
 	if e.cols != nil {
 		if d != nil {
-			x.is.AddDropped(int64(e.cols.Len() - x.row))
+			x.is.AddDropped(int64(e.cols.Len() - done))
 		}
-		x.row = 0
 		e.cols.Release()
 		return
 	}

@@ -133,11 +133,8 @@ type connection struct {
 	// aligned requests receiver-side MRG marker alignment across all
 	// input channels of the consumer (all its connections jointly).
 	aligned bool
-	// cols is the edge's declared column kind (BoltDecl.ColumnarWith);
-	// nil means the universal kind. colComb, when set, installs a
-	// sender-side combining buffer draining rows of that kind
-	// (combiner.go).
-	cols    *stream.ColKind
+	// colComb, when set, installs a sender-side combining buffer on the
+	// edge (combiner.go).
 	colComb *ColCombinerSpec
 }
 
@@ -374,9 +371,6 @@ func (t *Topology) validate() error {
 			if in.colComb != nil {
 				if err := in.colComb.validate(name, in.from, in.grouping); err != nil {
 					return err
-				}
-				if in.cols != in.colComb.OutKind {
-					return fmt.Errorf("storm: edge %s→%s declares column kind %v but its combiner drains %v", in.from, name, in.cols, in.colComb.OutKind)
 				}
 			}
 		}

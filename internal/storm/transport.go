@@ -54,8 +54,9 @@ import (
 // their zero-cost early-outs, and every vector carries one message.
 
 // DefaultBatchSize is the per-destination buffer capacity used when
-// TransportOptions.BatchSize is zero.
-const DefaultBatchSize = 64
+// TransportOptions.BatchSize is zero: the rows a new batch's arenas
+// hold without growing.
+const DefaultBatchSize = stream.DefaultBatchRows
 
 // DefaultFlushInterval is the idle-flush timeout used when
 // TransportOptions.FlushInterval is zero.
@@ -168,7 +169,7 @@ type outBuf struct {
 	ch int
 	// buf is the open batch (nil, or non-empty), sent the send stamp of
 	// its first row, and kind its kind: the kind of the rows last routed
-	// here (route), or the combiner's output kind.
+	// on the subscription (emitter.kinds), or the combiner's output kind.
 	kind *stream.ColKind
 	buf  stream.Columns
 	sent int64

@@ -234,6 +234,10 @@ func ColKindByName(name string) *ColKind {
 	return nil
 }
 
+// DefaultBatchRows is the row capacity a new batch's arenas start at,
+// and the transport's default batch size (storm.DefaultBatchSize).
+const DefaultBatchRows = 64
+
 func newColKind[K, V any](kt, vt reflect.Type) *ColKind {
 	k := &ColKind{
 		name: "cols[" + typeName(kt) + "," + typeName(vt) + "]",
@@ -241,12 +245,9 @@ func newColKind[K, V any](kt, vt reflect.Type) *ColKind {
 		val:  vt,
 	}
 	hash := keyHashFor[K]()
-	// A new batch's arenas start at the transport's default batch size
-	// (storm.DefaultBatchSize): a pool miss costs three allocations, not
-	// one per doubling.
-	const rows = 64
+	// A pool miss costs three allocations, not one per arena doubling.
 	k.pool.New = func() any {
-		return &Cols[K, V]{kind: k, hash: hash, Keys: make([]K, 0, rows), Vals: make([]V, 0, rows)}
+		return &Cols[K, V]{kind: k, hash: hash, Keys: make([]K, 0, DefaultBatchRows), Vals: make([]V, 0, DefaultBatchRows)}
 	}
 	k.get = func() Columns {
 		c := k.pool.Get().(*Cols[K, V])
