@@ -12,9 +12,10 @@ package datatrace
 //	sim8_tps   — simulated throughput on an 8-worker cluster
 //	             (busy-time makespan model, see DESIGN.md)
 //
-// The full parameter sweeps behind EXPERIMENTS.md come from
-// cmd/dttbench; these benches regenerate each figure's headline
-// number in a form `go test -bench` can track over time.
+// The full parameter sweeps behind EXPERIMENTS.md, and the variants of
+// Query IV the CI gate compares (batch-1, passes off, dense, recovery),
+// come from cmd/dttbench; these benches regenerate each figure's
+// headline number in a form `go test -bench` can track over time.
 
 import (
 	"math/rand"
@@ -49,33 +50,20 @@ func benchYahooCfg() workload.YahooConfig {
 // benchQuery runs one query variant once per b.N iteration and
 // reports throughput metrics.
 func benchQuery(b *testing.B, name string, variant queries.Variant) {
-	benchQuerySpec(b, queries.Spec{Query: name, Variant: variant, Par: 4, SourcePar: 2})
-}
-
-func benchQuerySpec(b *testing.B, spec queries.Spec) {
-	benchQueryCfg(b, benchYahooCfg(), 2*time.Microsecond, spec)
-}
-
-func benchQueryCfg(b *testing.B, cfg workload.YahooConfig, opDelay time.Duration, spec queries.Spec) {
-	b.Helper()
+	cfg := benchYahooCfg()
+	spec := queries.Spec{Query: name, Variant: variant, Par: 4, SourcePar: 2}
 	items := int64(cfg.EventsPerSecond * cfg.Seconds)
 	var simTPS, wallTPS float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		env, err := queries.NewEnv(cfg, opDelay)
+		env, err := queries.NewEnv(cfg, 2*time.Microsecond)
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Start every iteration with empty sync.Pools (two cycles: the
-		// first moves pooled objects to the victim cache, the second
-		// drops them). Otherwise the transport's vector and column
-		// pools carry over from the previous iteration or not,
-		// depending on how many collections the set-up above happened
-		// to trigger, and allocs/op on these small workloads is
-		// bimodal (2000 or 2850 on Query IV); cold, it repeats to ~1%
-		// (single samples stray 4-7% on a busy box), which is what the
-		// allocation gates of scripts/check.sh need.
+		// Start every iteration with empty sync.Pools, as the sweeps of
+		// internal/bench do (see its interleave): cold, allocs/op
+		// repeats to ~1%; warm, it is bimodal.
 		runtime.GC()
 		runtime.GC()
 		b.StartTimer()
@@ -102,90 +90,6 @@ func BenchmarkQueryIIIHandcrafted(b *testing.B) {
 }
 func BenchmarkQueryIVGenerated(b *testing.B)   { benchQuery(b, "IV", queries.Generated) }
 func BenchmarkQueryIVHandcrafted(b *testing.B) { benchQuery(b, "IV", queries.Handcrafted) }
-
-// BenchmarkQueryIVGeneratedRecovery is the crash-free overhead probe
-// for the marker-cut recovery subsystem: the same run as
-// BenchmarkQueryIVGenerated with checkpointing enabled and no faults
-// injected. Compare tuples/s between the two to get the overhead.
-func BenchmarkQueryIVGeneratedRecovery(b *testing.B) {
-	benchQuerySpec(b, queries.Spec{
-		Query: "IV", Variant: queries.Generated, Par: 4, SourcePar: 2, Recovery: true,
-	})
-}
-
-// BenchmarkQueryIVGeneratedObserved is the observability overhead
-// probe: the same run as BenchmarkQueryIVGenerated with the
-// executor-level observability subsystem enabled (latency histograms,
-// queue gauges, span sampling at the default period). Compare tuples/s
-// against BenchmarkQueryIVGenerated to get the enabled overhead; the
-// acceptance bound is <5% (see EXPERIMENTS.md).
-func BenchmarkQueryIVGeneratedObserved(b *testing.B) {
-	benchQuerySpec(b, queries.Spec{
-		Query: "IV", Variant: queries.Generated, Par: 4, SourcePar: 2, Obs: true,
-	})
-}
-
-// BenchmarkQueryIVGeneratedBatch1 is the unbatched-transport baseline
-// of the edge-batching subsystem: the same run as
-// BenchmarkQueryIVGenerated with BatchSize 1 — one channel send per
-// routed event, the pre-batching behavior. scripts/check.sh compares
-// tuples/s between the two as the transport regression gate; the
-// full batch-size sweep is in EXPERIMENTS.md.
-func BenchmarkQueryIVGeneratedBatch1(b *testing.B) {
-	benchQuerySpec(b, queries.Spec{
-		Query: "IV", Variant: queries.Generated, Par: 4, SourcePar: 2,
-		Transport: &storm.TransportOptions{BatchSize: 1},
-	})
-}
-
-// BenchmarkQueryIVGeneratedNoOpt is the optimization-pass baseline at
-// the Figure 4 workload: the same run as BenchmarkQueryIVGenerated
-// with chain fusion and shuffle-side combiners disabled. At this
-// workload the two are near parity — 12k events spread over 100
-// campaigns are too thin for sender-side combining to compress, and
-// the simulated DB latency floors both sides equally — which is
-// exactly what the pair documents: the passes never hurt the
-// evaluation workload.
-func BenchmarkQueryIVGeneratedNoOpt(b *testing.B) {
-	benchQuerySpec(b, queries.Spec{
-		Query: "IV", Variant: queries.Generated, Par: 4, SourcePar: 2,
-		NoFuseChains: true, NoCombiners: true,
-	})
-}
-
-// benchDenseYahooCfg is the optimization passes' operating point: a
-// 10× denser event rate, so each marker-delimited segment carries
-// hundreds of views per sender instance against the 100-campaign key
-// space and sender-side combining actually compresses (~8 items per
-// flushed partial). The DB runs at in-memory speed — the passes
-// optimize the runtime, and a simulated out-of-process latency floor
-// (identical on both sides) would only dilute the measured ratio.
-func benchDenseYahooCfg() workload.YahooConfig {
-	cfg := benchYahooCfg()
-	cfg.EventsPerSecond = 10000
-	return cfg
-}
-
-// BenchmarkQueryIVGeneratedDense and its NoOpt twin are the fusion
-// regression pair: generated Query IV at the dense operating point
-// with the optimization passes on vs off. scripts/check.sh compares
-// the two as the fusion benchmark gate and scripts/bench.sh records
-// their ratio in BENCH_PR5.json (query_iv_fusion_speedup); the full
-// pass-combination sweep is `dttbench -figure fusion` in
-// EXPERIMENTS.md.
-func BenchmarkQueryIVGeneratedDense(b *testing.B) {
-	benchQueryCfg(b, benchDenseYahooCfg(), 0, queries.Spec{
-		Query: "IV", Variant: queries.Generated, Par: 4, SourcePar: 2,
-	})
-}
-
-func BenchmarkQueryIVGeneratedDenseNoOpt(b *testing.B) {
-	benchQueryCfg(b, benchDenseYahooCfg(), 0, queries.Spec{
-		Query: "IV", Variant: queries.Generated, Par: 4, SourcePar: 2,
-		NoFuseChains: true, NoCombiners: true,
-	})
-}
-
 func BenchmarkQueryVGenerated(b *testing.B)    { benchQuery(b, "V", queries.Generated) }
 func BenchmarkQueryVHandcrafted(b *testing.B)  { benchQuery(b, "V", queries.Handcrafted) }
 func BenchmarkQueryVIGenerated(b *testing.B)   { benchQuery(b, "VI", queries.Generated) }

@@ -1,5 +1,7 @@
 // Command dttbench regenerates the paper's evaluation figures on the
-// in-process runtime:
+// in-process runtime, runs the parametric sweeps behind EXPERIMENTS.md,
+// and is the CI performance gate (internal/bench/gate.go). The
+// yardstick a change is judged by is benchmark/, not this command.
 //
 //	dttbench -figure 4          # Queries I–VI, generated vs handcrafted (Figure 4)
 //	dttbench -figure 6          # Smart Homes scaling (Figure 6)
@@ -8,9 +10,8 @@
 //	dttbench -figure fusion     # optimization-pass sweep (chain fusion × combiners)
 //	dttbench -figure all        # everything, plus the section 2 experiment
 //	dttbench -section2          # only the motivation experiment
-//	dttbench -obs               # Query IV observability report on both runtimes
-//	dttbench -net               # Query IV over localhost TCP vs in-process
 //	dttbench -rescale           # bursty workload: static provisioning vs autoscaler
+//	dttbench -gate              # the CI performance gates; exit status 1 if one fails
 //	dttbench -figure 4 -csv     # machine-readable output
 //
 // Workload knobs: -eps (events/second), -seconds (event-time length),
@@ -25,6 +26,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -33,18 +35,23 @@ import (
 	"time"
 
 	"datatrace/internal/bench"
-	"datatrace/internal/queries"
 )
 
 func main() {
-	// Re-exec'd with the DTT_NET_* spawn contract, this binary is a
-	// worker process of a networked run (the -net benchmark launches
-	// them); RunWorkerIfSpawned serves and exits in that case.
-	queries.RunWorkerIfSpawned()
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "dttbench:", err)
+		os.Exit(1)
+	}
+}
+
+// run is main without the exit: every failure comes back as an error,
+// so the deferred profile writers below run on failing sweeps too.
+func run() (err error) {
 	var (
 		figure   = flag.String("figure", "all", "which figure to regenerate: 4, 6, backends, recovery, transport, fusion or all")
 		section2 = flag.Bool("section2", false, "run only the section 2 semantics experiment")
-		obs      = flag.Bool("obs", false, "run Query IV with observability on and print per-component p50/p99 exec latency, max queue depth and marker-cut lag for both runtimes")
+		rescale  = flag.Bool("rescale", false, "benchmark a bursty keyed workload at static parallelism 1/2/4 against the queue-depth autoscaler with live rescaling")
+		gate     = flag.Bool("gate", false, "run the CI performance gates (transport, fusion dense guard, allocation) and fail if one does")
 		csv      = flag.Bool("csv", false, "emit CSV instead of tables")
 		workers  = flag.Int("workers", 8, "maximum simulated cluster size")
 		eps      = flag.Int("eps", 2000, "Yahoo workload events per second")
@@ -52,9 +59,6 @@ func main() {
 		shSecs   = flag.Int("sh-seconds", 300, "Smart Homes event-time length")
 		opDelay  = flag.Duration("opdelay", 2*time.Microsecond, "simulated DB per-call latency")
 		sources  = flag.Int("sources", 2, "source partitions")
-		rescale  = flag.Bool("rescale", false, "benchmark a bursty keyed workload at static parallelism 1/2/4 against the queue-depth autoscaler with live rescaling")
-		netBench = flag.Bool("net", false, "benchmark Query IV on a localhost-TCP multi-process cluster against the in-process runtime, at transport batch sizes 1 and 64")
-		netProcs = flag.Int("net-workers", 2, "worker processes of the -net benchmark")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile covering the selected figures to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile taken after the selected figures to this file")
 	)
@@ -63,30 +67,23 @@ func main() {
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dttbench: cpuprofile:", err)
-			os.Exit(1)
+			return fmt.Errorf("cpuprofile: %w", err)
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "dttbench: cpuprofile:", err)
-			os.Exit(1)
+			return fmt.Errorf("cpuprofile: %w", err)
 		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+		defer pprof.StopCPUProfile()
 	}
 	if *memProf != "" {
+		f, ferr := os.Create(*memProf)
+		if ferr != nil {
+			return fmt.Errorf("memprofile: %w", ferr)
+		}
 		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "dttbench: memprofile:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "dttbench: memprofile:", err)
-				os.Exit(1)
+			if perr := errors.Join(pprof.WriteHeapProfile(f), f.Close()); perr != nil && err == nil {
+				err = fmt.Errorf("memprofile: %w", perr)
 			}
 		}()
 	}
@@ -99,136 +96,84 @@ func main() {
 	cfg.OpDelay = *opDelay
 	cfg.SourcePar = *sources
 
-	if *section2 {
-		runSection2()
-		return
+	figures := []struct {
+		name string
+		emit func() error
+	}{
+		{"4", func() error { return emit(bench.Figure4, cfg, *csv) }},
+		{"6", func() error { return emit(bench.Figure6, cfg, *csv) }},
+		{"backends", func() error { return emit(bench.BackendComparison, cfg, *csv) }},
+		{"recovery", func() error { return emit(bench.RecoverySweep, cfg, *csv) }},
+		{"transport", func() error { return emit(bench.TransportSweep, cfg, *csv) }},
+		{"fusion", func() error { return emit(bench.FusionSweep, cfg, *csv) }},
 	}
-	if *obs {
-		runObs(cfg, *csv)
-		return
+	switch {
+	case *gate:
+		return runGate()
+	case *section2:
+		return runSection2()
+	case *rescale:
+		return emit(bench.RescaleSweep, cfg, *csv)
+	case *figure == "all":
+		for _, f := range figures {
+			if err := f.emit(); err != nil {
+				return err
+			}
+		}
+		return runSection2()
 	}
-	if *rescale {
-		runRescale(cfg, *csv)
-		return
+	for _, f := range figures {
+		if f.name == *figure {
+			return f.emit()
+		}
 	}
-	if *netBench {
-		runNet(cfg, *netProcs, *csv)
-		return
-	}
-
-	switch *figure {
-	case "4":
-		emitFigure(bench.Figure4, cfg, *csv)
-	case "6":
-		emitFigure(bench.Figure6, cfg, *csv)
-	case "backends":
-		emitFigure(bench.BackendComparison, cfg, *csv)
-	case "recovery":
-		runRecovery(cfg, *csv)
-	case "transport":
-		runTransport(cfg, *csv)
-	case "fusion":
-		runFusion(cfg, *csv)
-	case "all":
-		emitFigure(bench.Figure4, cfg, *csv)
-		emitFigure(bench.Figure6, cfg, *csv)
-		emitFigure(bench.BackendComparison, cfg, *csv)
-		runRecovery(cfg, *csv)
-		runTransport(cfg, *csv)
-		runFusion(cfg, *csv)
-		runSection2()
-	default:
-		fmt.Fprintf(os.Stderr, "dttbench: unknown figure %q (want 4, 6, backends, recovery, transport, fusion or all)\n", *figure)
-		os.Exit(2)
-	}
+	return fmt.Errorf("unknown figure %q (want 4, 6, backends, recovery, transport, fusion or all)", *figure)
 }
 
-func emitFigure(build func(bench.Config) (*bench.Figure, error), cfg bench.Config, csv bool) {
-	fig, err := build(cfg)
+// emit builds one figure or sweep and prints it as a table or as CSV.
+func emit[R interface {
+	Table() string
+	CSV() string
+}](build func(bench.Config) (R, error), cfg bench.Config, csv bool) error {
+	res, err := build(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dttbench:", err)
-		os.Exit(1)
-	}
-	if csv {
-		fmt.Print(fig.CSV())
-		return
-	}
-	fmt.Println(fig.Table())
-}
-
-func runRecovery(cfg bench.Config, csv bool) {
-	res, err := bench.RecoverySweep(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dttbench:", err)
-		os.Exit(1)
+		return err
 	}
 	if csv {
 		fmt.Print(res.CSV())
-		return
+	} else {
+		fmt.Println(res.Table())
 	}
-	fmt.Println(res.Table())
+	return nil
 }
 
-func runTransport(cfg bench.Config, csv bool) {
-	res, err := bench.TransportSweep(cfg)
+// runGate prints one verdict line per gate and fails if any gate did.
+func runGate() error {
+	verdicts, err := bench.Gate()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dttbench:", err)
-		os.Exit(1)
+		return err
 	}
-	if csv {
-		fmt.Print(res.CSV())
-		return
+	failed := 0
+	for _, v := range verdicts {
+		fmt.Println(v)
+		if !v.Pass {
+			failed++
+		}
 	}
-	fmt.Println(res.Table())
+	if failed > 0 {
+		return fmt.Errorf("%d of %d gates failed", failed, len(verdicts))
+	}
+	return nil
 }
 
-func runFusion(cfg bench.Config, csv bool) {
-	res, err := bench.FusionSweep(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dttbench:", err)
-		os.Exit(1)
-	}
-	if csv {
-		fmt.Print(res.CSV())
-		return
-	}
-	fmt.Println(res.Table())
-}
-
-func runRescale(cfg bench.Config, csv bool) {
-	res, err := bench.RescaleSweep(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dttbench:", err)
-		os.Exit(1)
-	}
-	if csv {
-		fmt.Print(res.CSV())
-		return
-	}
-	fmt.Println(res.Table())
-}
-
-func runObs(cfg bench.Config, csv bool) {
-	rep, err := bench.Observability(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dttbench:", err)
-		os.Exit(1)
-	}
-	if csv {
-		fmt.Print(rep.CSV())
-		return
-	}
-	fmt.Println(rep.Table())
-}
-
-func runSection2() {
+func runSection2() error {
 	res, err := bench.Section2(2)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dttbench:", err)
-		os.Exit(1)
+		return err
 	}
 	fmt.Println("== section 2: semantics of parallel deployment (Map ×2 → LI → MaxOfAvg) ==")
 	fmt.Printf("naive shuffle deployment ≡ specification:  %v   (expected false)\n", res.NaiveEquivalent)
 	fmt.Printf("typed deployment ≡ specification:          %v   (expected true)\n", res.TypedEquivalent)
 	fmt.Printf("type checker rejects the sort-free DAG:    %v   (expected true)\n", res.TypeCheckRejectsNaive)
+	return nil
 }

@@ -38,7 +38,7 @@ coordinator with the spawn contract in the environment:
   %s  restart epoch
   %s     JSON queries.NetSpec
 
-Start a run with storm.RunNetworked (e.g. "dttbench -net").
+Start a run with queries.RunNetworked (e.g. "bash benchmark/run.sh --workload q4-tcp").
 `, storm.EnvCoordAddr, storm.EnvWorkerID, storm.EnvWorkers, storm.EnvAttempt, storm.EnvSpec)
 	os.Exit(2)
 }

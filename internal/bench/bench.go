@@ -14,6 +14,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -95,6 +96,66 @@ func scaling(stats *metrics.Stats, inputTuples int64, maxWorkers int) []Point {
 		pts = append(pts, Point{Workers: w, Throughput: stats.Throughput(inputTuples, w)})
 	}
 	return pts
+}
+
+// arm is one side of an interleaved comparison: a label and the query
+// spec it runs.
+type arm struct {
+	label string
+	spec  queries.Spec
+}
+
+// sample is one measured run of an arm.
+type sample struct {
+	wall    time.Duration
+	mallocs uint64
+	stats   *metrics.Stats
+}
+
+// queryIV is the spec every sweep varies: generated Query IV, the
+// evaluation's centerpiece, at the configured parallelism (capped at 4).
+func queryIV(cfg Config) queries.Spec {
+	return queries.Spec{Query: "IV", Variant: queries.Generated, Par: min(cfg.MaxWorkers, 4), SourcePar: cfg.SourcePar}
+}
+
+// interleave runs every arm once per repetition, round-robin inside
+// each repetition so machine-load drift hits the arms equally, and
+// returns samples[arm][rep]. Every run starts with empty sync.Pools
+// (two collections: the first moves pooled objects to the victim cache,
+// the second drops them) — otherwise the transport's vector and column
+// pools carry over from the previous run or not, depending on how many
+// collections its set-up happened to trigger, and the malloc count of
+// these small workloads is bimodal; cold, it repeats to ~1%.
+func interleave(cfg Config, sweep string, reps int, arms []arm) ([][]sample, error) {
+	out := make([][]sample, len(arms))
+	var before, after runtime.MemStats
+	for i := 0; i < reps; i++ {
+		for ai, a := range arms {
+			env, err := queries.NewEnv(cfg.Yahoo, cfg.OpDelay)
+			if err != nil {
+				return nil, err
+			}
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			r, err := queries.Run(env, a.spec)
+			if err != nil {
+				return nil, fmt.Errorf("bench: %s sweep (%s): %w", sweep, a.label, err)
+			}
+			runtime.ReadMemStats(&after)
+			out[ai] = append(out[ai], sample{r.Wall, after.Mallocs - before.Mallocs, r.Stats})
+		}
+	}
+	return out, nil
+}
+
+// minWall is the least-perturbed run of a fixed workload.
+func minWall(runs []sample) time.Duration {
+	best := runs[0].wall
+	for _, r := range runs[1:] {
+		best = min(best, r.wall)
+	}
+	return best
 }
 
 // Figure4 runs every query in both variants and returns the six
@@ -204,42 +265,41 @@ func (f *Figure) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s: %s ==\n", f.Name, f.Caption)
 	for _, p := range f.Panels {
-		fmt.Fprintf(&b, "\n%s\n", p.Title)
-		fmt.Fprintf(&b, "%8s", "workers")
+		header := []string{"workers"}
 		for _, s := range p.Series {
-			fmt.Fprintf(&b, " %14s", s.Label)
+			header = append(header, s.Label)
 		}
-		if len(p.Series) == 2 {
-			fmt.Fprintf(&b, " %8s", "ratio")
+		ratio := len(p.Series) == 2
+		if ratio {
+			header = append(header, "ratio")
 		}
-		b.WriteString("\n")
-		for i := range p.Series[0].Points {
-			fmt.Fprintf(&b, "%8d", p.Series[0].Points[i].Workers)
+		t := &table{header: header}
+		for i, pt := range p.Series[0].Points {
+			row := []string{fmt.Sprint(pt.Workers)}
 			for _, s := range p.Series {
-				fmt.Fprintf(&b, " %14.0f", s.Points[i].Throughput)
+				row = append(row, fmt.Sprintf("%.0f", s.Points[i].Throughput))
 			}
-			if len(p.Series) == 2 && p.Series[1].Points[i].Throughput > 0 {
-				fmt.Fprintf(&b, " %8.2f", p.Series[0].Points[i].Throughput/p.Series[1].Points[i].Throughput)
+			if ratio && p.Series[1].Points[i].Throughput > 0 {
+				row = append(row, fmt.Sprintf("%.2f", p.Series[0].Points[i].Throughput/p.Series[1].Points[i].Throughput))
 			}
-			b.WriteString("\n")
+			t.rows = append(t.rows, row)
 		}
+		fmt.Fprintf(&b, "\n%s\n%s", p.Title, t.text())
 	}
 	return b.String()
 }
 
-// CSV renders the figure as comma-separated records:
-// figure,panel,series,workers,throughput.
+// CSV renders the figure as comma-separated records.
 func (f *Figure) CSV() string {
-	var b strings.Builder
-	b.WriteString("figure,panel,series,workers,throughput\n")
+	t := newTable("figure,panel,series,workers,throughput")
 	for _, p := range f.Panels {
 		for _, s := range p.Series {
 			for _, pt := range s.Points {
-				fmt.Fprintf(&b, "%s,%q,%s,%d,%.1f\n", f.Name, p.Title, s.Label, pt.Workers, pt.Throughput)
+				t.addf("%s,%q,%s,%d,%.1f", f.Name, p.Title, s.Label, pt.Workers, pt.Throughput)
 			}
 		}
 	}
-	return b.String()
+	return t.csv()
 }
 
 // SpeedupAt reports a series' throughput ratio between w workers and

@@ -153,6 +153,17 @@ func TestSection2Experiment(t *testing.T) {
 }
 
 func TestTableAndCSVRendering(t *testing.T) {
+	// The one renderer: right-aligned text, comma-joined CSV.
+	tab := newTable("batch,wall,tuples/s")
+	tab.addf("%d,%s,%.0f", 1, 1500*time.Microsecond, 8000.4)
+	tab.addf("%d,%s,%.0f", 1024, 2*time.Millisecond, 123456.0)
+	if got, want := tab.text(), "batch   wall  tuples/s\n    1  1.5ms      8000\n 1024    2ms    123456\n"; got != want {
+		t.Errorf("text:\n%s\nwant:\n%s", got, want)
+	}
+	if got, want := tab.csv(), "batch,wall,tuples/s\n1,1.5ms,8000\n1024,2ms,123456\n"; got != want {
+		t.Errorf("csv:\n%s\nwant:\n%s", got, want)
+	}
+
 	fig := &Figure{
 		Name:    "demo",
 		Caption: "c",
@@ -164,10 +175,10 @@ func TestTableAndCSVRendering(t *testing.T) {
 			},
 		}},
 	}
-	tab := fig.Table()
+	text := fig.Table()
 	for _, want := range []string{"demo", "workers", "ratio", "100", "200"} {
-		if !strings.Contains(tab, want) {
-			t.Fatalf("table missing %q:\n%s", want, tab)
+		if !strings.Contains(text, want) {
+			t.Fatalf("table missing %q:\n%s", want, text)
 		}
 	}
 	csv := fig.CSV()
@@ -176,6 +187,43 @@ func TestTableAndCSVRendering(t *testing.T) {
 	}
 	if lines := strings.Count(csv, "\n"); lines != 5 {
 		t.Fatalf("csv has %d lines, want 5", lines)
+	}
+
+	// EXPERIMENTS.md's tables are pasted from these: every kept figure's
+	// CSV header is pinned byte for byte, and its table keeps its columns.
+	for _, tc := range []struct {
+		res interface {
+			Table() string
+			CSV() string
+		}
+		csvHeader, columns string
+	}{
+		{fig, "figure,panel,series,workers,throughput", "workers a b ratio"},
+		{&RecoverySweepResult{Rows: make([]RecoveryRow, 1)},
+			"figure,marker_period_s,blocks,base_wall_s,rec_wall_s,overhead_pct,crash_wall_s,recovery_cost_s,replayed,restarts",
+			"period blocks base_wall rec_wall ovh_% crash_wall rec_cost replayed restarts"},
+		{&TransportSweepResult{Rows: make([]TransportRow, 1)},
+			"figure,batch_size,wall_s,tuples_per_s,speedup", "batch wall tuples/s speedup"},
+		{&FusionSweepResult{Rows: make([]FusionRow, 1)},
+			"figure,passes,fuse_chains,combiners,wall_s,tuples_per_s,speedup,combined_in,combined_out,compression",
+			"passes wall tuples/s speedup combined_in combined_out compression"},
+		{&RescaleSweepResult{Rows: make([]RescaleRow, 1)},
+			"figure,config,par,wall_s,items_per_s,rescales,final_par", "config par wall items/s rescales final_par"},
+	} {
+		csvLines := strings.Split(tc.res.CSV(), "\n")
+		if csvLines[0] != tc.csvHeader {
+			t.Errorf("CSV header %q, want %q", csvLines[0], tc.csvHeader)
+		}
+		if n := strings.Count(csvLines[1], ",") + 1; n != strings.Count(tc.csvHeader, ",")+1 {
+			t.Errorf("CSV row has %d fields under header %q", n, tc.csvHeader)
+		}
+		found := false
+		for _, line := range strings.Split(tc.res.Table(), "\n") {
+			found = found || strings.Join(strings.Fields(line), " ") == tc.columns
+		}
+		if !found {
+			t.Errorf("table has no header line %q:\n%s", tc.columns, tc.res.Table())
+		}
 	}
 }
 

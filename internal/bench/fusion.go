@@ -2,10 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 	"time"
-
-	"datatrace/internal/queries"
 )
 
 // This file measures the compiler's optimization passes: chain fusion
@@ -26,6 +23,9 @@ type FusionRow struct {
 	Combiners  bool
 	// Wall is the minimum end-to-end wall time over the repetitions.
 	Wall time.Duration
+	// walls are the repetitions' wall times in run order; the gate's
+	// dense guard pairs them across rows.
+	walls []time.Duration
 	// Throughput is input tuples divided by Wall.
 	Throughput float64
 	// Speedup is the passes-off wall time divided by this row's wall
@@ -50,101 +50,67 @@ type FusionSweepResult struct {
 }
 
 // FusionSweep runs generated Query IV once per pass combination per
-// repetition, interleaving the combinations across repetitions (so
-// machine-load drift hits them equally) and keeping each combination's
-// minimum wall — the least-perturbed run of a fixed workload.
+// repetition (see interleave) and keeps each combination's minimum wall.
 func FusionSweep(cfg Config) (*FusionSweepResult, error) {
-	combos := []struct {
-		label             string
-		fusion, combiners bool
-	}{
-		{"none", false, false},
-		{"fusion", true, false},
-		{"combiners", false, true},
-		{"both", true, true},
-	}
-	par := cfg.MaxWorkers
-	if par > 4 {
-		par = 4
-	}
-	const reps = 5
-	res := &FusionSweepResult{Par: par, Reps: reps}
+	return fusionSweep(cfg, 5, []FusionRow{
+		{Label: "none"},
+		{Label: "fusion", FuseChains: true},
+		{Label: "combiners", Combiners: true},
+		{Label: "both", FuseChains: true, Combiners: true},
+	})
+}
 
-	walls := make([]time.Duration, len(combos))
-	cins := make([]int64, len(combos))
-	couts := make([]int64, len(combos))
-	var items int64
-	for i := 0; i < reps; i++ {
-		for ci, combo := range combos {
-			env, err := queries.NewEnv(cfg.Yahoo, cfg.OpDelay)
-			if err != nil {
-				return nil, err
-			}
-			r, err := queries.Run(env, queries.Spec{
-				Query:        "IV",
-				Variant:      queries.Generated,
-				Par:          par,
-				SourcePar:    cfg.SourcePar,
-				NoFuseChains: !combo.fusion,
-				NoCombiners:  !combo.combiners,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("bench: fusion sweep (%s): %w", combo.label, err)
-			}
-			if walls[ci] == 0 || r.Wall < walls[ci] {
-				walls[ci] = r.Wall
-			}
-			cins[ci], couts[ci] = r.Stats.Combined()
-			items = countItems(r.Stats, "yahoo")
+// fusionSweep measures rows, which arrive with their label and pass
+// switches set; the first is the baseline of the Speedup column.
+func fusionSweep(cfg Config, reps int, rows []FusionRow) (*FusionSweepResult, error) {
+	arms := make([]arm, len(rows))
+	for i, row := range rows {
+		spec := queryIV(cfg)
+		spec.NoFuseChains, spec.NoCombiners = !row.FuseChains, !row.Combiners
+		arms[i] = arm{row.Label, spec}
+	}
+	runs, err := interleave(cfg, "fusion", reps, arms)
+	if err != nil {
+		return nil, err
+	}
+	base := minWall(runs[0])
+	for i := range rows {
+		row, last := &rows[i], runs[i][reps-1].stats
+		for _, r := range runs[i] {
+			row.walls = append(row.walls, r.wall)
+		}
+		row.Wall = minWall(runs[i])
+		row.Throughput = float64(countItems(last, "yahoo")) / row.Wall.Seconds()
+		row.Speedup = base.Seconds() / row.Wall.Seconds()
+		row.CombinedIn, row.CombinedOut = last.Combined()
+		if row.CombinedOut > 0 {
+			row.Compression = float64(row.CombinedIn) / float64(row.CombinedOut)
 		}
 	}
-
-	base := walls[0]
-	for ci, combo := range combos {
-		row := FusionRow{
-			Label:       combo.label,
-			FuseChains:  combo.fusion,
-			Combiners:   combo.combiners,
-			Wall:        walls[ci],
-			Throughput:  float64(items) / walls[ci].Seconds(),
-			Speedup:     base.Seconds() / walls[ci].Seconds(),
-			CombinedIn:  cins[ci],
-			CombinedOut: couts[ci],
-		}
-		if couts[ci] > 0 {
-			row.Compression = float64(cins[ci]) / float64(couts[ci])
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+	return &FusionSweepResult{Rows: rows, Par: arms[0].spec.Par, Reps: reps}, nil
 }
 
 // Table renders the sweep as aligned text.
 func (r *FusionSweepResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== fusion: optimization-pass sweep (Query IV generated, par=%d, min of %d interleaved reps) ==\n", r.Par, r.Reps)
-	fmt.Fprintf(&b, "%10s %12s %14s %8s %12s %12s %12s\n",
-		"passes", "wall", "tuples/s", "speedup", "combined_in", "combined_out", "compression")
+	t := newTable("passes,wall,tuples/s,speedup,combined_in,combined_out,compression")
 	for _, row := range r.Rows {
 		comp := "-"
 		if row.Compression > 0 {
 			comp = fmt.Sprintf("%.1fx", row.Compression)
 		}
-		fmt.Fprintf(&b, "%10s %12s %14.0f %7.2fx %12d %12d %12s\n",
-			row.Label, row.Wall.Round(time.Microsecond), row.Throughput, row.Speedup,
-			row.CombinedIn, row.CombinedOut, comp)
+		t.addf("%s,%s,%.0f,%.2fx,%d,%d,%s", row.Label, row.Wall.Round(time.Microsecond),
+			row.Throughput, row.Speedup, row.CombinedIn, row.CombinedOut, comp)
 	}
-	return b.String()
+	return fmt.Sprintf("== fusion: optimization-pass sweep (Query IV generated, par=%d, min of %d interleaved reps) ==\n%s",
+		r.Par, r.Reps, t.text())
 }
 
 // CSV renders the sweep as comma-separated records.
 func (r *FusionSweepResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("figure,passes,fuse_chains,combiners,wall_s,tuples_per_s,speedup,combined_in,combined_out,compression\n")
+	t := newTable("figure,passes,fuse_chains,combiners,wall_s,tuples_per_s,speedup,combined_in,combined_out,compression")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "fusion,%s,%v,%v,%f,%f,%f,%d,%d,%f\n",
-			row.Label, row.FuseChains, row.Combiners, row.Wall.Seconds(),
-			row.Throughput, row.Speedup, row.CombinedIn, row.CombinedOut, row.Compression)
+		t.addf("fusion,%s,%v,%v,%f,%f,%f,%d,%d,%f", row.Label, row.FuseChains, row.Combiners,
+			row.Wall.Seconds(), row.Throughput, row.Speedup, row.CombinedIn, row.CombinedOut, row.Compression)
 	}
-	return b.String()
+	return t.csv()
 }

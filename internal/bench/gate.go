@@ -1,0 +1,163 @@
+package bench
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"time"
+
+	"datatrace/internal/queries"
+)
+
+// This file is the CI performance gate, `dttbench -gate`: three rules
+// over the sweeps of this package, each with its floor or ceiling as a
+// constant beside it. They hold properties no equivalence test sees;
+// whether a change is faster or slower is benchmark/'s to say.
+// DESIGN.md §6 has the reasoning behind each rule.
+
+// Verdict is one gate's outcome; it prints as one line of report.
+type Verdict struct {
+	Gate   string
+	Pass   bool
+	Detail string
+}
+
+func (v Verdict) String() string {
+	status := "FAIL"
+	if v.Pass {
+		status = "PASS"
+	}
+	return fmt.Sprintf("%s gate: %s  %s", v.Gate, status, v.Detail)
+}
+
+// Gate runs the three gates on the workload allocBaseline was measured
+// at: 12 k events over 200 users, parallelism 4 over 2 source
+// partitions, 2 µs simulated DB latency.
+func Gate() ([]Verdict, error) {
+	cfg := DefaultConfig()
+	cfg.Yahoo.EventsPerSecond, cfg.Yahoo.Seconds, cfg.Yahoo.Users = 1000, 12, 200
+	cfg.MaxWorkers = 4
+	return gate(cfg)
+}
+
+func gate(cfg Config) ([]Verdict, error) {
+	transport, err := transportSweep(cfg, []int{1, 64})
+	if err != nil {
+		return nil, err
+	}
+	// The passes' operating point: a 10× denser event rate, where
+	// sender-side combining actually compresses, and a DB at in-memory
+	// speed — a latency floor identical on both sides only dilutes the ratio.
+	dense := cfg
+	dense.Yahoo.EventsPerSecond *= 10
+	dense.OpDelay = 0
+	fusion, err := fusionSweep(dense, fusionPairs, []FusionRow{{Label: "none"}, {Label: "both", FuseChains: true, Combiners: true}})
+	if err != nil {
+		return nil, err
+	}
+	// Workload-paced runs only: their malloc counts repeat to ~1 %
+	// whatever the machine load. At the throughput-paced dense point pool
+	// hit rates depend on flush timing and counts wobble tens of percent.
+	query := func(name string) queries.Spec { s := queryIV(cfg); s.Query = name; return s }
+	off, rec := queryIV(cfg), queryIV(cfg)
+	off.NoFuseChains, off.NoCombiners, rec.Recovery = true, true, true
+	arms := []arm{{"I", query("I")}, {"IV", queryIV(cfg)}, {"IV passes-off", off}, {"IV recovery", rec}, {"VI", query("VI")}}
+	runs, err := interleave(cfg, "allocation", 3, arms)
+	if err != nil {
+		return nil, err
+	}
+	labels, mallocs := make([]string, len(arms)), make([]uint64, len(arms))
+	for i, a := range arms {
+		var counts []float64
+		for _, r := range runs[i] {
+			counts = append(counts, float64(r.mallocs))
+		}
+		labels[i], mallocs[i] = a.label, uint64(median(counts))
+	}
+	return []Verdict{
+		transportRule(transport.Rows),
+		fusionGuard(fusion.Rows[0].walls, fusion.Rows[1].walls),
+		allocRule(labels, mallocs, allocBaseline),
+	}, nil
+}
+
+// transportRule: the best batched wall must beat the best batch-1 wall —
+// a regression to parity with one send per event is a bug even while
+// every equivalence test stays green.
+func transportRule(rows []TransportRow) Verdict {
+	var b1, batched time.Duration
+	for _, r := range rows {
+		switch {
+		case r.BatchSize == 1:
+			b1 = r.Wall
+		case batched == 0 || r.Wall < batched:
+			batched = r.Wall
+		}
+	}
+	if b1 <= 0 || batched <= 0 {
+		return Verdict{"transport", false, fmt.Sprintf("MISSING a side: batched %v, batch-1 %v", batched, b1)}
+	}
+	return Verdict{"transport", batched < b1,
+		fmt.Sprintf("batched %v  batch-1 %v  ratio %.2f (must be > 1)", batched, b1, b1.Seconds()/batched.Seconds())}
+}
+
+// The dense guard takes the median of fusionPairs interleaved ratios of
+// passes-off wall / passes-on wall and holds it at or above fusionFloor.
+// The passes' margin there is 5–15 % and single ratios swing 0.94–1.18 on
+// a shared host, so the guard only forbids "materially slower"; whether
+// the pass applies is queries.TestChainFusionRemovesAnEdgeHop's to say.
+const (
+	fusionFloor = 0.90
+	fusionPairs = 15
+)
+
+func fusionGuard(off, on []time.Duration) Verdict {
+	if len(on) == 0 || len(on) != len(off) {
+		return Verdict{"fusion", false, fmt.Sprintf("MISSING runs: %d passes-on, %d passes-off", len(on), len(off))}
+	}
+	ratios := make([]float64, len(on))
+	for i := range on {
+		ratios[i] = off[i].Seconds() / on[i].Seconds()
+	}
+	med := median(ratios)
+	return Verdict{"fusion", med >= fusionFloor,
+		fmt.Sprintf("dense median speedup %.2f over %d pairs (floor %.2f)", med, len(ratios), fusionFloor)}
+}
+
+// allocBaseline holds the mallocs of one queries.Run of each gated run
+// from cold pools: medians of 9 runs at PR 20 (after PR 17's one data
+// path moved them). A change that moves a count commits the new baseline
+// with it — the verdict line prints the measured counts.
+var allocBaseline = map[string]uint64{"I": 13853, "IV": 3267, "IV passes-off": 3053, "IV recovery": 9747, "VI": 23365}
+
+// allocSlack is how far over its baseline a run's count may go.
+const allocSlack = 1.10
+
+// allocRule: every gated run has a baseline and stays within allocSlack of it.
+func allocRule(labels []string, mallocs []uint64, baseline map[string]uint64) Verdict {
+	v := Verdict{Gate: "allocation", Pass: len(labels) > 0}
+	parts := make([]string, len(labels))
+	for i, label := range labels {
+		base, ok := baseline[label]
+		if !ok {
+			v.Pass = false
+			parts[i] = fmt.Sprintf("%s %d MISSING baseline", label, mallocs[i])
+			continue
+		}
+		ratio := float64(mallocs[i]) / float64(base)
+		v.Pass = v.Pass && ratio <= allocSlack
+		parts[i] = fmt.Sprintf("%s %d/%d (x%.2f)", label, mallocs[i], base, ratio)
+	}
+	v.Detail = fmt.Sprintf("mallocs/run vs baseline, ceiling x%.2f: %s", allocSlack, strings.Join(parts, ", "))
+	return v
+}
+
+// median of a non-empty slice; sorts it.
+func median(v []float64) float64 {
+	slices.Sort(v)
+	n := len(v)
+	if n%2 == 1 {
+		return v[n/2]
+	}
+	return (v[n/2-1] + v[n/2]) / 2
+}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"datatrace/internal/compile"
@@ -106,34 +105,25 @@ func RecoverySweep(cfg Config) (*RecoverySweepResult, error) {
 		// Interleave the three configurations across repetitions (so
 		// machine-load drift hits them equally) and keep each one's
 		// minimum wall — the least-perturbed run of a fixed workload.
-		const reps = 7
-		base, recWall, crashWall := time.Duration(0), time.Duration(0), time.Duration(0)
-		var crashRes *storm.Result
-		for i := 0; i < reps; i++ {
-			rBase, err := run(nil, nil)
-			if err != nil {
-				return nil, fmt.Errorf("bench: recovery sweep baseline (period %ds): %w", period, err)
-			}
-			rRec, err := run(rec, nil)
-			if err != nil {
-				return nil, fmt.Errorf("bench: recovery sweep crash-free (period %ds): %w", period, err)
-			}
-			rCrash, err := run(rec, plan)
-			if err != nil {
-				return nil, fmt.Errorf("bench: recovery sweep crash (period %ds): %w", period, err)
-			}
-			if i == 0 || rBase.Wall < base {
-				base = rBase.Wall
-			}
-			if i == 0 || rRec.Wall < recWall {
-				recWall = rRec.Wall
-			}
-			if i == 0 || rCrash.Wall < crashWall {
-				crashWall = rCrash.Wall
-				crashRes = rCrash
+		configs := []struct {
+			label string
+			rec   *storm.RecoveryPolicy
+			plan  *storm.FaultPlan
+		}{{"baseline", nil, nil}, {"crash-free", rec, nil}, {"crash", rec, plan}}
+		best := make([]*storm.Result, len(configs))
+		for i := 0; i < 7; i++ {
+			for ci, c := range configs {
+				r, err := run(c.rec, c.plan)
+				if err != nil {
+					return nil, fmt.Errorf("bench: recovery sweep %s (period %ds): %w", c.label, period, err)
+				}
+				if best[ci] == nil || r.Wall < best[ci].Wall {
+					best[ci] = r
+				}
 			}
 		}
-		restarts, replayed, _ := crashRes.Stats.Recovery()
+		base, recWall, crashWall := best[0].Wall, best[1].Wall, best[2].Wall
+		restarts, replayed, _ := best[2].Stats.Recovery()
 
 		res.Rows = append(res.Rows, RecoveryRow{
 			MarkerPeriod: period,
@@ -152,31 +142,22 @@ func RecoverySweep(cfg Config) (*RecoverySweepResult, error) {
 
 // Table renders the sweep as aligned text.
 func (r *RecoverySweepResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== recovery: checkpoint-interval sweep (IoT pipeline, par=%d, one injected crash) ==\n", r.Par)
-	fmt.Fprintf(&b, "%8s %7s %12s %12s %9s %12s %12s %9s %9s\n",
-		"period", "blocks", "base_wall", "rec_wall", "ovh_%", "crash_wall", "rec_cost", "replayed", "restarts")
+	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
+	t := newTable("period,blocks,base_wall,rec_wall,ovh_%,crash_wall,rec_cost,replayed,restarts")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%7ds %7d %12s %12s %8.1f%% %12s %12s %9d %9d\n",
-			row.MarkerPeriod, row.Blocks,
-			row.BaseWall.Round(time.Microsecond), row.RecWall.Round(time.Microsecond),
-			row.OverheadPct,
-			row.CrashWall.Round(time.Microsecond), row.RecoveryCost.Round(time.Microsecond),
-			row.Replayed, row.Restarts)
+		t.addf("%ds,%d,%s,%s,%.1f%%,%s,%s,%d,%d", row.MarkerPeriod, row.Blocks, us(row.BaseWall), us(row.RecWall),
+			row.OverheadPct, us(row.CrashWall), us(row.RecoveryCost), row.Replayed, row.Restarts)
 	}
-	return b.String()
+	return fmt.Sprintf("== recovery: checkpoint-interval sweep (IoT pipeline, par=%d, one injected crash) ==\n%s", r.Par, t.text())
 }
 
 // CSV renders the sweep as comma-separated records.
 func (r *RecoverySweepResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("figure,marker_period_s,blocks,base_wall_s,rec_wall_s,overhead_pct,crash_wall_s,recovery_cost_s,replayed,restarts\n")
+	t := newTable("figure,marker_period_s,blocks,base_wall_s,rec_wall_s,overhead_pct,crash_wall_s,recovery_cost_s,replayed,restarts")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "recovery,%d,%d,%f,%f,%f,%f,%f,%d,%d\n",
-			row.MarkerPeriod, row.Blocks,
+		t.addf("recovery,%d,%d,%f,%f,%f,%f,%f,%d,%d", row.MarkerPeriod, row.Blocks,
 			row.BaseWall.Seconds(), row.RecWall.Seconds(), row.OverheadPct,
-			row.CrashWall.Seconds(), row.RecoveryCost.Seconds(),
-			row.Replayed, row.Restarts)
+			row.CrashWall.Seconds(), row.RecoveryCost.Seconds(), row.Replayed, row.Restarts)
 	}
-	return b.String()
+	return t.csv()
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"strings"
 	"time"
 
 	"datatrace/internal/metrics"
@@ -287,83 +286,71 @@ func RescaleSweep(cfg Config) (*RescaleSweepResult, error) {
 		return o, nil
 	}
 
-	statics := []int{1, 2, 4}
-	best := make([]outcome, len(statics))
-	var bestAuto outcome
-	const reps = 3
-	for i := 0; i < reps; i++ {
-		for s, par := range statics {
-			o, err := runOnce(par, false)
+	configs := []struct {
+		label, par string
+		startPar   int
+		auto       bool
+	}{
+		{"static", "1", 1, false},
+		{"static", "2", 2, false},
+		{"static", "4", 4, false},
+		{"autoscaled", fmt.Sprintf("%d..%d", rescaleMinPar, rescaleMaxPar), rescaleMinPar, true},
+	}
+	best := make([]outcome, len(configs))
+	for i := 0; i < 3; i++ {
+		for ci, c := range configs {
+			o, err := runOnce(c.startPar, c.auto)
 			if err != nil {
-				return nil, fmt.Errorf("bench: rescale sweep static par=%d: %w", par, err)
+				return nil, fmt.Errorf("bench: rescale sweep %s par=%s: %w", c.label, c.par, err)
 			}
-			if i == 0 || o.wall < best[s].wall {
-				best[s] = o
+			if i == 0 || o.wall < best[ci].wall {
+				best[ci] = o
 			}
-		}
-		o, err := runOnce(rescaleMinPar, true)
-		if err != nil {
-			return nil, fmt.Errorf("bench: rescale sweep autoscaled: %w", err)
-		}
-		if i == 0 || o.wall < bestAuto.wall {
-			bestAuto = o
 		}
 	}
 
 	res := &RescaleSweepResult{Workload: w}
-	tput := func(o outcome) float64 { return float64(items) / o.wall.Seconds() }
-	bestStatic, underStatic := 0.0, 0.0
-	for s, par := range statics {
-		th := tput(best[s])
-		if th > bestStatic {
-			bestStatic = th
-		}
-		if s == 0 || th < underStatic {
-			underStatic = th
-		}
+	var auto, bestStatic, underStatic float64
+	for ci, c := range configs {
+		o := best[ci]
+		th := float64(items) / o.wall.Seconds()
 		res.Rows = append(res.Rows, RescaleRow{
-			Config: "static", Par: fmt.Sprintf("%d", par),
-			Wall: best[s].wall, Throughput: th,
-			Rescales: best[s].rescales, FinalPar: best[s].finalPar,
+			Config: c.label, Par: c.par, Wall: o.wall, Throughput: th,
+			Rescales: o.rescales, FinalPar: o.finalPar,
 		})
+		switch {
+		case c.auto:
+			auto = th
+		case bestStatic == 0:
+			bestStatic, underStatic = th, th
+		default:
+			bestStatic, underStatic = max(bestStatic, th), min(underStatic, th)
+		}
 	}
-	autoTh := tput(bestAuto)
-	res.Rows = append(res.Rows, RescaleRow{
-		Config: "autoscaled", Par: fmt.Sprintf("%d..%d", rescaleMinPar, rescaleMaxPar),
-		Wall: bestAuto.wall, Throughput: autoTh,
-		Rescales: bestAuto.rescales, FinalPar: bestAuto.finalPar,
-	})
-	res.AutoVsBest = autoTh / bestStatic
-	res.AutoVsUnder = autoTh / underStatic
+	res.AutoVsBest = auto / bestStatic
+	res.AutoVsUnder = auto / underStatic
 	return res, nil
 }
 
 // Table renders the sweep as aligned text.
 func (r *RescaleSweepResult) Table() string {
-	var b strings.Builder
-	w := r.Workload
-	fmt.Fprintf(&b, "== rescale: bursty workload, static provisioning vs autoscaler (%d items, %d cuts, burst %d×%d, bolt cost %v) ==\n",
-		w.Items(), w.Cuts(), w.BurstBlocks, w.BurstPerBlock, w.Cost)
-	fmt.Fprintf(&b, "%12s %6s %12s %14s %9s %9s\n",
-		"config", "par", "wall", "items/s", "rescales", "final_par")
+	t := newTable("config,par,wall,items/s,rescales,final_par")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%12s %6s %12s %14.0f %9d %9d\n",
-			row.Config, row.Par, row.Wall.Round(time.Microsecond),
+		t.addf("%s,%s,%s,%.0f,%d,%d", row.Config, row.Par, row.Wall.Round(time.Microsecond),
 			row.Throughput, row.Rescales, row.FinalPar)
 	}
-	fmt.Fprintf(&b, "autoscaled/best-static throughput: %.2f   autoscaled/under-provisioned: %.2f\n",
-		r.AutoVsBest, r.AutoVsUnder)
-	return b.String()
+	w := r.Workload
+	return fmt.Sprintf("== rescale: bursty workload, static provisioning vs autoscaler (%d items, %d cuts, burst %d×%d, bolt cost %v) ==\n%s"+
+		"autoscaled/best-static throughput: %.2f   autoscaled/under-provisioned: %.2f\n",
+		w.Items(), w.Cuts(), w.BurstBlocks, w.BurstPerBlock, w.Cost, t.text(), r.AutoVsBest, r.AutoVsUnder)
 }
 
 // CSV renders the sweep as comma-separated records.
 func (r *RescaleSweepResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("figure,config,par,wall_s,items_per_s,rescales,final_par\n")
+	t := newTable("figure,config,par,wall_s,items_per_s,rescales,final_par")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "rescale,%s,%s,%f,%f,%d,%d\n",
-			row.Config, row.Par, row.Wall.Seconds(), row.Throughput,
+		t.addf("rescale,%s,%s,%f,%f,%d,%d", row.Config, row.Par, row.Wall.Seconds(), row.Throughput,
 			row.Rescales, row.FinalPar)
 	}
-	return b.String()
+	return t.csv()
 }

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
-	"datatrace/internal/queries"
 	"datatrace/internal/storm"
 )
 
@@ -39,50 +37,32 @@ type TransportSweepResult struct {
 }
 
 // TransportSweep runs generated Query IV once per batch size per
-// repetition, interleaving the batch sizes across repetitions (so
-// machine-load drift hits them equally) and keeping each size's
-// minimum wall — the least-perturbed run of a fixed workload.
+// repetition (see interleave) and keeps each size's minimum wall.
 func TransportSweep(cfg Config) (*TransportSweepResult, error) {
-	batches := []int{1, 4, 16, 64, 256, 1024}
-	par := cfg.MaxWorkers
-	if par > 4 {
-		par = 4
+	return transportSweep(cfg, []int{1, 4, 16, 64, 256, 1024})
+}
+
+func transportSweep(cfg Config, batches []int) (*TransportSweepResult, error) {
+	arms := make([]arm, len(batches))
+	for i, batch := range batches {
+		spec := queryIV(cfg)
+		spec.Transport = &storm.TransportOptions{BatchSize: batch}
+		arms[i] = arm{fmt.Sprintf("batch %d", batch), spec}
 	}
 	const reps = 5
-	res := &TransportSweepResult{Par: par, Reps: reps}
-
-	walls := make([]time.Duration, len(batches))
-	var items int64
-	for i := 0; i < reps; i++ {
-		for bi, batch := range batches {
-			env, err := queries.NewEnv(cfg.Yahoo, cfg.OpDelay)
-			if err != nil {
-				return nil, err
-			}
-			r, err := queries.Run(env, queries.Spec{
-				Query:     "IV",
-				Variant:   queries.Generated,
-				Par:       par,
-				SourcePar: cfg.SourcePar,
-				Transport: &storm.TransportOptions{BatchSize: batch},
-			})
-			if err != nil {
-				return nil, fmt.Errorf("bench: transport sweep (batch %d): %w", batch, err)
-			}
-			if walls[bi] == 0 || r.Wall < walls[bi] {
-				walls[bi] = r.Wall
-			}
-			items = countItems(r.Stats, "yahoo")
-		}
+	runs, err := interleave(cfg, "transport", reps, arms)
+	if err != nil {
+		return nil, err
 	}
-
-	base := walls[0]
-	for bi, batch := range batches {
+	res := &TransportSweepResult{Par: arms[0].spec.Par, Reps: reps}
+	base := minWall(runs[0])
+	for i, batch := range batches {
+		wall := minWall(runs[i])
 		res.Rows = append(res.Rows, TransportRow{
 			BatchSize:  batch,
-			Wall:       walls[bi],
-			Throughput: float64(items) / walls[bi].Seconds(),
-			Speedup:    base.Seconds() / walls[bi].Seconds(),
+			Wall:       wall,
+			Throughput: float64(countItems(runs[i][0].stats, "yahoo")) / wall.Seconds(),
+			Speedup:    base.Seconds() / wall.Seconds(),
 		})
 	}
 	return res, nil
@@ -90,23 +70,19 @@ func TransportSweep(cfg Config) (*TransportSweepResult, error) {
 
 // Table renders the sweep as aligned text.
 func (r *TransportSweepResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== transport: batch-size sweep (Query IV generated, par=%d, min of %d interleaved reps) ==\n", r.Par, r.Reps)
-	fmt.Fprintf(&b, "%8s %12s %14s %8s\n", "batch", "wall", "tuples/s", "speedup")
+	t := newTable("batch,wall,tuples/s,speedup")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%8d %12s %14.0f %7.2fx\n",
-			row.BatchSize, row.Wall.Round(time.Microsecond), row.Throughput, row.Speedup)
+		t.addf("%d,%s,%.0f,%.2fx", row.BatchSize, row.Wall.Round(time.Microsecond), row.Throughput, row.Speedup)
 	}
-	return b.String()
+	return fmt.Sprintf("== transport: batch-size sweep (Query IV generated, par=%d, min of %d interleaved reps) ==\n%s",
+		r.Par, r.Reps, t.text())
 }
 
 // CSV renders the sweep as comma-separated records.
 func (r *TransportSweepResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("figure,batch_size,wall_s,tuples_per_s,speedup\n")
+	t := newTable("figure,batch_size,wall_s,tuples_per_s,speedup")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "transport,%d,%f,%f,%f\n",
-			row.BatchSize, row.Wall.Seconds(), row.Throughput, row.Speedup)
+		t.addf("transport,%d,%f,%f,%f", row.BatchSize, row.Wall.Seconds(), row.Throughput, row.Speedup)
 	}
-	return b.String()
+	return t.csv()
 }

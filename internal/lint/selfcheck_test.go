@@ -6,8 +6,9 @@ import (
 )
 
 // TestAnalyzerSelfCheck runs the analyzer over the whole repository:
-// the codebase must satisfy its own determinism contract. This is the
-// in-tree twin of the `== dttlint ==` gate in scripts/check.sh.
+// the codebase must satisfy its own determinism contract. This is
+// `dttlint ./...` as a test, and the form in which scripts/check.sh
+// gates on it.
 func TestAnalyzerSelfCheck(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -26,9 +27,9 @@ func TestAnalyzerSelfCheck(t *testing.T) {
 }
 
 // TestAnalyzerSelfCheckWithTests extends the self-check to in-package
-// test files: test bolts are held to the same determinism contract
-// (the two historical findings there are fixed or carry a justified
-// //lint:ignore, and this test keeps it that way).
+// test files (`dttlint -tests ./...`): test bolts are held to the same
+// determinism contract (the two historical findings there are fixed or
+// carry a justified //lint:ignore, and this test keeps it that way).
 func TestAnalyzerSelfCheckWithTests(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {

@@ -70,7 +70,8 @@ func TestCollectWaivers(t *testing.T) {
 
 // TestCollectWaiversRepo runs the audit over the real repository: the
 // module's standing waivers must all carry reasons (zero problems) —
-// the in-tree twin of the `dttlint -waivers` gate in check.sh.
+// `dttlint -waivers ./...` as a test, and the form in which
+// scripts/check.sh gates on it.
 func TestCollectWaiversRepo(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {

@@ -14,8 +14,9 @@ import (
 // query I–VI runs with its typed sources and edges at parallelism
 // {1, 2, 4} × transport batch size {1, 64}, and the sink output must
 // equal the query's denotation (Def.Reference, i.e. DAG.Eval) as a data
-// trace. Run under -race (scripts/check.sh does) so batch recycling
-// through the arena pools is exercised under real executor concurrency.
+// trace. Run under -race (scripts/check.sh runs every suite so) so batch
+// recycling through the arena pools is exercised under real executor
+// concurrency.
 func TestColumnarEquivalenceDifferential(t *testing.T) {
 	for _, def := range All() {
 		def := def

@@ -88,8 +88,8 @@ func TestConformanceDifferentialQueries(t *testing.T) {
 // {1, 2, 4} on the same partitioned input, and each sink output must
 // be equal as a data trace to the BatchSize-1 run of the same
 // parallelism — the unbatched transport is the oracle. Run under
-// -race (scripts/check.sh does) so flush interleavings are exercised
-// under real executor concurrency.
+// -race (scripts/check.sh runs every suite so) so flush interleavings
+// are exercised under real executor concurrency.
 func TestTransportEquivalenceDifferential(t *testing.T) {
 	for _, def := range All() {
 		def := def

@@ -13,9 +13,10 @@ import (
 // (and every marker) is executed a second time, by Project, behind an
 // edge; fused, that edge and its deliveries are gone and nothing else
 // changes. Combiners are off on both sides, since how much they
-// compress depends on flush timing. scripts/check.sh runs this as the
-// deterministic half of the fusion gate: a pass that silently stops
-// applying makes the two totals equal.
+// compress depends on flush timing. This is the deterministic half of
+// the fusion gate (the timing half is the dense guard of `dttbench
+// -gate`): a pass that silently stops applying makes the two totals
+// equal.
 func TestChainFusionRemovesAnEdgeHop(t *testing.T) {
 	run := func(noFuse bool) (total int64, stats *metrics.Stats) {
 		t.Helper()

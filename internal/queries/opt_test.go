@@ -14,8 +14,8 @@ import (
 // optimization passes semantics-preserving at the query level: every
 // generated query I–VI runs with the passes on and off at parallelism
 // 1, 2 and 4, and each output must be trace-equivalent to the
-// reference denotation. Run under -race (scripts/check.sh does) so
-// combiner drains and fused executors are exercised under real
+// reference denotation. Run under -race (scripts/check.sh runs every
+// suite so) so combiner drains and fused executors are exercised under real
 // concurrency.
 func TestOptimizationEquivalenceDifferential(t *testing.T) {
 	for _, def := range All() {

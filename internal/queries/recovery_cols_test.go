@@ -19,7 +19,7 @@ import (
 // Each run's sink trace must equal the fault-free run's, with at least
 // one restart and a non-empty replay. stream.Cols panics on a second
 // Release, so a batch released twice fails the run. Run under -race
-// (scripts/check.sh does).
+// (scripts/check.sh runs every suite so).
 //
 // One source partition makes the target's input deterministic: at
 // parallelism p, Project[0] receives rows = 120/p items per block in

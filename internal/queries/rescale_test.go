@@ -43,7 +43,7 @@ func rescaleProbe(t *testing.T, def Def, spec Spec) (target string, components [
 // exact count comparison; combiner composition is covered by the
 // storm-level rescale tests). A plan step whose cut never completes
 // fails the run, so a passing run certifies every rescale fired.
-// scripts/check.sh runs this under -race.
+// Run under -race (scripts/check.sh runs every suite so).
 func TestRescaleEquivalenceDifferential(t *testing.T) {
 	type scenario struct {
 		name string

@@ -1,29 +1,22 @@
 #!/usr/bin/env bash
-# check.sh — the repo's CI gate, runnable locally.
+# check.sh — the repo's CI gate, runnable locally from any cwd.
 #
-#   scripts/check.sh            # vet + build + race tests + fuzz smokes
+#   scripts/check.sh                # everything below, 5 s per fuzz target
 #   FUZZTIME=30s scripts/check.sh   # longer fuzz smokes
 #
-# Each fuzz target runs for a short budget on top of its checked-in
-# seed corpus; a found counterexample is written to the package's
-# testdata/fuzz directory by the Go tooling and fails the run.
+# What each step guards is DESIGN.md §6's to explain. The performance
+# gates are Go (internal/bench/gate.go); the yardstick a change is judged
+# by is benchmark/ (BENCHMARK.json), which this script only keeps building.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
 FUZZTIME="${FUZZTIME:-5s}"
 
 echo "== gofmt =="
 unformatted="$(gofmt -l .)"
-if [ -n "$unformatted" ]; then
-    echo "gofmt needed on:" >&2
-    echo "$unformatted" >&2
-    exit 1
-fi
+[ -z "$unformatted" ] || { echo "gofmt needed on: $unformatted" >&2; exit 1; }
 
-echo "== go vet =="
+echo "== go vet, go build =="
 go vet ./...
-
-echo "== go build =="
 go build ./...
 
 echo "== internal/storm line-count ratchet =="
@@ -33,209 +26,26 @@ STORM_LINES_MAX=5169
 lines="$(find internal/storm -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 [ "$lines" -le "$STORM_LINES_MAX" ] || { echo "internal/storm has $lines non-test lines, more than $STORM_LINES_MAX" >&2; exit 1; }
 
-echo "== dttlint (streaming determinism analyzer, self-check) =="
-# The analyzer's own determinism contract, enforced on the repository
-# that defines it: any DTT00N finding (or analysis failure) fails the
-# gate before the test steps run — including the PR 10 interprocedural
-# rules (DTT008 commutativity, DTT009 batch-alias escape, DTT010
-# marker/flush typestate). -tests holds test bolts to the same
-# standard.
-go run ./cmd/dttlint ./...
-go run ./cmd/dttlint -tests ./...
-
-echo "== dttlint -waivers (suppression-debt audit) =="
-# Every //lint:ignore directive in the module must name a known rule
-# and carry a reason; a reasonless or malformed waiver fails the gate.
-go run ./cmd/dttlint -waivers ./...
-
-echo "== go test -race =="
-go test -race ./...
+echo "== go test -race (every suite; internal/lint's self-checks are the dttlint gate) =="
+go test -race -count 1 ./...
+# The one repetition that means something: two workers saturating each
+# other at tiny inboxes must finish, and a credit bug is a rare interleaving.
+go test -race -run 'TestNetworkedSaturationNoDeadlock' -count 3 -timeout 120s ./internal/storm/
 
 echo "== benchmark module (vet + tests) =="
-# benchmark/ is a module of its own (the driver's yardstick), outside
-# the root module's ./... — without this step a runtime refactor can
-# break it unnoticed.
+# A module of its own, outside the root ./... — without this step a
+# runtime refactor can break the yardstick unnoticed.
 (cd benchmark && go vet ./... && go test ./...)
 
-echo "== conformance suite (queries I-VI, permuted inputs, -race) =="
-go test -race -run 'TestConformanceDifferentialQueries' -count 1 ./internal/queries/
+echo "== performance gates (transport, fusion dense guard, allocation) =="
+go run ./cmd/dttbench -gate
 
-echo "== transport equivalence (queries I-VI, batch sweep vs batch-1, -race) =="
-go test -race -run 'TestTransportEquivalenceDifferential' -count 1 ./internal/queries/
-
-echo "== optimization-pass equivalence (queries I-VI, passes on/off, -race) =="
-go test -race -run 'TestOptimizationEquivalenceDifferential' -count 1 ./internal/queries/
-
-echo "== rescale equivalence (queries I-VI, live rescales at marker cuts, -race) =="
-# Queries I-VI with mid-stream parallelism changes (scale-out,
-# scale-in, out-then-in) at scripted marker cuts, batch sizes 1 and
-# 64: sink traces and per-component executed counts must match a
-# fixed-parallelism oracle exactly.
-go test -race -run 'TestRescaleEquivalenceDifferential' -count 1 ./internal/queries/
-
-echo "== column-batch equivalence + chaos (typed and universal batches vs DAG.Eval, -race) =="
-# The one data path against the queries' reference denotation
-# (Def.Reference = DAG.Eval): queries I-VI at par x batch sweeps, the
-# Query IV plan assertion (typed edges actually selected — no vacuous
-# pass — and none without a typed source), live rescales at marker cuts
-# on typed edges, and a worker-kill chaos run over the networked runtime
-# with columnar frames.
-go test -race -run 'TestColumnarEquivalenceDifferential|TestColumnarPlanSelectsTypedEdges|TestColumnarRescaleAtCut|TestColumnarChaosWorkerKill' -count 1 ./internal/queries/
-# Batches under marker-cut recovery: the merger against its model,
-# typed delivery asserted in use on generated Query IV, the recovery
-# invariants on typed topologies, crashes at batch granularity
-# (first/middle/last row, marker, cut flush, replay), and one producer
-# mixing boxed emissions, typed batches and markers on one edge.
-go test -race -run 'TestColMergeMatchesMergeState|TestColumnarRecoveryUsesProcessCols|TestColumnarRecoveryTakesTypedPath|TestBuffersEmptyAtRestartsAndBarriers|TestBlockInvisibleBeforeSnapshot|TestDropAndLogDrainReleasesBatches|TestFailedExecutorReleasesItsBatches|TestRawBoltDropAndLogForwardsMarkers|TestQueueDepthCountsBatchRows|TestMixedEmissionsKeepChannelOrder|TestRowOfAnotherKindCrossesInItsOwnBatch' -count 1 ./internal/storm/
-go test -race -run 'TestChaosColumnarRecoveryMidBatch' -count 1 ./internal/queries/
-
-echo "== networked equivalence + chaos (multi-process localhost TCP, -race) =="
-# Real worker processes (re-execs of the race-instrumented test
-# binary) exchanging frames over localhost TCP: queries I-VI against
-# the in-process oracle, a SIGKILL-mid-epoch recovery check, a
-# rescale-at-committed-cut check (revised placement table spliced onto
-# the committed prefix), and the composed kill-during-rescale chaos
-# run. Skips itself with a clear reason where sandboxing forbids
-# sockets.
-go test -race -run 'TestNetworkedEquivalenceDifferential|TestChaosWorkerKillRecovery|TestNetworkedRescaleAtCommittedCut|TestChaosWorkerKillDuringRescale' -count 1 ./internal/queries/
-# Flow control of the data links: two workers saturating each other at
-# tiny inboxes must finish (a deadlock fails by the timeout), three times
-# over; then the invariant itself (a dispatcher never waits on a full
-# inbox), typed failures for frames no healthy peer sends, and the wire
-# counters.
-go test -race -run 'TestNetworkedSaturationNoDeadlock' -count 3 -timeout 120s ./internal/storm/
-go test -race -run 'TestDispatcherNeverBlocksOnFullInbox|TestDispatcherFailsTyped|TestRunNetworkedGoroutineWorkers' -count 1 ./internal/storm/
-
-echo "== transport benchmark gate (batched must beat batch-1) =="
-# Interleaved paired runs of generated Query IV with the default batched
-# transport vs BatchSize 1 (the seed's one-send-per-event transport);
-# keep each side's best ns/op and fail if batching doesn't win. The
-# batched transport's whole point is throughput — a regression to parity
-# with the unbatched path is a bug even while every equivalence test
-# stays green.
-gate="$(
-    for i in 1 2 3; do
-        go test -run xxx -bench 'BenchmarkQueryIVGenerated$' -benchtime 3x .
-        go test -run xxx -bench 'BenchmarkQueryIVGeneratedBatch1$' -benchtime 3x .
-    done | awk '
-        /^BenchmarkQueryIVGeneratedBatch1/ { v = $3 + 0; if (!b1 || v < b1) b1 = v; next }
-        /^BenchmarkQueryIVGenerated/       { v = $3 + 0; if (!bb || v < bb) bb = v }
-        END {
-            if (!bb || !b1) { print "MISSING"; exit }
-            printf "batched %.0f ns/op  batch-1 %.0f ns/op  ratio %.2f\n", bb, b1, b1 / bb
-            print (bb < b1 ? "PASS" : "FAIL")
-        }'
-)"
-echo "$gate"
-case "$gate" in
-    *PASS) ;;
-    *) echo "transport benchmark gate failed: batched transport is not faster than batch-1" >&2; exit 1 ;;
-esac
-
-echo "== fusion benchmark gate (hop count + dense timing guard) =="
-# Wall clock alone cannot gate the fusion pass: its dense-point margin
-# is ~5-15%, and shared-host noise swings individual interleaved pair
-# ratios from 0.94 to 1.18. So the gate has a deterministic half and a
-# timing guard:
-#   1. Hop count — TestChainFusionRemovesAnEdgeHop runs generated
-#      Query IV fused and unfused and requires the executor deliveries
-#      to differ by exactly the removed Filter->Project edge's traffic.
-#      A count, so it repeats exactly.
-#   2. Timing guard — the median of interleaved dense-point pair
-#      ratios must stay >= FUSION_FLOOR (default 0.90): fusion may be
-#      within noise of parity, but must never make the dense point
-#      materially slower. Raise it on a quiet machine to pin the
-#      real margin; query_iv_fusion_speedup in BENCH_PR12.json tracks
-#      the trend.
-# Allocation totals, passes on and off, are the allocation gate's below.
-go test -count 1 -run 'TestChainFusionRemovesAnEdgeHop' ./internal/queries/
-fgate="$(
-    TFLOOR="${FUSION_FLOOR:-0.90}"
-    for i in 1 2 3 4 5; do
-        go test -run xxx -bench 'BenchmarkQueryIVGeneratedDense$' -benchtime 10x .
-        go test -run xxx -bench 'BenchmarkQueryIVGeneratedDenseNoOpt$' -benchtime 10x .
-    done | awk -v tfloor="$TFLOOR" '
-        # median of v[1..n] (insertion sort)
-        function median(v, n,  i, j, x) {
-            for (i = 2; i <= n; i++) {
-                x = v[i]
-                for (j = i - 1; j >= 1 && v[j] > x; j--) v[j + 1] = v[j]
-                v[j + 1] = x
-            }
-            return (n % 2) ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
-        }
-        /^BenchmarkQueryIVGeneratedDenseNoOpt/ { doff[++no] = $3 + 0; next }
-        /^BenchmarkQueryIVGeneratedDense/      { don[++ni] = $3 + 0; next }
-        END {
-            if (ni == 0 || ni != no) { print "MISSING"; exit }
-            for (i = 1; i <= ni; i++) r[i] = doff[i] / don[i]
-            med = median(r, ni)
-            printf "dense median speedup %.2f (guard %.2f)\n", med, tfloor
-            print (med >= tfloor + 0 ? "PASS" : "FAIL")
-        }'
-)"
-echo "$fgate"
-case "$fgate" in
-    *PASS) ;;
-    *) echo "fusion benchmark gate failed: dense point materially slower with passes on" >&2; exit 1 ;;
-esac
-
-echo "== benchmark snapshot + allocation gate (scripts/bench.sh vs BENCH_PR12.json) =="
-# A fresh snapshot is written to a scratch file and compared against
-# the committed BENCH_PR12.json: any benchmark whose allocs/op grew by
-# more than 10% over the committed baseline fails the gate. For the
-# workload-paced benchmarks allocs/op reproduces run-to-run to ~1%,
-# a few percent at worst (every iteration starts with empty pools,
-# and the Go allocator does not care about machine load — only how
-# many vectors are in flight at once moves it), so unlike the ns/op
-# gates this one tolerates no slack beyond real allocation growth. The
-# throughput-paced Dense pair is excluded: its pool hit rates depend
-# on flush timing, so its counts wobble tens of percent with
-# scheduling. Refresh the baseline by running scripts/bench.sh and
-# committing the result WITH the change that moved it.
-snap="$(mktemp)"
-trap 'rm -f "$snap"' EXIT
-scripts/bench.sh "$snap"
-agate="$(awk '
-    FNR == 1 { file++ }
-    match($0, /"Benchmark[^"]*"/) {
-        name = substr($0, RSTART + 1, RLENGTH - 2)
-        if (match($0, /"allocs_per_op": [0-9]+/)) {
-            v = substr($0, RSTART + 17, RLENGTH - 17) + 0
-            if (file == 1) base[name] = v; else cur[name] = v
-        }
-    }
-    END {
-        bad = 0
-        for (name in base) {
-            if (name ~ /Dense/) continue
-            if (!(name in cur)) { printf "MISSING %s in fresh snapshot\n", name; bad = 1; continue }
-            ratio = base[name] > 0 ? cur[name] / base[name] : 1
-            printf "%s: allocs/op %d -> %d (x%.2f)\n", name, base[name], cur[name], ratio
-            if (ratio > 1.10) bad = 1
-        }
-        print (bad ? "FAIL" : "PASS")
-    }
-' BENCH_PR12.json "$snap")"
-echo "$agate"
-case "$agate" in
-    *PASS) ;;
-    *) echo "allocation gate failed: allocs/op grew >10% over committed BENCH_PR12.json" >&2; exit 1 ;;
-esac
-
-echo "== fuzz smokes (${FUZZTIME} each) =="
-go test -run xxx -fuzz 'FuzzNormalFormInvariants$' -fuzztime "$FUZZTIME" ./internal/trace/
-go test -run xxx -fuzz 'FuzzTraceNormalForm$' -fuzztime "$FUZZTIME" ./internal/trace/
-go test -run xxx -fuzz 'FuzzFoataAgreesWithNormalForm$' -fuzztime "$FUZZTIME" ./internal/trace/
-go test -run xxx -fuzz 'FuzzSplitMergeIdentity$' -fuzztime "$FUZZTIME" ./internal/stream/
-go test -run xxx -fuzz 'FuzzMergePreservesMarkers$' -fuzztime "$FUZZTIME" ./internal/stream/
-go test -run xxx -fuzz 'FuzzSplitMergeLaws$' -fuzztime "$FUZZTIME" ./internal/core/
-go test -run xxx -fuzz 'FuzzReshardKeyedState$' -fuzztime "$FUZZTIME" ./internal/core/
-go test -run xxx -fuzz 'FuzzHistogramRecord$' -fuzztime "$FUZZTIME" ./internal/metrics/
-go test -run xxx -fuzz 'FuzzBatchFlush$' -fuzztime "$FUZZTIME" ./internal/storm/
-go test -run xxx -fuzz 'FuzzCombinerFlush$' -fuzztime "$FUZZTIME" ./internal/storm/
-go test -run xxx -fuzz 'FuzzColMerge$' -fuzztime "$FUZZTIME" ./internal/storm/
-go test -run xxx -fuzz 'FuzzWireFrame$' -fuzztime "$FUZZTIME" ./internal/codec/
-go test -run xxx -fuzz 'FuzzWireColsFrame$' -fuzztime "$FUZZTIME" ./internal/codec/
+echo "== fuzz smokes (${FUZZTIME} per target, targets discovered) =="
+# A found counterexample lands in the package's testdata/fuzz and fails the run.
+for pkg in $(go list ./...); do
+    for target in $(go test -list '^Fuzz' "$pkg" | grep '^Fuzz' || true); do
+        go test -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZTIME" "$pkg"
+    done
+done
 
 echo "== ok =="
