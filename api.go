@@ -60,7 +60,10 @@ type Stateless[K, V, L, W any] = core.Stateless[K, V, L, W]
 type KeyedOrdered[K comparable, V, W, S any] = core.KeyedOrdered[K, V, W, S]
 
 // KeyedUnordered is the OpKeyedUnordered template: U(K,V) → U(L,W),
-// per-key state updated at markers through a commutative monoid.
+// per-key state updated at markers through a commutative monoid. Its
+// optional MergeInto and Fold hooks run that monoid in place on
+// aggregates the runtime owns; In and Combine remain the specification,
+// which the sequential evaluator (DAG.Eval) runs with the hooks removed.
 type KeyedUnordered[K comparable, V, L, W, S, A any] = core.KeyedUnordered[K, V, L, W, S, A]
 
 // Sort is the SORT built-in: U(K,V) → O(K,V), imposing a per-key

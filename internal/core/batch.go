@@ -205,7 +205,7 @@ func (in *keyedUnorderedInstance[K, V, L, W, S, A]) ProcessCols(ic, _ stream.Col
 			in.stateMap[key] = r
 			in.keys = append(in.keys, key)
 		}
-		r.agg = op.Combine(r.agg, op.In(key, tin.Vals[i]))
+		op.fold(&r.agg, key, tin.Vals[i])
 	}
 }
 
@@ -266,41 +266,61 @@ func (o *KeyedUnordered[K, V, L, W, S, A]) ColCombiner() (*stream.ColKind, *stre
 	if o.OnItem != nil {
 		return nil, nil, nil, false
 	}
-	mk := func() stream.ColCombiner {
-		return &colCombiner[K, V, A]{in: o.In, combine: o.Combine, idx: map[K]int{}}
+	var fold func(*A, K, V)
+	if o.MergeInto != nil || o.Fold != nil {
+		fold = o.fold
 	}
-	return stream.ColKindFor[K, V](), stream.ColKindFor[K, A](), mk, true
+	return colCombinerKinds(o.In, o.ID, o.Combine, fold)
 }
 
 // ColCombiner implements ColCombinable.
 func (o *SlidingAggregate[K, V, A]) ColCombiner() (*stream.ColKind, *stream.ColKind, func() stream.ColCombiner, bool) {
+	return colCombinerKinds(o.In, o.ID, o.Combine, nil)
+}
+
+// colCombinerKinds is ColCombiner's answer for a monoid: the raw and
+// pre-combined kinds and a factory of buffers folding through it.
+func colCombinerKinds[K comparable, V, A any](in func(K, V) A, id func() A, combine func(A, A) A, fold func(*A, K, V)) (*stream.ColKind, *stream.ColKind, func() stream.ColCombiner, bool) {
 	mk := func() stream.ColCombiner {
-		return &colCombiner[K, V, A]{in: o.In, combine: o.Combine, idx: map[K]int{}}
+		return &colCombiner[K, V, A]{in: in, id: id, combine: combine, fold: fold, idx: map[K]int{}}
 	}
 	return stream.ColKindFor[K, V](), stream.ColKindFor[K, A](), mk, true
 }
 
 // colCombiner is the typed per-destination combining buffer: per-key
 // partial aggregates with first-seen key order, so drains are
-// deterministic for a deterministic input order.
+// deterministic for a deterministic input order. With an in-place fold
+// a buffered aggregate is the buffer's own from its first row — it
+// starts as id(), not in(k, v) — until Drain hands it to the batch.
 type colCombiner[K comparable, V, A any] struct {
 	in      func(K, V) A
+	id      func() A
 	combine func(A, A) A
+	fold    func(*A, K, V) // nil: the pure form
 	idx     map[K]int
 	keys    []K
 	aggs    []A
 	ins     int
 }
 
-func (c *colCombiner[K, V, A]) fold(k K, v V) {
+func (c *colCombiner[K, V, A]) add(k K, v V) {
 	c.ins++
-	if i, ok := c.idx[k]; ok {
-		c.aggs[i] = c.combine(c.aggs[i], c.in(k, v))
+	i, ok := c.idx[k]
+	if !ok {
+		i = len(c.keys)
+		c.idx[k] = i
+		c.keys = append(c.keys, k)
+		if c.fold == nil {
+			c.aggs = append(c.aggs, c.in(k, v))
+			return
+		}
+		c.aggs = append(c.aggs, c.id())
+	}
+	if c.fold != nil {
+		c.fold(&c.aggs[i], k, v)
 		return
 	}
-	c.idx[k] = len(c.keys)
-	c.keys = append(c.keys, k)
-	c.aggs = append(c.aggs, c.in(k, v))
+	c.aggs[i] = c.combine(c.aggs[i], c.in(k, v))
 }
 
 // Fold implements stream.ColCombiner.
@@ -309,16 +329,17 @@ func (c *colCombiner[K, V, A]) Fold(in stream.Columns, i int) bool {
 	if !ok {
 		return false
 	}
-	c.fold(tc.Keys[i], tc.Vals[i])
+	c.add(tc.Keys[i], tc.Vals[i])
 	return true
 }
 
 // FoldEvent implements stream.ColCombiner.
 func (c *colCombiner[K, V, A]) FoldEvent(e stream.Event) {
-	c.fold(e.Key.(K), e.Value.(V))
+	c.add(e.Key.(K), e.Value.(V))
 }
 
-// Drain implements stream.ColCombiner.
+// Drain implements stream.ColCombiner. The drained aggregates belong
+// to the batch from here on; the buffer keeps no reference to them.
 func (c *colCombiner[K, V, A]) Drain(out stream.Columns) (int, int) {
 	tc := out.(*stream.Cols[K, A])
 	tc.Keys = append(tc.Keys, c.keys...)
@@ -328,6 +349,7 @@ func (c *colCombiner[K, V, A]) Drain(out stream.Columns) (int, int) {
 		delete(c.idx, k)
 	}
 	c.keys = c.keys[:0]
+	clear(c.aggs)
 	c.aggs = c.aggs[:0]
 	c.ins = 0
 	return ins, outs

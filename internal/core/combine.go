@@ -12,6 +12,46 @@ package core
 // output data trace — is unchanged, whatever the split of items
 // across senders and flushes.
 
+// inPlace is implemented by KeyedUnordered, whose monoid may also be
+// given in place. The pure In, ID and Combine are the specification
+// (Table 2 asks Combine to be a monoid operation, nothing about how the
+// runtime executes it); the optional MergeInto and Fold hooks are an
+// execution of the same monoid that costs what the merged value holds
+// instead of what the aggregate holds — folding n items into a
+// map-valued aggregate is O(n) in place and O(n²) through a copying
+// Combine:
+//
+//   - MergeInto(&a, b) must leave a equal to Combine(a, b);
+//   - Fold(&a, k, v) must leave a equal to Combine(a, In(k, v)). It is
+//     optional on top of MergeInto, which folds an item as
+//     MergeInto(&a, In(k, v)); Fold spares In's value, which for a
+//     map-valued aggregate is an allocation per item.
+//
+// Ownership is what makes this sound. The runtime passes as dst/acc
+// only aggregates it owns: built from a fresh ID() — so ID must return
+// a new value per call — by the hooks alone, and reachable from nowhere
+// else (an instance's per-key block aggregate, a sender-side combining
+// buffer's per-key partial). The hooks may mutate those and everything
+// they reference. MergeInto's src is borrowed — In's result, or a
+// partial aggregate read from a batch that a recovering executor may
+// replay — so MergeInto must neither mutate it nor keep a reference
+// into it. Once the runtime hands an aggregate on — to UpdateState at a
+// marker, into a drained batch — it never folds into it again; states
+// are combined purely. DAG.Eval runs the pure form, so every oracle
+// checks the in-place execution; dttlint's DTT008 holds MergeInto to
+// Combine's commutativity obligation and Fold to its
+// order-insensitivity.
+type inPlace interface {
+	// pure returns the operator with its in-place hooks removed.
+	pure() Operator
+}
+
+func (o *KeyedUnordered[K, V, L, W, S, A]) pure() Operator {
+	p := *o
+	p.MergeInto, p.Fold = nil, nil
+	return &p
+}
+
 // Combinable is implemented by operators that admit sender-side
 // pre-aggregation on their input edge. The compiler consults it when
 // the Combiners optimization pass is enabled.
@@ -63,6 +103,7 @@ func (o *KeyedUnordered[K, V, L, W, S, A]) PreCombined() Operator {
 		In:           func(_ K, a A) A { return a },
 		ID:           o.ID,
 		Combine:      o.Combine,
+		MergeInto:    o.MergeInto,
 		InitialState: o.InitialState,
 		UpdateState:  o.UpdateState,
 		OnMarker:     o.OnMarker,

@@ -12,7 +12,9 @@ import (
 // each sink name to its output event sequence. This is the reference
 // semantics that every deployment — EvalDeployed here, and the
 // distributed execution in internal/storm — must match up to trace
-// equivalence (Corollary 4.4).
+// equivalence (Corollary 4.4). Monoids run in their pure form: a
+// KeyedUnordered's MergeInto executes its Combine, and the denotation
+// is what every execution of it is checked against.
 //
 // inputs maps source names to their event sequences; a missing source
 // gets an empty stream.
@@ -46,11 +48,13 @@ func (d *DAG) eval(inputs map[string][]stream.Event, deployed bool, hash func(an
 				ins[i] = values[in.ID]
 			}
 			merged := stream.MergeEvents(ins...)
-			par := 1
+			op, par := n.Op, 1
 			if deployed {
 				par = n.Parallelism
+			} else if ip, ok := op.(inPlace); ok {
+				op = ip.pure()
 			}
-			values[n.ID] = RunParallel(n.Op, merged, par, hash)
+			values[n.ID] = RunParallel(op, merged, par, hash)
 		case SinkNode:
 			out := values[n.Inputs[0].ID]
 			values[n.ID] = out

@@ -200,7 +200,8 @@ func (in *keyedOrderedInstance[K, V, W, S]) Next(e stream.Event, emit func(strea
 // at each marker the aggregate is absorbed into the state via
 // UpdateState. OnItem may consult only the last state snapshot (the
 // one formed at the previous marker). In, ID, Combine, InitialState
-// and UpdateState must be pure.
+// and UpdateState must be pure; MergeInto and Fold may mutate only what
+// the runtime hands them as owned (see inPlace).
 type KeyedUnordered[K comparable, V, L, W, S, A any] struct {
 	// OpName names the operator.
 	OpName string
@@ -213,6 +214,12 @@ type KeyedUnordered[K comparable, V, L, W, S, A any] struct {
 	// Combine is the monoid operation; it must be associative and
 	// commutative for the operator to be consistent (Theorem 4.2).
 	Combine func(x, y A) A
+	// MergeInto and Fold optionally run the monoid in place on
+	// aggregates the runtime owns (see inPlace); nil keeps the pure
+	// form. In and Combine stay required: they are the specification
+	// the in-place form is checked against.
+	MergeInto func(dst *A, src A)
+	Fold      func(acc *A, key K, value V)
 	// InitialState produces the state a key starts in.
 	InitialState func() S
 	// UpdateState absorbs a block's aggregate into the state at a
@@ -307,7 +314,21 @@ func (in *keyedUnorderedInstance[K, V, L, W, S, A]) Next(e stream.Event, emit fu
 	if in.op.OnItem != nil {
 		in.op.OnItem(out, r.state, key, v)
 	}
-	r.agg = in.op.Combine(r.agg, in.op.In(key, v))
+	in.op.fold(&r.agg, key, v)
+}
+
+// fold absorbs one item into an aggregate the instance owns: r.agg
+// starts as ID() at every key's birth and after every marker, and only
+// fold touches it in between.
+func (o *KeyedUnordered[K, V, L, W, S, A]) fold(acc *A, key K, v V) {
+	switch {
+	case o.Fold != nil:
+		o.Fold(acc, key, v)
+	case o.MergeInto != nil:
+		o.MergeInto(acc, o.In(key, v))
+	default:
+		*acc = o.Combine(*acc, o.In(key, v))
+	}
 }
 
 // castKey unboxes an event key with a template-level error message on

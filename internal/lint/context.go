@@ -164,11 +164,12 @@ type hotCtx struct {
 // callbackFields are the function-valued template fields whose
 // literals run on the hot path. Less is Sort's comparator; In, ID,
 // Combine, InitialState and UpdateState are the monoid/state hooks
-// the templates require to be pure.
+// the templates require to be pure; MergeInto and Fold are
+// KeyedUnordered's in-place monoid.
 var callbackFields = map[string]bool{
 	"OnItem": true, "OnMarker": true, "In": true, "ID": true,
 	"Combine": true, "InitialState": true, "UpdateState": true,
-	"Less": true,
+	"MergeInto": true, "Fold": true, "Less": true,
 }
 
 // templateTypes are the core composite-literal types whose callback

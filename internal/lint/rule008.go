@@ -26,8 +26,15 @@ import (
 // reached through helper calls via the summary engine. `x.Sum /
 // x.Count` (one side's own fields) is fine; only expressions mixing
 // exactly one parameter on each side are order-dependent.
+//
+// KeyedUnordered's in-place monoid carries the same obligation:
+// MergeInto(dst, src) stands for Combine(dst, src) and is checked
+// exactly like it; Fold(acc, key, value) stands for Combine(acc,
+// In(key, value)) and is checked for order-sensitive appends of the
+// item onto the accumulator (arithmetic there may be an In folded in,
+// e.g. `*acc -= v` for In = -v, so only the append shape is certain).
 func (a *analyzer) rule008(c *hotCtx) {
-	if c.kind != ctxTemplate || c.field != "Combine" {
+	if c.kind != ctxTemplate || (c.field != "Combine" && c.field != "MergeInto" && c.field != "Fold") {
 		return
 	}
 	switch c.tmpl {
@@ -37,14 +44,20 @@ func (a *analyzer) rule008(c *hotCtx) {
 	}
 	sum := a.eng.scanBody(c.pkg, c.lit.Type.Params, c.body, nil)
 	names := paramNames(c.pkg, c.lit.Type.Params)
+	stands := ""
+	if c.field != "Combine" {
+		stands = " (" + c.field + " is Combine run in place)"
+	}
 	report := func(eff *effect, pr paramPair, what string) {
 		a.reportEff(eff.pos, CodeNonCommut, eff,
-			"%s in %s mixes the two combined values %q and %q non-commutatively%s: parallel instances merge partial aggregates in scheduler order, so Combine(x, y) must equal Combine(y, x) — use a commutative operation (sums, mins, sorted merges), or fold order-sensitive data under KeyedOrdered",
-			what, c.desc, name(names, pr[0]), name(names, pr[1]), viaChain(eff))
+			"%s in %s mixes the two combined values %q and %q non-commutatively%s: parallel instances merge partial aggregates in scheduler order, so Combine(x, y) must equal Combine(y, x)%s — use a commutative operation (sums, mins, sorted merges), or fold order-sensitive data under KeyedOrdered",
+			what, c.desc, name(names, pr[0]), name(names, pr[1]), viaChain(eff), stands)
 	}
-	for _, pr := range sortedPairs(sum.nonCommut) {
-		eff := sum.nonCommut[pr]
-		report(eff, pr, "non-commutative arithmetic ("+eff.chain[len(eff.chain)-1]+")")
+	if c.field != "Fold" {
+		for _, pr := range sortedPairs(sum.nonCommut) {
+			eff := sum.nonCommut[pr]
+			report(eff, pr, "non-commutative arithmetic ("+eff.chain[len(eff.chain)-1]+")")
+		}
 	}
 	for _, pr := range sortedPairs(sum.appendMix) {
 		eff := sum.appendMix[pr]

@@ -39,6 +39,31 @@ func BadAppend() core.Operator {
 	}
 }
 
+// BadInPlace pairs a commutative Combine with in-place hooks that are
+// not: MergeInto subtracts the borrowed partial, and Fold appends each
+// item, so the aggregate records arrival order.
+func BadInPlace() core.Operator {
+	return &core.KeyedUnordered[string, int64, string, int64, int64, []int64]{
+		OpName: "bad-in-place",
+		InT:    stream.U("K", "Long"),
+		OutT:   stream.U("K", "Long"),
+		In:     func(_ string, v int64) []int64 { return []int64{v} },
+		ID:     func() []int64 { return nil },
+		Combine: func(x, y []int64) []int64 {
+			//lint:ignore DTT008 fixture: the pure form is not what this case exercises
+			return append(append([]int64(nil), x...), y...)
+		},
+		MergeInto: func(dst *[]int64, src []int64) {
+			(*dst)[0] -= src[0] // want DTT008
+		},
+		Fold: func(acc *[]int64, _ string, v int64) {
+			*acc = append(*acc, v) // want DTT008
+		},
+		InitialState: func() int64 { return 0 },
+		UpdateState:  func(old int64, agg []int64) int64 { return old + int64(len(agg)) },
+	}
+}
+
 // ratio divides its first argument by its second — order-dependent,
 // but invisible at the Combine call site without the summary engine.
 func ratio(a, b float64) float64 { return a / b }

@@ -43,6 +43,24 @@ func OkOwnFields() core.Operator {
 	}
 }
 
+// OkInPlace is the in-place form of a sum of negated items: MergeInto
+// adds the borrowed partial, and Fold subtracts the item from the owned
+// accumulator — In = -v folded in, order-insensitive.
+func OkInPlace() core.Operator {
+	return &core.KeyedUnordered[string, int64, string, int64, int64, int64]{
+		OpName:       "ok-in-place",
+		InT:          stream.U("K", "Long"),
+		OutT:         stream.U("K", "Long"),
+		In:           func(_ string, v int64) int64 { return -v },
+		ID:           func() int64 { return 0 },
+		Combine:      func(x, y int64) int64 { return x + y },
+		MergeInto:    func(dst *int64, src int64) { *dst += src },
+		Fold:         func(acc *int64, _ string, v int64) { *acc -= v },
+		InitialState: func() int64 { return 0 },
+		UpdateState:  func(old, agg int64) int64 { return old + agg },
+	}
+}
+
 // OkWaivedMerge mirrors the dsl join: list order is unobservable when
 // the output type quotients blocks to multisets, so the append-merge
 // carries a reasoned waiver.

@@ -1,7 +1,8 @@
 package queries
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"datatrace/internal/core"
 	"datatrace/internal/ml"
@@ -178,12 +179,18 @@ func slidingCountOp() core.Operator {
 		Combine:      func(x, y int64) int64 { return x + y },
 		InitialState: func() SlidingState { return SlidingState{} },
 		UpdateState: func(old SlidingState, agg int64) SlidingState {
-			// In place: the template owns each key's state exclusively
-			// (snapshots serialize it, restores decode fresh slices), so
-			// shifting within the existing backing array is safe and the
-			// steady state allocates nothing — the window length is
-			// pinned at SlidingWindowBlocks after warmup.
-			blocks := append(old.Blocks, agg)
+			// In place once owned: a key's window is its own except the
+			// template's start state, which every key born after the
+			// first marker starts from and which is always all zeros
+			// (ID() absorbed at every marker). An all-zero window is
+			// therefore copied before it is appended to; any other is
+			// shifted within its backing array, so the steady state
+			// allocates nothing.
+			blocks := old.Blocks
+			if !slices.ContainsFunc(blocks, func(b int64) bool { return b != 0 }) {
+				blocks = append(make([]int64, 0, SlidingWindowBlocks+1), blocks...)
+			}
+			blocks = append(blocks, agg)
 			if len(blocks) > SlidingWindowBlocks {
 				copy(blocks, blocks[len(blocks)-SlidingWindowBlocks:])
 				blocks = blocks[:SlidingWindowBlocks]
@@ -297,36 +304,31 @@ func featuresOp() core.Operator {
 }
 
 // clusterOp is Query VI's third stage: per location, k-means over the
-// latest feature vector of each user, run at every marker.
+// latest feature vector of each user, run at every marker. The block
+// aggregate is the map of users heard from in the block; Features
+// emits each user once per block, so the union is commutative. Combine
+// copies — it is the specification — while MergeInto and Fold insert
+// into the aggregate the runtime owns, so a block of n users costs n
+// inserts instead of n²/2 (Fold also spares In's one-entry map).
 func clusterOp(k int) core.Operator {
 	type state = map[int64]Features
+	union := func(x, y state) state {
+		merged := make(state, len(x)+len(y))
+		maps.Copy(merged, x)
+		maps.Copy(merged, y)
+		return merged
+	}
 	return &core.KeyedUnordered[int64, UserFeatures, int64, ClusterSummary, state, state]{
-		OpName: "Cluster",
-		InT:    stream.U("LOC", "Feat"),
-		OutT:   stream.U("LOC", "Summary"),
-		In:     func(_ int64, uf UserFeatures) state { return state{uf.User: uf.F} },
-		ID:     func() state { return state{} },
-		Combine: func(x, y state) state {
-			merged := make(state, len(x)+len(y))
-			for u, f := range x {
-				merged[u] = f
-			}
-			for u, f := range y {
-				merged[u] = f
-			}
-			return merged
-		},
+		OpName:       "Cluster",
+		InT:          stream.U("LOC", "Feat"),
+		OutT:         stream.U("LOC", "Summary"),
+		In:           func(_ int64, uf UserFeatures) state { return state{uf.User: uf.F} },
+		ID:           func() state { return state{} },
+		Combine:      union,
+		MergeInto:    func(dst *state, src state) { maps.Copy(*dst, src) },
+		Fold:         func(acc *state, _ int64, uf UserFeatures) { (*acc)[uf.User] = uf.F },
 		InitialState: func() state { return state{} },
-		UpdateState: func(old, agg state) state {
-			merged := make(state, len(old)+len(agg))
-			for u, f := range old {
-				merged[u] = f
-			}
-			for u, f := range agg {
-				merged[u] = f
-			}
-			return merged
-		},
+		UpdateState:  union,
 		OnMarker: func(emit core.Emit[int64, ClusterSummary], st state, loc int64, m stream.Marker) {
 			if len(st) < k {
 				return
@@ -337,11 +339,16 @@ func clusterOp(k int) core.Operator {
 			for u := range st {
 				users = append(users, u)
 			}
-			sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
+			slices.Sort(users)
+			// One backing array for all points: two allocations per
+			// location and marker instead of one per user.
 			points := make([][]float64, len(users))
+			coords := make([]float64, 3*len(users))
 			for i, u := range users {
 				f := st[u]
-				points[i] = []float64{f.Views, f.Clicks, f.Purchases}
+				p := coords[3*i : 3*i+3 : 3*i+3]
+				p[0], p[1], p[2] = f.Views, f.Clicks, f.Purchases
+				points[i] = p
 			}
 			res, err := ml.KMeans(points, k, 50, 7)
 			if err != nil {

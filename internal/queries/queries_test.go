@@ -3,6 +3,8 @@ package queries
 import (
 	"testing"
 
+	"datatrace/internal/core"
+	"datatrace/internal/storm"
 	"datatrace/internal/stream"
 	"datatrace/internal/workload"
 )
@@ -134,6 +136,72 @@ func TestQueryIVMatchesManualWindowCount(t *testing.T) {
 	}
 }
 
+// TestInPlaceSurvivesRecovery: generated Query VI with combiners and
+// marker-cut recovery, crashed mid-block in each keyed stage. The
+// restarted instance restores its snapshot and folds the replayed
+// block again — Cluster's drained partials through MergeInto, reading
+// batches the first attempt already read — and the sink must still
+// carry the pure specification.
+func TestInPlaceSurvivesRecovery(t *testing.T) {
+	def, _ := ByName("VI")
+	env := testEnv(t)
+	ref, err := def.Reference(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sinkType := def.SinkType(env)
+	for _, target := range []string{"Features", "Cluster"} {
+		for _, at := range []int64{7, 31} {
+			runEnv := testEnv(t)
+			spec := Spec{Query: "VI", Variant: Generated, Par: 2, SourcePar: 1, Recovery: true}
+			top, err := buildWith(runEnv, spec, def, def.Sources(runEnv, 1), def.ColSources(runEnv, 1), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			top.SetFaultPlan(storm.NewFaultPlan().CrashAt(target, 0, at))
+			res, err := top.Run()
+			if err != nil {
+				t.Fatalf("%s@%d: %v", target, at, err)
+			}
+			if restarts, replayed, _ := res.Stats.Recovery(); restarts < 1 || replayed == 0 {
+				t.Fatalf("%s@%d: restarts = %d, replayed = %d; the fault never fired", target, at, restarts, replayed)
+			}
+			if !stream.Equivalent(sinkType, res.Sinks["sink"], ref["sink"]) {
+				t.Fatalf("%s@%d: recovered in-place run differs from the pure specification", target, at)
+			}
+		}
+	}
+}
+
+// TestQueryIVLateCampaignWindow: a campaign first seen after some
+// markers starts from the template's shared start state. Count(10 sec)
+// updates windows in place, so it must never append into that shared
+// array — it once did, and a campaign born after the third marker lost
+// its first block's views. Campaign b is born in block b and then views
+// once per block; every emitted window must be the oracle's count.
+func TestQueryIVLateCampaignWindow(t *testing.T) {
+	const blocks = 2*SlidingWindowBlocks + 5
+	var in []stream.Event
+	for b := 0; b < blocks; b++ {
+		for cid := 0; cid <= b; cid++ {
+			in = append(in, stream.Item(int64(cid), stream.Unit{}))
+		}
+		in = append(in, stream.Mark(stream.Marker{Seq: int64(b)}))
+	}
+	block := 0
+	for _, e := range core.RunInstance(slidingCountOp(), in) {
+		if e.IsMarker {
+			block++
+			continue
+		}
+		born := int(e.Key.(int64))
+		want := int64(min(block-born+1, SlidingWindowBlocks))
+		if got := e.Value.(int64); got != want {
+			t.Fatalf("campaign %d at marker %d: window %d, want %d", born, block, got, want)
+		}
+	}
+}
+
 func TestQueryIIPersistsCounts(t *testing.T) {
 	env := testEnv(t)
 	if _, err := Run(env, Spec{Query: "II", Variant: Generated, Par: 2, SourcePar: 2}); err != nil {
@@ -201,6 +269,35 @@ func TestQueryVIEmitsClusterSummaries(t *testing.T) {
 	}
 	if summaries == 0 {
 		t.Fatal("no cluster summaries emitted")
+	}
+}
+
+// TestInPlaceMatchesSpecification: every query's DAG run with its
+// in-place hooks — deployed at par 1 and at par 3, where keys split
+// across instances — has the denotation of its pure specification
+// (Reference: DAG.Eval, which strips the hooks). Query VI's Cluster
+// stage is the one with hooks.
+func TestInPlaceMatchesSpecification(t *testing.T) {
+	cluster := clusterOp(ClusterK).(*core.KeyedUnordered[int64, UserFeatures, int64, ClusterSummary, map[int64]Features, map[int64]Features])
+	if cluster.MergeInto == nil || cluster.Fold == nil {
+		t.Fatal("Query VI's Cluster lost its in-place hooks: this test would compare the pure form with itself")
+	}
+	for _, def := range All() {
+		env := testEnv(t)
+		ref, err := def.Reference(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := map[string][]stream.Event{"yahoo": def.ReferenceInput(env)}
+		for _, par := range []int{1, 3} {
+			dep, err := def.DAG(testEnv(t), par).EvalDeployed(in, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !stream.Equivalent(def.SinkType(env), dep["sink"], ref["sink"]) {
+				t.Errorf("Query %s par %d: the in-place execution differs from the pure specification", def.Name, par)
+			}
+		}
 	}
 }
 
