@@ -235,6 +235,11 @@ type RecoveryPolicy = storm.RecoveryPolicy
 // instances are adapted automatically by Compile.
 type Recoverable = storm.Recoverable
 
+// SnapshotAppender is the optional Recoverable extension that appends
+// a snapshot to a buffer the runtime reuses across cuts; compiled
+// template instances implement it automatically.
+type SnapshotAppender = storm.SnapshotAppender
+
 // Degradation selects what an unrecoverable executor does.
 type Degradation = storm.Degradation
 

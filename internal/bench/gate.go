@@ -81,9 +81,15 @@ func gate(cfg Config) ([]Verdict, error) {
 	}, nil
 }
 
-// transportRule: the best batched wall must beat the best batch-1 wall —
-// a regression to parity with one send per event is a bug even while
-// every equivalence test stays green.
+// transportFloor is how much faster than batch-1 the best batched run
+// must be. The real ratio is 3.0–3.6×; "faster at all" passed 5 of 6
+// runs of a transport sabotaged to parity, so the floor sits at half the
+// real margin, where noise cannot carry a parity transport over it.
+const transportFloor = 1.5
+
+// transportRule: the best batched wall must beat the best batch-1 wall by
+// transportFloor — a regression to parity with one send per event is a
+// bug even while every equivalence test stays green.
 func transportRule(rows []TransportRow) Verdict {
 	var b1, batched time.Duration
 	for _, r := range rows {
@@ -97,8 +103,9 @@ func transportRule(rows []TransportRow) Verdict {
 	if b1 <= 0 || batched <= 0 {
 		return Verdict{"transport", false, fmt.Sprintf("MISSING a side: batched %v, batch-1 %v", batched, b1)}
 	}
-	return Verdict{"transport", batched < b1,
-		fmt.Sprintf("batched %v  batch-1 %v  ratio %.2f (must be > 1)", batched, b1, b1.Seconds()/batched.Seconds())}
+	ratio := float64(b1) / float64(batched)
+	return Verdict{"transport", ratio >= transportFloor,
+		fmt.Sprintf("batched %v  batch-1 %v  ratio %.2f (floor %.2f)", batched, b1, ratio, transportFloor)}
 }
 
 // The dense guard takes the median of fusionPairs interleaved ratios of
@@ -126,11 +133,14 @@ func fusionGuard(off, on []time.Duration) Verdict {
 
 // allocBaseline holds the mallocs of one queries.Run of each gated run
 // from cold pools: medians of 9 runs, re-measured when Query VI's
-// Cluster stage moved to in-place monoids (VI 23 365 → 12 202) and Query IV's
-// window stopped regrowing its slices during warm-up (IV 3 267 → 2 886).
-// A change that moves a count commits the new baseline with it — the
-// verdict line prints the measured counts.
-var allocBaseline = map[string]uint64{"I": 13851, "IV": 2886, "IV passes-off": 2666, "IV recovery": 9390, "VI": 12202}
+// Cluster stage moved to in-place monoids (VI 23 365 → 12 202), Query IV's
+// window stopped regrowing its slices during warm-up (IV 3 267 → 2 886),
+// and checkpoints moved from per-cut gob to the typed snapshot codec into
+// reused buffers, with keyed state stored as columns (IV recovery
+// 9 390 → 2 886, IV 2 886 → 2 680, IV passes-off 2 666 → 2 470,
+// VI 12 202 → 12 046). A change that moves a count commits the new
+// baseline with it — the verdict line prints the measured counts.
+var allocBaseline = map[string]uint64{"I": 13851, "IV": 2680, "IV passes-off": 2470, "IV recovery": 2886, "VI": 12046}
 
 // allocSlack is how far over its baseline a run's count may go.
 const allocSlack = 1.10

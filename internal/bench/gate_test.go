@@ -21,6 +21,8 @@ func TestTransportRule(t *testing.T) {
 		{"batched faster", []TransportRow{{BatchSize: 1, Wall: 90 * ms}, {BatchSize: 64, Wall: 30 * ms}}, true, "ratio 3.00"},
 		{"batched slower", []TransportRow{{BatchSize: 1, Wall: 30 * ms}, {BatchSize: 64, Wall: 31 * ms}}, false, "ratio 0.97"},
 		{"parity", []TransportRow{{BatchSize: 1, Wall: 30 * ms}, {BatchSize: 64, Wall: 30 * ms}}, false, "ratio 1.00"},
+		{"faster, under the floor", []TransportRow{{BatchSize: 1, Wall: 29 * ms}, {BatchSize: 64, Wall: 20 * ms}}, false, "ratio 1.45"},
+		{"at the floor", []TransportRow{{BatchSize: 1, Wall: 30 * ms}, {BatchSize: 64, Wall: 20 * ms}}, true, "ratio 1.50"},
 		{"no batched side", []TransportRow{{BatchSize: 1, Wall: 30 * ms}}, false, "MISSING"},
 		{"no batch-1 side", []TransportRow{{BatchSize: 64, Wall: 30 * ms}}, false, "MISSING"},
 		{"no rows", nil, false, "MISSING"},

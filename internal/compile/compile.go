@@ -519,6 +519,12 @@ type snapshotBolt struct{ instanceBolt }
 // Snapshot implements storm.Recoverable via core.SnapshotInstance.
 func (b snapshotBolt) Snapshot() ([]byte, error) { return core.SnapshotInstance(b.inst) }
 
+// AppendSnapshot implements storm.SnapshotAppender: the runtime's
+// per-executor buffer, reused across cuts, receives the snapshot.
+func (b snapshotBolt) AppendSnapshot(dst []byte) ([]byte, error) {
+	return core.AppendSnapshotInstance(dst, b.inst)
+}
+
 // Restore implements storm.Recoverable.
 func (b snapshotBolt) Restore(data []byte) error { return core.RestoreInstance(b.inst, data) }
 

@@ -1,8 +1,7 @@
 package compile
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
@@ -186,26 +185,44 @@ func (f *fusedBolt) ProcessCols(in, out stream.Columns) {
 	}
 }
 
-// Snapshot implements storm.Recoverable: the fused bolt's checkpoint
-// is the sequence of its stages' snapshots, or the empty snapshot when
-// every stage is stateless.
-func (f *fusedBolt) Snapshot() ([]byte, error) {
+// AppendSnapshot appends the fused bolt's checkpoint to dst: its
+// stages' snapshots in order, each behind a 4-byte length, or nothing
+// when every stage is stateless.
+func (f *fusedBolt) AppendSnapshot(dst []byte) ([]byte, error) {
 	if f.stateless {
-		return nil, nil
+		return dst, nil
 	}
-	parts := make([][]byte, len(f.insts))
-	for i, in := range f.insts {
-		b, err := core.SnapshotInstance(in)
-		if err != nil {
-			return nil, err
+	for _, in := range f.insts {
+		at := len(dst)
+		dst = append(dst, 0, 0, 0, 0)
+		var err error
+		if dst, err = core.AppendSnapshotInstance(dst, in); err != nil {
+			return dst, err
 		}
-		parts[i] = b
+		binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(parts); err != nil {
-		return nil, err
+	return dst, nil
+}
+
+// Snapshot implements storm.Recoverable into a fresh buffer.
+func (f *fusedBolt) Snapshot() ([]byte, error) { return f.AppendSnapshot(nil) }
+
+// splitParts splits a fused-bolt snapshot into its stages' parts, which
+// alias data.
+func splitParts(data []byte, stages int) ([][]byte, error) {
+	parts := make([][]byte, 0, stages)
+	for len(data) > 0 {
+		if len(data) < 4 || int(binary.LittleEndian.Uint32(data)) > len(data)-4 {
+			return nil, fmt.Errorf("compile: fused-bolt snapshot truncated after %d stages", len(parts))
+		}
+		n := int(binary.LittleEndian.Uint32(data))
+		parts = append(parts, data[4:4+n])
+		data = data[4+n:]
 	}
-	return buf.Bytes(), nil
+	if len(parts) != stages {
+		return nil, fmt.Errorf("compile: fused-bolt snapshot has %d stages, bolt has %d", len(parts), stages)
+	}
+	return parts, nil
 }
 
 // Restore implements storm.Recoverable. The empty snapshot restores
@@ -215,12 +232,9 @@ func (f *fusedBolt) Restore(data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
-	var parts [][]byte
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&parts); err != nil {
+	parts, err := splitParts(data, len(f.insts))
+	if err != nil {
 		return err
-	}
-	if len(parts) != len(f.insts) {
-		return fmt.Errorf("compile: fused-bolt snapshot has %d stages, bolt has %d", len(parts), len(f.insts))
 	}
 	for i, in := range f.insts {
 		if err := core.RestoreInstance(in, parts[i]); err != nil {
@@ -247,12 +261,9 @@ func (f *fusedBolt) Reshard(old [][]byte, newPar int, owner func(key any) int) (
 		if len(blob) == 0 {
 			continue // an instance that held no state contributes none to any stage
 		}
-		var parts [][]byte
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&parts); err != nil {
+		parts, err := splitParts(blob, stages)
+		if err != nil {
 			return nil, err
-		}
-		if len(parts) != stages {
-			return nil, fmt.Errorf("compile: fused-bolt snapshot has %d stages, bolt has %d", len(parts), stages)
 		}
 		for s := range parts {
 			perStage[s][i] = parts[s]
@@ -271,15 +282,10 @@ func (f *fusedBolt) Reshard(old [][]byte, newPar int, owner func(key any) int) (
 	}
 	blobs := make([][]byte, newPar)
 	for j := 0; j < newPar; j++ {
-		parts := make([][]byte, stages)
-		for s := range parts {
-			parts[s] = newStage[s][j]
+		for s := range newStage {
+			blobs[j] = binary.LittleEndian.AppendUint32(blobs[j], uint32(len(newStage[s][j])))
+			blobs[j] = append(blobs[j], newStage[s][j]...)
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(parts); err != nil {
-			return nil, err
-		}
-		blobs[j] = buf.Bytes()
 	}
 	return blobs, nil
 }

@@ -199,13 +199,8 @@ func (in *keyedUnorderedInstance[K, V, L, W, S, A]) ProcessCols(ic, _ stream.Col
 	}
 	tin := ic.(*stream.Cols[K, V])
 	for i, key := range tin.Keys {
-		r, ok := in.stateMap[key]
-		if !ok {
-			r = &kuRecord[S, A]{agg: op.ID(), state: in.startS}
-			in.stateMap[key] = r
-			in.keys = append(in.keys, key)
-		}
-		op.fold(&r.agg, key, tin.Vals[i])
+		r := in.row(key) // before indexing: row may grow aggs
+		op.fold(&in.aggs[r], key, tin.Vals[i])
 	}
 }
 

@@ -65,9 +65,10 @@ func (s *Sort[K, V]) New() Instance {
 }
 
 type sortInstance[K comparable, V any] struct {
-	op   *Sort[K, V]
-	buf  map[K][]V
-	keys []K
+	op    *Sort[K, V]
+	buf   map[K][]V
+	keys  []K
+	codec *sortCodec[K, V] // built at the first snapshot or restore
 }
 
 func (in *sortInstance[K, V]) Next(e stream.Event, emit func(stream.Event)) {

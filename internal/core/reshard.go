@@ -1,10 +1,6 @@
 package core
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-)
+import "fmt"
 
 // This file implements keyed-state re-sharding for elastic rescaling.
 // The paper's parallelizability theorems (§4) make an operator's
@@ -13,7 +9,7 @@ import (
 // a consistent marker cut and the per-key state moves to the key's new
 // HASH owner. Reshard is the state-movement half of that contract: it
 // takes the old instance set's snapshots (as produced by Snapshotter
-// at a cut), merges them, and re-partitions every key onto the new
+// at a cut, decoded through the same codec), merges them, and re-partitions every key onto the new
 // instance set per the owner function the runtime derives from its
 // partitioning hash.
 //
@@ -64,29 +60,29 @@ func checkOwner(j, newPar int, key any) error {
 	return nil
 }
 
-// encodeSnaps gob-encodes one value per new instance.
-func encodeSnaps[T any](outs []T) ([][]byte, error) {
+// encodeSnaps encodes one snapshot per new instance.
+func encodeSnaps[T any](outs []T, enc func([]byte, *T) ([]byte, error)) ([][]byte, error) {
 	blobs := make([][]byte, len(outs))
 	for j := range outs {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(outs[j]); err != nil {
+		var err error
+		if blobs[j], err = enc(nil, &outs[j]); err != nil {
 			return nil, err
 		}
-		blobs[j] = buf.Bytes()
 	}
 	return blobs, nil
 }
 
-// decodeSnap decodes one old-instance blob; empty blobs (an instance
-// that held no state) yield ok=false.
-func decodeSnap[T any](blob []byte, into *T) (bool, error) {
-	if len(blob) == 0 {
-		return false, nil
+// routeKeys calls move(i, j) for every key of an old snapshot, j its
+// owner among newPar instances.
+func routeKeys[K comparable](keys []K, newPar int, owner func(any) int, move func(i, j int)) error {
+	for i, k := range keys {
+		j := owner(k)
+		if err := checkOwner(j, newPar, k); err != nil {
+			return err
+		}
+		move(i, j)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(into); err != nil {
-		return false, err
-	}
-	return true, nil
+	return nil
 }
 
 // --- Stateless ---------------------------------------------------------------
@@ -99,31 +95,27 @@ func (in *statelessInstance[K, V, L, W]) Reshard(old [][]byte, newPar int, owner
 
 // --- KeyedOrdered ------------------------------------------------------------
 
-// Reshard implements Resharder.
+// Reshard implements Resharder. Empty old snapshots (an instance that
+// held no state) contribute nothing, here and in every template below.
 func (in *keyedOrderedInstance[K, V, W, S]) Reshard(old [][]byte, newPar int, owner func(any) int) ([][]byte, error) {
+	c := newKOCodec[K, S]()
 	outs := make([]koSnap[K, S], newPar)
-	for j := range outs {
-		outs[j].States = map[K]S{}
-	}
 	for _, blob := range old {
-		var s koSnap[K, S]
-		ok, err := decodeSnap(blob, &s)
+		if len(blob) == 0 {
+			continue
+		}
+		s, err := c.decode(blob)
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			continue
-		}
-		for _, k := range s.Keys {
-			j := owner(k)
-			if err := checkOwner(j, newPar, k); err != nil {
-				return nil, err
-			}
-			outs[j].Keys = append(outs[j].Keys, k)
-			outs[j].States[k] = s.States[k]
+		if err := routeKeys(s.Keys, newPar, owner, func(i, j int) {
+			outs[j].Keys = append(outs[j].Keys, s.Keys[i])
+			outs[j].States = append(outs[j].States, s.States[i])
+		}); err != nil {
+			return nil, err
 		}
 	}
-	return encodeSnaps(outs)
+	return encodeSnaps(outs, c.append)
 }
 
 // --- KeyedUnordered ----------------------------------------------------------
@@ -133,20 +125,16 @@ func (in *keyedOrderedInstance[K, V, W, S]) Reshard(old [][]byte, newPar int, ow
 // consistent cut it is identical across instances and every new
 // instance inherits it from the first old snapshot.
 func (in *keyedUnorderedInstance[K, V, L, W, S, A]) Reshard(old [][]byte, newPar int, owner func(any) int) ([][]byte, error) {
+	c := newKUCodec[K, S, A]()
 	outs := make([]kuSnap[K, S, A], newPar)
-	for j := range outs {
-		outs[j].Aggs = map[K]A{}
-		outs[j].States = map[K]S{}
-	}
 	seeded := false
 	for _, blob := range old {
-		var s kuSnap[K, S, A]
-		ok, err := decodeSnap(blob, &s)
+		if len(blob) == 0 {
+			continue
+		}
+		s, err := c.decode(blob)
 		if err != nil {
 			return nil, err
-		}
-		if !ok {
-			continue
 		}
 		if !seeded {
 			seeded = true
@@ -154,48 +142,44 @@ func (in *keyedUnorderedInstance[K, V, L, W, S, A]) Reshard(old [][]byte, newPar
 				outs[j].StartS = s.StartS
 			}
 		}
-		for _, k := range s.Keys {
-			j := owner(k)
-			if err := checkOwner(j, newPar, k); err != nil {
-				return nil, err
-			}
-			outs[j].Keys = append(outs[j].Keys, k)
-			outs[j].Aggs[k] = s.Aggs[k]
-			outs[j].States[k] = s.States[k]
+		if err := routeKeys(s.Keys, newPar, owner, func(i, j int) {
+			o := &outs[j]
+			o.Keys = append(o.Keys, s.Keys[i])
+			o.Aggs = append(o.Aggs, s.Aggs[i])
+			o.States = append(o.States, s.States[i])
+		}); err != nil {
+			return nil, err
 		}
 	}
-	return encodeSnaps(outs)
+	return encodeSnaps(outs, c.append)
 }
 
 // --- Sort --------------------------------------------------------------------
 
 // Reshard implements Resharder. At a marker cut the sort buffers are
 // empty (SORT drains at every marker), but mid-block buffers move with
-// their keys for completeness, matching Snapshot.
+// their keys for completeness, matching AppendSnapshot.
 func (in *sortInstance[K, V]) Reshard(old [][]byte, newPar int, owner func(any) int) ([][]byte, error) {
+	c := newSortCodec[K, V]()
 	outs := make([]sortSnap[K, V], newPar)
-	for j := range outs {
-		outs[j].Buf = map[K][]V{}
-	}
 	for _, blob := range old {
-		var s sortSnap[K, V]
-		ok, err := decodeSnap(blob, &s)
+		if len(blob) == 0 {
+			continue
+		}
+		s, bufs, err := c.decode(blob)
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			continue
-		}
-		for _, k := range s.Keys {
-			j := owner(k)
-			if err := checkOwner(j, newPar, k); err != nil {
-				return nil, err
-			}
-			outs[j].Keys = append(outs[j].Keys, k)
-			outs[j].Buf[k] = s.Buf[k]
+		if err := routeKeys(s.Keys, newPar, owner, func(i, j int) {
+			o := &outs[j]
+			o.Keys = append(o.Keys, s.Keys[i])
+			o.Lens = append(o.Lens, s.Lens[i])
+			o.Vals = append(o.Vals, bufs[i]...)
+		}); err != nil {
+			return nil, err
 		}
 	}
-	return encodeSnaps(outs)
+	return encodeSnaps(outs, c.append)
 }
 
 // --- SlidingAggregate --------------------------------------------------------
@@ -204,34 +188,39 @@ func (in *sortInstance[K, V]) Reshard(old [][]byte, newPar int, owner func(any) 
 // KeyedUnordered's startS it is identical across instances at a cut
 // and comes from the first old snapshot.
 func (in *slidingInstance[K, V, A]) Reshard(old [][]byte, newPar int, owner func(any) int) ([][]byte, error) {
+	c := newSlidingCodec[K, A]()
 	outs := make([]slidingSnap[K, A], newPar)
-	for j := range outs {
-		outs[j].Wins = map[K]slidingKeySnap[A]{}
-	}
 	seeded := false
 	for _, blob := range old {
-		var s slidingSnap[K, A]
-		ok, err := decodeSnap(blob, &s)
+		if len(blob) == 0 {
+			continue
+		}
+		s, err := c.decode(blob)
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			continue
+		idx, err := ragged(s.Idx, s.Lens)
+		if err != nil {
+			return nil, err
 		}
+		vals, _ := ragged(s.Vals, s.Lens)
 		if !seeded {
 			seeded = true
 			for j := range outs {
 				outs[j].BlockIdx = s.BlockIdx
 			}
 		}
-		for _, k := range s.Keys {
-			j := owner(k)
-			if err := checkOwner(j, newPar, k); err != nil {
-				return nil, err
-			}
-			outs[j].Keys = append(outs[j].Keys, k)
-			outs[j].Wins[k] = s.Wins[k]
+		if err := routeKeys(s.Keys, newPar, owner, func(i, j int) {
+			o := &outs[j]
+			o.Keys = append(o.Keys, s.Keys[i])
+			o.Cur = append(o.Cur, s.Cur[i])
+			o.Dirty = append(o.Dirty, s.Dirty[i])
+			o.Lens = append(o.Lens, s.Lens[i])
+			o.Idx = append(o.Idx, idx[i]...)
+			o.Vals = append(o.Vals, vals[i]...)
+		}); err != nil {
+			return nil, err
 		}
 	}
-	return encodeSnaps(outs)
+	return encodeSnaps(outs, c.append)
 }

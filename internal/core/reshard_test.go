@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"datatrace/internal/stream"
@@ -21,6 +19,67 @@ func (r *splitmix) next() uint64 {
 }
 
 func (r *splitmix) intn(n int) int { return int(r.next() % uint64(n)) }
+
+// kuView is a decoded keyed-unordered snapshot of int keys, aggregates
+// and states, with the columns keyed for lookup.
+type kuView struct {
+	Keys         []int
+	Aggs, States map[int]int
+}
+
+func decodeKU(blob []byte) (kuView, error) {
+	s, err := newKUCodec[int, int, int]().decode(blob)
+	v := kuView{Keys: s.Keys, Aggs: map[int]int{}, States: map[int]int{}}
+	for i, k := range s.Keys {
+		v.Aggs[k], v.States[k] = s.Aggs[i], s.States[i]
+	}
+	return v, err
+}
+
+// koView is a decoded keyed-ordered snapshot, keyed for lookup.
+type koView struct {
+	Keys   []int
+	States map[int]int
+}
+
+func decodeKO(blob []byte) (koView, error) {
+	s, err := newKOCodec[int, int]().decode(blob)
+	v := koView{Keys: s.Keys, States: map[int]int{}}
+	for i, k := range s.Keys {
+		v.States[k] = s.States[i]
+	}
+	return v, err
+}
+
+// slidingKeySnap is one key's window in a decoded sliding snapshot.
+type slidingKeySnap[A any] struct {
+	Cur     A
+	Dirty   bool
+	Entries []A
+}
+
+// slidingView is a decoded sliding-aggregate snapshot, keyed for lookup.
+type slidingView struct {
+	Keys     []int
+	Wins     map[int]slidingKeySnap[int]
+	BlockIdx int64
+}
+
+func decodeSliding(blob []byte) (slidingView, error) {
+	s, err := newSlidingCodec[int, int]().decode(blob)
+	v := slidingView{Keys: s.Keys, Wins: map[int]slidingKeySnap[int]{}, BlockIdx: s.BlockIdx}
+	if err != nil {
+		return v, err
+	}
+	vals, err := ragged(s.Vals, s.Lens)
+	if err != nil {
+		return v, err
+	}
+	for i, k := range s.Keys {
+		v.Wins[k] = slidingKeySnap[int]{Cur: s.Cur[i], Dirty: s.Dirty[i], Entries: vals[i]}
+	}
+	return v, nil
+}
 
 // buildKeyedUnorderedShards runs a per-key sum operator at oldPar
 // hash-partitioned instances over a deterministic workload (markers at
@@ -63,8 +122,8 @@ func buildKeyedUnorderedShards(t *testing.T, seed uint64, oldPar, nKeys, blocks 
 			t.Fatalf("snapshot instance %d: %v", i, err)
 		}
 		snaps[i] = b
-		var s kuSnap[int, int, int]
-		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&s); err != nil {
+		s, err := decodeKU(b)
+		if err != nil {
 			t.Fatalf("decoding old snapshot %d: %v", i, err)
 		}
 		for _, k := range s.Keys {
@@ -89,8 +148,8 @@ func checkKeyedUnorderedReshard(t *testing.T, newSnaps [][]byte, newPar int, wan
 	}
 	seen := map[int]int{}
 	for j, blob := range newSnaps {
-		var s kuSnap[int, int, int]
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&s); err != nil {
+		s, err := decodeKU(blob)
+		if err != nil {
 			t.Fatalf("decoding new snapshot %d: %v", j, err)
 		}
 		if len(s.Keys) != len(s.States) || len(s.Keys) != len(s.Aggs) {
@@ -183,8 +242,8 @@ func TestReshardKeyedOrdered(t *testing.T) {
 	}
 	seen := map[int]int{}
 	for j, blob := range newSnaps {
-		var s koSnap[int, int]
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&s); err != nil {
+		s, err := decodeKO(blob)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range s.Keys {
@@ -245,8 +304,8 @@ func TestReshardSlidingAggregate(t *testing.T) {
 			t.Fatal(err)
 		}
 		snaps[i] = b
-		var s slidingSnap[int, int]
-		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&s); err != nil {
+		s, err := decodeSliding(b)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for k, w := range s.Wins {
@@ -260,8 +319,8 @@ func TestReshardSlidingAggregate(t *testing.T) {
 	}
 	seen := 0
 	for j, blob := range newSnaps {
-		var s slidingSnap[int, int]
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&s); err != nil {
+		s, err := decodeSliding(blob)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if s.BlockIdx != oldBlock {

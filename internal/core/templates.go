@@ -147,16 +147,20 @@ func (o *KeyedOrdered[K, V, W, S]) Validate() error {
 
 // New implements Operator.
 func (o *KeyedOrdered[K, V, W, S]) New() Instance {
-	return &keyedOrderedInstance[K, V, W, S]{op: o, states: make(map[K]S)}
+	return &keyedOrderedInstance[K, V, W, S]{op: o, index: make(map[K]int)}
 }
 
 type keyedOrderedInstance[K comparable, V, W, S any] struct {
-	op     *KeyedOrdered[K, V, W, S]
-	states map[K]S
-	// keys preserves first-seen order so marker processing is
+	op *KeyedOrdered[K, V, W, S]
+	// index maps a key to its row of keys/states: per-key state stored
+	// as columns in first-seen order, so marker processing is
 	// deterministic (any order yields an equivalent output trace, but
-	// determinism keeps test failures readable).
-	keys []K
+	// determinism keeps test failures readable) and a snapshot writes
+	// the columns as they are.
+	index  map[K]int
+	keys   []K
+	states []S
+	codec  *koCodec[K, S] // built at the first snapshot or restore
 	// emit/curKey/out implement the key-preserving emit callback with
 	// one closure per instance instead of one per event.
 	emit   func(stream.Event)
@@ -171,22 +175,24 @@ func (in *keyedOrderedInstance[K, V, W, S]) Next(e stream.Event, emit func(strea
 	}
 	if e.IsMarker {
 		if in.op.OnMarker != nil {
-			for _, key := range in.keys {
+			for i, key := range in.keys {
 				in.curKey = key
-				in.states[key] = in.op.OnMarker(in.out, in.states[key], key, e.Marker)
+				in.states[i] = in.op.OnMarker(in.out, in.states[i], key, e.Marker)
 			}
 		}
 		emit(e)
 		return
 	}
 	key := castKey[K](in.op.OpName, e.Key)
-	s, ok := in.states[key]
+	i, ok := in.index[key]
 	if !ok {
-		s = in.op.InitialState()
+		i = len(in.keys)
+		in.index[key] = i
 		in.keys = append(in.keys, key)
+		in.states = append(in.states, in.op.InitialState())
 	}
 	in.curKey = key
-	in.states[key] = in.op.OnItem(in.out, s, key, castVal[V](in.op.OpName, e.Value))
+	in.states[i] = in.op.OnItem(in.out, in.states[i], key, castVal[V](in.op.OpName, e.Value))
 }
 
 // ---------------------------------------------------------------------------
@@ -264,24 +270,39 @@ func (o *KeyedUnordered[K, V, L, W, S, A]) Validate() error {
 // not-yet-seen key would currently have (startS).
 func (o *KeyedUnordered[K, V, L, W, S, A]) New() Instance {
 	return &keyedUnorderedInstance[K, V, L, W, S, A]{
-		op:       o,
-		stateMap: make(map[K]*kuRecord[S, A]),
-		startS:   o.InitialState(),
+		op:     o,
+		index:  make(map[K]int),
+		startS: o.InitialState(),
 	}
 }
 
-type kuRecord[S, A any] struct {
-	agg   A
-	state S
+type keyedUnorderedInstance[K comparable, V, L, W, S, A any] struct {
+	op *KeyedUnordered[K, V, L, W, S, A]
+	// index maps a key to its row of keys/aggs/states: the per-key
+	// records stored as columns in first-seen order, which is also the
+	// snapshot's layout (snapshot.go).
+	index  map[K]int
+	keys   []K
+	aggs   []A
+	states []S
+	startS S
+	emit   func(stream.Event)
+	out    Emit[L, W]
+	codec  *kuCodec[K, S, A] // built at the first snapshot or restore
 }
 
-type keyedUnorderedInstance[K comparable, V, L, W, S, A any] struct {
-	op       *KeyedUnordered[K, V, L, W, S, A]
-	stateMap map[K]*kuRecord[S, A]
-	keys     []K
-	startS   S
-	emit     func(stream.Event)
-	out      Emit[L, W]
+// row returns key's row, appending one — aggregate ID(), state startS
+// — for a key not seen before.
+func (in *keyedUnorderedInstance[K, V, L, W, S, A]) row(key K) int {
+	i, ok := in.index[key]
+	if !ok {
+		i = len(in.keys)
+		in.index[key] = i
+		in.keys = append(in.keys, key)
+		in.aggs = append(in.aggs, in.op.ID())
+		in.states = append(in.states, in.startS)
+	}
+	return i
 }
 
 func (in *keyedUnorderedInstance[K, V, L, W, S, A]) Next(e stream.Event, emit func(stream.Event)) {
@@ -291,12 +312,11 @@ func (in *keyedUnorderedInstance[K, V, L, W, S, A]) Next(e stream.Event, emit fu
 	}
 	out := in.out
 	if e.IsMarker {
-		for _, key := range in.keys {
-			r := in.stateMap[key]
-			r.state = in.op.UpdateState(r.state, r.agg)
-			r.agg = in.op.ID()
+		for i, key := range in.keys {
+			in.states[i] = in.op.UpdateState(in.states[i], in.aggs[i])
+			in.aggs[i] = in.op.ID()
 			if in.op.OnMarker != nil {
-				in.op.OnMarker(out, r.state, key, e.Marker)
+				in.op.OnMarker(out, in.states[i], key, e.Marker)
 			}
 		}
 		in.startS = in.op.UpdateState(in.startS, in.op.ID())
@@ -304,17 +324,12 @@ func (in *keyedUnorderedInstance[K, V, L, W, S, A]) Next(e stream.Event, emit fu
 		return
 	}
 	key := castKey[K](in.op.OpName, e.Key)
-	r, ok := in.stateMap[key]
-	if !ok {
-		r = &kuRecord[S, A]{agg: in.op.ID(), state: in.startS}
-		in.stateMap[key] = r
-		in.keys = append(in.keys, key)
-	}
+	i := in.row(key)
 	v := castVal[V](in.op.OpName, e.Value)
 	if in.op.OnItem != nil {
-		in.op.OnItem(out, r.state, key, v)
+		in.op.OnItem(out, in.states[i], key, v)
 	}
-	in.op.fold(&r.agg, key, v)
+	in.op.fold(&in.aggs[i], key, v)
 }
 
 // fold absorbs one item into an aggregate the instance owns: r.agg

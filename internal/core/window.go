@@ -167,6 +167,7 @@ type slidingInstance[K comparable, V, A any] struct {
 	wins     map[K]*keyWindow[A]
 	keys     []K
 	blockIdx int64
+	codec    *slidingCodec[K, A] // built at the first snapshot or restore
 }
 
 func (in *slidingInstance[K, V, A]) Next(e stream.Event, emit func(stream.Event)) {

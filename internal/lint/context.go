@@ -91,22 +91,19 @@ func resolveHooks(ld *loader) (*hooks, error) {
 	} else {
 		return nil, fmt.Errorf("lint: stream.Columns not found")
 	}
-	// gob.Encoder comes off core.Snapshotter's own method signature,
-	// so the analyzer and the runtime can never disagree about which
-	// encoder "gob-encodable" refers to.
-	snap, _, _ := types.LookupFieldOrMethod(core.Types.Scope().Lookup("Snapshotter").Type(), true, core.Types, "Snapshot")
-	if snap == nil {
-		return nil, fmt.Errorf("lint: core.Snapshotter.Snapshot not found")
+	// gob.Encoder is the one of the encoding/gob core's snapshot codec
+	// falls back to, so the analyzer and the runtime can never disagree
+	// about which encoder "gob-encodable" refers to.
+	for _, imp := range core.Types.Imports() {
+		if imp.Path() == "encoding/gob" {
+			if obj := imp.Scope().Lookup("Encoder"); obj != nil {
+				h.gobEncoder = obj.Type()
+			}
+		}
 	}
-	sig := snap.Type().(*types.Signature)
-	if sig.Params().Len() != 1 {
-		return nil, fmt.Errorf("lint: unexpected Snapshotter.Snapshot signature %s", sig)
+	if h.gobEncoder == nil {
+		return nil, fmt.Errorf("lint: core does not import encoding/gob's Encoder")
 	}
-	ptr, ok := sig.Params().At(0).Type().(*types.Pointer)
-	if !ok {
-		return nil, fmt.Errorf("lint: Snapshotter.Snapshot parameter is not a pointer")
-	}
-	h.gobEncoder = ptr.Elem()
 	if named, ok := h.gobEncoder.(*types.Named); ok && named.Obj().Pkg() != nil {
 		if obj := named.Obj().Pkg().Scope().Lookup("GobEncoder"); obj != nil {
 			h.gobEncoderIface, _ = obj.Type().Underlying().(*types.Interface)

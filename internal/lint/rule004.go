@@ -9,20 +9,22 @@ import (
 // DTT004 — snapshot state must actually round-trip through gob.
 //
 // core.Snapshotter is the recovery contract: at a marker cut the
-// runtime serializes instance state with encoding/gob and restores it
-// after a crash. gob cannot encode functions or channels, and a
-// struct none of whose fields are exported encodes to nothing — all
-// three fail at Encode/Decode time, i.e. mid-recovery, long after the
-// topology passed every static and DAG-level check. This rule walks
-// every (*gob.Encoder).Encode argument inside Snapshot methods of
-// Snapshotter implementations and rejects value shapes gob is known
-// to choke on. Types implementing gob.GobEncoder are trusted to
-// handle themselves.
+// runtime has an instance append its state to a buffer and restores it
+// after a crash. The built-in templates write columns of a wire layout
+// and fall back to gob for the rest; a hand-written AppendSnapshot
+// that gob-encodes its state meets gob's limits head on. gob cannot
+// encode functions or channels, and a struct none of whose fields are
+// exported encodes to nothing — all three fail at Encode/Decode time,
+// i.e. mid-recovery, long after the topology passed every static and
+// DAG-level check. This rule walks every (*gob.Encoder).Encode argument
+// inside AppendSnapshot methods of Snapshotter implementations and
+// rejects value shapes gob is known to choke on. Types implementing
+// gob.GobEncoder are trusted to handle themselves.
 func (a *analyzer) rule004(p *Package) {
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Name.Name != "Snapshot" || fd.Body == nil {
+			if !ok || fd.Recv == nil || fd.Name.Name != "AppendSnapshot" || fd.Body == nil {
 				continue
 			}
 			fn, _ := p.Info.Defs[fd.Name].(*types.Func)
@@ -38,8 +40,8 @@ func (a *analyzer) rule004(p *Package) {
 	}
 }
 
-// checkSnapshotBody inspects every gob Encode call in one Snapshot
-// method.
+// checkSnapshotBody inspects every gob Encode call in one
+// AppendSnapshot method.
 func (a *analyzer) checkSnapshotBody(p *Package, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)

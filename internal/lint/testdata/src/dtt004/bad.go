@@ -3,6 +3,7 @@
 package dtt004
 
 import (
+	"bytes"
 	"encoding/gob"
 
 	"datatrace/internal/stream"
@@ -20,14 +21,18 @@ type badInst struct{ state badState }
 // Next implements core.Instance.
 func (in *badInst) Next(e stream.Event, emit func(stream.Event)) {}
 
-// Snapshot implements core.Snapshotter — but the encoded value
+// AppendSnapshot implements core.Snapshotter — but the encoded value
 // carries a func and a channel.
-func (in *badInst) Snapshot(enc *gob.Encoder) error {
-	return enc.Encode(in.state) // want DTT004 DTT004
+func (in *badInst) AppendSnapshot(dst []byte) ([]byte, error) {
+	buf := bytes.NewBuffer(dst)
+	err := gob.NewEncoder(buf).Encode(in.state) // want DTT004 DTT004
+	return buf.Bytes(), err
 }
 
 // Restore implements core.Snapshotter.
-func (in *badInst) Restore(dec *gob.Decoder) error { return dec.Decode(&in.state) }
+func (in *badInst) Restore(data []byte) error {
+	return gob.NewDecoder(bytes.NewReader(data)).Decode(&in.state)
+}
 
 // opaque has fields but none exported: gob silently encodes nothing
 // and Restore yields zero state.
@@ -38,10 +43,15 @@ type opaqueInst struct{ st opaque }
 // Next implements core.Instance.
 func (in *opaqueInst) Next(e stream.Event, emit func(stream.Event)) {}
 
-// Snapshot implements core.Snapshotter.
-func (in *opaqueInst) Snapshot(enc *gob.Encoder) error {
-	return enc.Encode(in.st) // want DTT004
+// AppendSnapshot implements core.Snapshotter; the encoder is a local.
+func (in *opaqueInst) AppendSnapshot(dst []byte) ([]byte, error) {
+	buf := bytes.NewBuffer(dst)
+	enc := gob.NewEncoder(buf)
+	err := enc.Encode(in.st) // want DTT004
+	return buf.Bytes(), err
 }
 
 // Restore implements core.Snapshotter.
-func (in *opaqueInst) Restore(dec *gob.Decoder) error { return dec.Decode(&in.st) }
+func (in *opaqueInst) Restore(data []byte) error {
+	return gob.NewDecoder(bytes.NewReader(data)).Decode(&in.st)
+}

@@ -1,6 +1,7 @@
 package dtt004
 
 import (
+	"bytes"
 	"encoding/gob"
 	"time"
 
@@ -19,15 +20,25 @@ type okInst struct{ st okState }
 // Next implements core.Instance.
 func (in *okInst) Next(e stream.Event, emit func(stream.Event)) {}
 
-// Snapshot implements core.Snapshotter.
-func (in *okInst) Snapshot(enc *gob.Encoder) error { return enc.Encode(in.st) }
+// AppendSnapshot implements core.Snapshotter.
+func (in *okInst) AppendSnapshot(dst []byte) ([]byte, error) {
+	buf := bytes.NewBuffer(dst)
+	err := gob.NewEncoder(buf).Encode(in.st)
+	return buf.Bytes(), err
+}
 
 // Restore implements core.Snapshotter.
-func (in *okInst) Restore(dec *gob.Decoder) error { return dec.Decode(&in.st) }
+func (in *okInst) Restore(data []byte) error {
+	return gob.NewDecoder(bytes.NewReader(data)).Decode(&in.st)
+}
 
-// notSnapshotter has a Snapshot method but no Restore, so it is not a
-// core.Snapshotter and the recovery contract does not apply.
+// notSnapshotter has an AppendSnapshot method but no Restore, so it is
+// not a core.Snapshotter and the recovery contract does not apply.
 type notSnapshotter struct{ fn func() }
 
-// Snapshot is not part of any checkpoint protocol here.
-func (n *notSnapshotter) Snapshot(enc *gob.Encoder) error { return enc.Encode(n.fn) }
+// AppendSnapshot is not part of any checkpoint protocol here.
+func (n *notSnapshotter) AppendSnapshot(dst []byte) ([]byte, error) {
+	buf := bytes.NewBuffer(dst)
+	err := gob.NewEncoder(buf).Encode(n.fn)
+	return buf.Bytes(), err
+}

@@ -10,8 +10,8 @@ import (
 // This file implements the copy-on-read export of Stats: Snapshot
 // freezes every executor's counters, histograms and sampled spans
 // into plain values that are safe to keep, merge and render while the
-// run continues. A monitoring goroutine polls Snapshot; the table the
-// -obs flag prints is ObsTable over ByComponent.
+// run continues. A monitoring goroutine polls Snapshot; the table
+// examples/observability prints is ObsTable over ByComponent.
 
 // InstanceSnapshot is the frozen view of one executor's stats.
 type InstanceSnapshot struct {
@@ -142,8 +142,8 @@ func (s StatsSnapshot) ByComponent() []ComponentSnapshot {
 }
 
 // ObsTable renders the per-component observability table printed by
-// `dttbench -obs`: p50/p99 execute latency, max queue depth, and
-// marker-cut lag per component.
+// `go run ./examples/observability`: p50/p99 execute latency, max queue
+// depth, and marker-cut lag per component.
 func (s StatsSnapshot) ObsTable() string {
 	comps := s.ByComponent()
 	var b strings.Builder

@@ -143,9 +143,13 @@ type ClusterSummary struct {
 }
 
 // SlidingState is the window state of Query IV: per-campaign counts
-// of the last windowBlocks blocks.
+// of the last SlidingWindowBlocks blocks, as a ring — Next is the slot
+// the next block overwrites, and a slot no block has reached yet
+// counts 0. It is a value without pointers, so UpdateState is a pure
+// function of it and a snapshot writes it as its memory.
 type SlidingState struct {
-	Blocks []int64
+	Blocks [SlidingWindowBlocks]int64
+	Next   int
 }
 
 // TumblingState is the window state of Query V.

@@ -179,23 +179,9 @@ func slidingCountOp() core.Operator {
 		Combine:      func(x, y int64) int64 { return x + y },
 		InitialState: func() SlidingState { return SlidingState{} },
 		UpdateState: func(old SlidingState, agg int64) SlidingState {
-			// In place once owned: a key's window is its own except the
-			// template's start state, which every key born after the
-			// first marker starts from and which is always all zeros
-			// (ID() absorbed at every marker). An all-zero window is
-			// therefore copied before it is appended to; any other is
-			// shifted within its backing array, so the steady state
-			// allocates nothing.
-			blocks := old.Blocks
-			if !slices.ContainsFunc(blocks, func(b int64) bool { return b != 0 }) {
-				blocks = append(make([]int64, 0, SlidingWindowBlocks+1), blocks...)
-			}
-			blocks = append(blocks, agg)
-			if len(blocks) > SlidingWindowBlocks {
-				copy(blocks, blocks[len(blocks)-SlidingWindowBlocks:])
-				blocks = blocks[:SlidingWindowBlocks]
-			}
-			return SlidingState{Blocks: blocks}
+			old.Blocks[old.Next] = agg
+			old.Next = (old.Next + 1) % SlidingWindowBlocks
+			return old
 		},
 		OnMarker: func(emit core.Emit[int64, int64], st SlidingState, cid int64, m stream.Marker) {
 			var total int64

@@ -150,9 +150,7 @@ type Placed struct {
 // identical table, which is what lets workers resolve frame
 // destinations without a placement exchange.
 func (t *Topology) Placement(workers int) []Placed {
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(workers, 1)
 	var out []Placed
 	gi := 0
 	for _, name := range t.order {
@@ -245,12 +243,7 @@ func (t *Topology) resolve(w *workerNet) (map[string]*runtimeComponent, error) {
 }
 
 // channelCap is the inbox capacity in vectors.
-func (t *Topology) channelCap() int {
-	if t.ChannelCap > 0 {
-		return t.ChannelCap
-	}
-	return defaultChannelCap
-}
+func (t *Topology) channelCap() int { return positiveOr(t.ChannelCap, defaultChannelCap) }
 
 // layout derives everything in the wiring that depends on the
 // components' parallelism: each executor's global index and worker
@@ -746,10 +739,12 @@ type boltExec struct {
 	// block's parked output in emission order; snap/rrSnap are the
 	// committed checkpoint — instance state and round-robin cursors at
 	// the last completed cut — and hasSnap is false until the first cut
-	// (a restart then uses a fresh instance).
+	// (a restart then uses a fresh instance). spare is the buffer the
+	// next cut's snapshot is written into before it swaps with snap.
 	rec      bool
 	out      []entry
 	snap     []byte
+	spare    []byte
 	hasSnap  bool
 	rrSnap   []int
 	restarts int

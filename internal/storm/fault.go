@@ -76,10 +76,7 @@ func (p *FaultPlan) CrashAt(component string, instance int, atEvent int64) *Faul
 // CrashTimes is CrashAt firing on `times` consecutive events, for
 // repeated crash/recover cycles of one executor.
 func (p *FaultPlan) CrashTimes(component string, instance int, atEvent int64, times int) *FaultPlan {
-	if times < 1 {
-		times = 1
-	}
-	return p.add(Fault{Kind: CrashFault, Component: component, Instance: instance, AtEvent: atEvent, Times: times})
+	return p.add(Fault{Kind: CrashFault, Component: component, Instance: instance, AtEvent: atEvent, Times: max(times, 1)})
 }
 
 // SlowExecutor makes executor component[instance] sleep perEvent
@@ -267,11 +264,14 @@ type RecoveryPolicy struct {
 	Logf func(format string, args ...any)
 }
 
-func (p RecoveryPolicy) maxRestarts() int {
-	if p.MaxRestarts <= 0 {
-		return 5
+func (p RecoveryPolicy) maxRestarts() int { return positiveOr(p.MaxRestarts, 5) }
+
+// positiveOr returns v, or def when v is not positive (an unset knob).
+func positiveOr[T int | int64 | time.Duration](v, def T) T {
+	if v > 0 {
+		return v
 	}
-	return p.MaxRestarts
+	return def
 }
 
 func (p RecoveryPolicy) logf(format string, args ...any) {

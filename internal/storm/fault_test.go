@@ -2,7 +2,9 @@ package storm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -311,6 +313,73 @@ func TestCorruptEdgeRecoversProducer(t *testing.T) {
 	restarts, _, _ := res.Stats.Recovery()
 	if restarts < 1 {
 		t.Fatal("corruption must surface as a producer restart")
+	}
+}
+
+// appendSumBolt is sumBolt with the buffer-appending snapshot, so the
+// executor writes each cut into its spare buffer. It also counts its
+// items, and every Restore records the count it came back with.
+type appendSumBolt struct {
+	sumBolt
+	items    int
+	restored *[]int
+}
+
+func (b *appendSumBolt) Next(e stream.Event, emit func(stream.Event)) {
+	if !e.IsMarker {
+		b.items++
+	}
+	b.sumBolt.Next(e, emit)
+}
+
+func (b *appendSumBolt) AppendSnapshot(dst []byte) ([]byte, error) {
+	state, err := b.sumBolt.Snapshot()
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(b.items))
+	return append(dst, state...), err
+}
+
+func (b *appendSumBolt) Snapshot() ([]byte, error) { return b.AppendSnapshot(nil) }
+
+func (b *appendSumBolt) Restore(data []byte) error {
+	b.items = int(binary.LittleEndian.Uint64(data))
+	*b.restored = append(*b.restored, b.items)
+	return b.sumBolt.Restore(data[8:])
+}
+
+// TestCrashInCutFlushRestoresPreviousCut crashes the executor inside
+// cut N+1's flush — after that cut's snapshot was written into the spare
+// buffer, before it was committed. The restart must restore exactly
+// cut N: the spare's bytes must not have become the checkpoint, and the
+// buffer swap must not have corrupted cut N's.
+func TestCrashInCutFlushRestoresPreviousCut(t *testing.T) {
+	const blocks, perBlock, cutN = 6, 8, 3
+	in := testStream(blocks, perBlock, 4)
+	var restored []int
+	build := func() *Topology {
+		top := NewTopology("sums")
+		top.AddSpout("src", 1, func(int) Spout { return SliceSpout(in) })
+		top.AddBolt("sum", 1, func(int) Bolt {
+			return &appendSumBolt{sumBolt: sumBolt{sums: map[int]int{}}, restored: &restored}
+		}).FieldsGrouping("src", true)
+		top.AddSink("sink", "sum")
+		return top
+	}
+	ref := referenceRun(t, build)
+
+	// A cut's flush sends its block's perBlock rows and the marker; the
+	// crash hits the second row of the flush of cut cutN+1 (1-based).
+	top := build()
+	top.SetRecovery(RecoveryPolicy{Enabled: true})
+	top.SetFaultPlan(NewFaultPlan().CorruptEdge("sum", 0, "sink", int64(cutN*(perBlock+1)+2)))
+	res, err := top.Run()
+	if err != nil {
+		t.Fatalf("crash inside a cut's flush must recover: %v", err)
+	}
+	if want := []int{cutN * perBlock}; !slices.Equal(restored, want) {
+		t.Fatalf("restored item counts %v, want %v (cut %d's snapshot)", restored, want, cutN)
+	}
+	if !stream.Equivalent(stream.U("Int", "Int"), res.Sinks["sink"], ref) {
+		t.Fatalf("recovered output not trace-equivalent:\n ref %s\n got %s", stream.Render(ref), stream.Render(res.Sinks["sink"]))
 	}
 }
 

@@ -26,12 +26,15 @@ import (
 //     row of a universal-kind batch — collects in boltExec.out instead
 //     of entering the transport.
 //   - The cut commits in order (completeCut): snapshot the instance
-//     (Recoverable — core.Snapshotter under the compile adapters); then
+//     (Recoverable — core.Snapshotter under the compile adapters) into
+//     the spare of the executor's two snapshot buffers; then
 //     flush the parked block transactionally (emitter.send: every fault
 //     hook fires before the first transport append, and the flush
 //     leaves no buffer — combiner, open batch or vector — holding
-//     anything); then record the snapshot and the round-robin cursors
-//     as the checkpoint. Nothing of a block is visible downstream
+//     anything); then commit the snapshot, by swapping the two buffers,
+//     and the round-robin cursors as the checkpoint. A steady-state cut
+//     allocates nothing, and a crash inside the flush restores the
+//     previous cut's bytes. Nothing of a block is visible downstream
 //     before its snapshot succeeded, and batches keep their kind
 //     through the flush, so the typed combiners and edges downstream
 //     stay in use.
@@ -63,10 +66,27 @@ import (
 // a fresh instance. The compile package adapts core.Snapshotter
 // instances to this interface; handcrafted bolts may implement it
 // directly. Snapshot must return an isolated copy (later mutation of
-// the live bolt cannot corrupt it).
+// the live bolt cannot corrupt it), and Restore must not keep its
+// argument: the executor reuses the buffer.
 type Recoverable interface {
 	Snapshot() ([]byte, error)
 	Restore([]byte) error
+}
+
+// SnapshotAppender is the optional Recoverable extension the runtime
+// prefers at a cut: append the snapshot to the executor's buffer,
+// reused across cuts, instead of returning a fresh one.
+type SnapshotAppender interface {
+	AppendSnapshot(dst []byte) ([]byte, error)
+}
+
+// appendSnapshot appends r's snapshot to dst.
+func appendSnapshot(r Recoverable, dst []byte) ([]byte, error) {
+	if a, ok := r.(SnapshotAppender); ok {
+		return a.AppendSnapshot(dst)
+	}
+	b, err := r.Snapshot()
+	return append(dst, b...), err
 }
 
 // completeCut runs when the merger has delivered a complete block and
@@ -81,16 +101,15 @@ type Recoverable interface {
 // recovery time included).
 func (x *boltExec) completeCut(seq int64) {
 	r, snapped := x.bolt.(Recoverable)
-	var snap []byte
 	if snapped {
 		var err error
-		if snap, err = r.Snapshot(); err != nil {
+		if x.spare, err = appendSnapshot(r, x.spare[:0]); err != nil {
 			panic(fmt.Sprintf("snapshot failed at marker cut: %v", err))
 		}
 	}
 	x.flushOut()
 	if snapped {
-		x.snap, x.hasSnap = snap, true
+		x.snap, x.spare, x.hasSnap = x.spare, x.snap, true
 	}
 	x.rrSnap = append(x.rrSnap[:0], x.em.rrNext...)
 	if x.markerSeen != nil {

@@ -652,19 +652,8 @@ func (cg *cutGate) takePlanErrs() []error {
 // is why its effects go through the deterministic cut barrier: *what*
 // a rescale does is exact even though *when* one triggers is not.
 func autoscaleLoop(t *Topology, cg *cutGate, pol *AutoscalePolicy, stop <-chan struct{}) {
-	interval := pol.Interval
-	if interval <= 0 {
-		interval = 20 * time.Millisecond
-	}
-	sustain := pol.Sustain
-	if sustain <= 0 {
-		sustain = 2
-	}
-	highDepth := pol.HighDepth
-	if highDepth <= 0 {
-		highDepth = 256
-	}
-	ticker := time.NewTicker(interval)
+	sustain, highDepth := positiveOr(pol.Sustain, 2), positiveOr(pol.HighDepth, 256)
+	ticker := time.NewTicker(positiveOr(pol.Interval, 20*time.Millisecond))
 	defer ticker.Stop()
 
 	var baseDepth, lastExec int64
@@ -724,15 +713,9 @@ func autoscaleLoop(t *Topology, cg *cutGate, pol *AutoscalePolicy, stop <-chan s
 		target := par
 		switch {
 		case highStreak >= sustain && par < pol.Max:
-			target = par * 2
-			if target > pol.Max {
-				target = pol.Max
-			}
+			target = min(par*2, pol.Max)
 		case lowStreak >= sustain && par > pol.Min:
-			target = par / 2
-			if target < pol.Min {
-				target = pol.Min
-			}
+			target = max(par/2, pol.Min)
 		}
 		if target == par {
 			continue

@@ -157,7 +157,7 @@ type ColKind struct {
 	fromSlices func(keys, vals any) (Columns, error)
 	// keyWire/valWire are the columns' wire layouts, wired whether both
 	// have one, fingerprint the layout's identity (colwire.go).
-	keyWire, valWire colWire
+	keyWire, valWire Layout
 	wired            bool
 	fingerprint      uint64
 }

@@ -9,11 +9,14 @@ import (
 	"unsafe"
 )
 
-// This file gives column batches a wire layout: the bytes the networked
-// transport (internal/codec frames) puts on a link for one column. It
-// is the only file of the package that uses unsafe, and it does so only
-// behind the per-kind layout decision made here once, when the kind is
-// created, by walking the column's reflect.Type:
+// This file gives columns a wire layout: the bytes the networked
+// transport (internal/codec frames) puts on a link for one column of a
+// batch, and the bytes a checkpoint (core's snapshot codec) writes for
+// one column of operator state — one encoder serves both. It is the
+// only file of the package that uses unsafe, and it does so only behind
+// the layout decision made here once per column type (LayoutOf: when a
+// kind is created, or when an operator first snapshots), by walking the
+// column's reflect.Type:
 //
 //   - a pointer-free type (booleans, integers, floats, complex numbers,
 //     and arrays and structs of those) is written as its memory:
@@ -21,16 +24,17 @@ import (
 //   - a string type is written as rows little-endian uint32 cumulative
 //     end offsets followed by the concatenated bytes;
 //   - anything else (pointers, slices, maps, interfaces, structs holding
-//     them) has no wire layout, and the codec falls back to gob for the
-//     whole batch.
+//     them) has no wire layout, and the caller falls back to gob: the
+//     frame codec for the whole batch, the snapshot codec for the column.
 //
 // Writing memory as-is is only sound between two processes that lay the
 // type out identically, so every kind carries a fingerprint of its
 // layout — per column the type's size and, recursively, each field's
 // offset and basic kind, plus the machine's byte order — which the
 // sender transmits with the kind's first use on a link and the receiver
-// compares with its own. Workers of one run are re-executions of one
-// binary, so a mismatch means a deployment mistake and fails the link.
+// compares with its own (a snapshot carries its own in its header).
+// Workers of one run are re-executions of one binary, so a mismatch
+// means a deployment mistake and fails the link or the restore.
 
 // ErrWireBounds reports column bytes that do not fit what was received:
 // rows × width beyond the buffer, or string offsets that decrease or
@@ -43,23 +47,50 @@ const (
 	wireString        // offsets + bytes
 )
 
-// colWire is one column's wire layout.
-type colWire struct {
+// Layout is one column type's wire layout; the zero Layout is "none".
+type Layout struct {
 	mode int
 	size int // bytes per element, wireFixed only
 }
 
-// wireOf decides a column type's layout and appends its description to
-// the fingerprint text.
-func wireOf(t reflect.Type, desc *[]byte) colWire {
+// LayoutOf decides a column type's layout and appends its description
+// to the fingerprint text desc. The description of a type without a
+// layout is not complete: callers that fall back to gob describe that
+// column themselves.
+func LayoutOf(t reflect.Type, desc *[]byte) Layout {
 	if t.Kind() == reflect.String {
 		*desc = append(*desc, "string;"...)
-		return colWire{mode: wireString}
+		return Layout{mode: wireString}
 	}
 	if !describeFixed(t, 0, desc) {
-		return colWire{mode: wireNone}
+		return Layout{mode: wireNone}
 	}
-	return colWire{mode: wireFixed, size: int(t.Size())}
+	return Layout{mode: wireFixed, size: int(t.Size())}
+}
+
+// Raw reports whether the layout writes the column without gob: as its
+// memory, or as offsets plus bytes.
+func (l Layout) Raw() bool { return l.mode != wireNone }
+
+// Size is the bytes one element takes in the layout: its memory size
+// for a pointer-free type, 4 (its offset; the string bytes come on
+// top) for a string type, 0 without a layout.
+func (l Layout) Size() int {
+	if l.mode == wireString {
+		return 4
+	}
+	return l.size
+}
+
+// String names the layout: "raw/<bytes>", "string" or "gob".
+func (l Layout) String() string {
+	switch l.mode {
+	case wireFixed:
+		return fmt.Sprintf("raw/%d", l.size)
+	case wireString:
+		return "string"
+	}
+	return "gob"
 }
 
 // describeFixed reports whether t is pointer-free, appending each basic
@@ -96,10 +127,10 @@ func describeFixed(t reflect.Type, at uintptr, desc *[]byte) bool {
 // setWire decides the kind's wire layout; newColKind calls it once.
 func (k *ColKind) setWire() {
 	desc := []byte(binary.NativeEndian.String() + ";")
-	k.keyWire = wireOf(k.key, &desc)
+	k.keyWire = LayoutOf(k.key, &desc)
 	desc = append(desc, '|')
-	k.valWire = wireOf(k.val, &desc)
-	k.wired = k.keyWire.mode != wireNone && k.valWire.mode != wireNone
+	k.valWire = LayoutOf(k.val, &desc)
+	k.wired = k.keyWire.Raw() && k.valWire.Raw()
 	h := fnv.New64a()
 	h.Write(desc)
 	k.fingerprint = h.Sum64()
@@ -117,17 +148,17 @@ func (k *ColKind) Fingerprint() uint64 { return k.fingerprint }
 
 // AppendWire implements Columns.
 func (c *Cols[K, V]) AppendWire(dst []byte) []byte {
-	dst = appendColumn(dst, c.Keys, c.kind.keyWire)
-	return appendColumn(dst, c.Vals, c.kind.valWire)
+	dst = AppendColumn(dst, c.Keys, c.kind.keyWire)
+	return AppendColumn(dst, c.Vals, c.kind.valWire)
 }
 
 // ReadWire implements Columns.
 func (c *Cols[K, V]) ReadWire(rows int, src []byte) (int, error) {
-	keys, n, err := readColumn(c.Keys[:0], rows, src, c.kind.keyWire)
+	keys, n, err := ReadColumn(c.Keys[:0], rows, src, c.kind.keyWire)
 	if err != nil {
 		return 0, fmt.Errorf("%s keys: %w", c.kind.name, err)
 	}
-	vals, m, err := readColumn(c.Vals[:0], rows, src[n:], c.kind.valWire)
+	vals, m, err := ReadColumn(c.Vals[:0], rows, src[n:], c.kind.valWire)
 	if err != nil {
 		return 0, fmt.Errorf("%s values: %w", c.kind.name, err)
 	}
@@ -149,7 +180,9 @@ func asStrings[T any](col []T) []string {
 	return unsafe.Slice((*string)(unsafe.Pointer(unsafe.SliceData(col))), len(col))
 }
 
-func appendColumn[T any](dst []byte, col []T, w colWire) []byte {
+// AppendColumn appends col in layout w, which must be Raw and
+// LayoutOf T.
+func AppendColumn[T any](dst []byte, col []T, w Layout) []byte {
 	switch w.mode {
 	case wireFixed:
 		return append(dst, rawBytes(col, w.size)...)
@@ -165,13 +198,14 @@ func appendColumn[T any](dst []byte, col []T, w colWire) []byte {
 		}
 		return dst
 	}
-	panic("stream: AppendWire on a kind without a wire layout")
+	panic("stream: AppendColumn on a type without a wire layout")
 }
 
-// readColumn decodes rows elements from src into col's arena (grown
-// only after the bytes that fill it are known to be present) and
-// returns the column and the bytes consumed.
-func readColumn[T any](col []T, rows int, src []byte, w colWire) ([]T, int, error) {
+// ReadColumn decodes rows elements of layout w (Raw, LayoutOf T) from
+// src into col's arena (grown only after the bytes that fill it are
+// known to be present) and returns the column and the bytes consumed.
+// The column never aliases src.
+func ReadColumn[T any](col []T, rows int, src []byte, w Layout) ([]T, int, error) {
 	switch w.mode {
 	case wireFixed:
 		if rows < 0 || w.size > 0 && rows > len(src)/w.size {
@@ -209,7 +243,7 @@ func readColumn[T any](col []T, rows int, src []byte, w colWire) ([]T, int, erro
 		}
 		return col, 4*rows + total, nil
 	}
-	panic("stream: ReadWire on a kind without a wire layout")
+	panic("stream: ReadColumn on a type without a wire layout")
 }
 
 // resize returns col with length n, reusing its arena when it is large

@@ -22,7 +22,7 @@ go build ./...
 echo "== internal/storm line-count ratchet =="
 # Non-test lines of the runtime are a tracked metric (ROADMAP aim 2):
 # they may only go down. Lower STORM_LINES_MAX with the PR that shrinks them.
-STORM_LINES_MAX=5169
+STORM_LINES_MAX=5166
 lines="$(find internal/storm -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 [ "$lines" -le "$STORM_LINES_MAX" ] || { echo "internal/storm has $lines non-test lines, more than $STORM_LINES_MAX" >&2; exit 1; }
 
