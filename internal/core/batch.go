@@ -199,8 +199,7 @@ func (in *keyedUnorderedInstance[K, V, L, W, S, A]) ProcessCols(ic, _ stream.Col
 	}
 	tin := ic.(*stream.Cols[K, V])
 	for i, key := range tin.Keys {
-		r := in.row(key) // before indexing: row may grow aggs
-		op.fold(&in.aggs[r], key, tin.Vals[i])
+		op.fold(&in.row(key).Agg, key, tin.Vals[i])
 	}
 }
 
@@ -223,17 +222,9 @@ func (in *slidingInstance[K, V, A]) OutColKind() *stream.ColKind { return nil }
 // ProcessCols implements BatchInstance: the current-block fold over
 // typed columns.
 func (in *slidingInstance[K, V, A]) ProcessCols(ic, _ stream.Columns) {
-	op := in.op
 	tin := ic.(*stream.Cols[K, V])
 	for i, key := range tin.Keys {
-		w, ok := in.wins[key]
-		if !ok {
-			w = &keyWindow[A]{cur: op.ID(), fifo: newFifoAgg(op.ID, op.Combine)}
-			in.wins[key] = w
-			in.keys = append(in.keys, key)
-		}
-		w.cur = op.Combine(w.cur, op.In(key, tin.Vals[i]))
-		w.dirty = true
+		in.fold(key, tin.Vals[i])
 	}
 }
 
@@ -277,45 +268,39 @@ func (o *SlidingAggregate[K, V, A]) ColCombiner() (*stream.ColKind, *stream.ColK
 // pre-combined kinds and a factory of buffers folding through it.
 func colCombinerKinds[K comparable, V, A any](in func(K, V) A, id func() A, combine func(A, A) A, fold func(*A, K, V)) (*stream.ColKind, *stream.ColKind, func() stream.ColCombiner, bool) {
 	mk := func() stream.ColCombiner {
-		return &colCombiner[K, V, A]{in: in, id: id, combine: combine, fold: fold, idx: map[K]int{}}
+		return &colCombiner[K, V, A]{in: in, id: id, combine: combine, fold: fold}
 	}
 	return stream.ColKindFor[K, V](), stream.ColKindFor[K, A](), mk, true
 }
 
-// colCombiner is the typed per-destination combining buffer: per-key
-// partial aggregates with first-seen key order, so drains are
-// deterministic for a deterministic input order. With an in-place fold
-// a buffered aggregate is the buffer's own from its first row — it
-// starts as id(), not in(k, v) — until Drain hands it to the batch.
+// colCombiner is the typed per-destination combining buffer: a keyed
+// store of partial aggregates, so drains are deterministic for a
+// deterministic input order. With an in-place fold a buffered aggregate
+// is the buffer's own from its first row — it starts as id(), not
+// in(k, v) — until Drain hands it to the batch.
 type colCombiner[K comparable, V, A any] struct {
 	in      func(K, V) A
 	id      func() A
 	combine func(A, A) A
 	fold    func(*A, K, V) // nil: the pure form
-	idx     map[K]int
-	keys    []K
-	aggs    []A
-	ins     int
+	keyed[K, A]
+	ins int
 }
 
 func (c *colCombiner[K, V, A]) add(k K, v V) {
 	c.ins++
-	i, ok := c.idx[k]
-	if !ok {
-		i = len(c.keys)
-		c.idx[k] = i
-		c.keys = append(c.keys, k)
-		if c.fold == nil {
-			c.aggs = append(c.aggs, c.in(k, v))
-			return
+	i, born := c.slot(k)
+	switch {
+	case c.fold != nil:
+		if born {
+			c.recs[i] = c.id()
 		}
-		c.aggs = append(c.aggs, c.id())
+		c.fold(&c.recs[i], k, v)
+	case born:
+		c.recs[i] = c.in(k, v)
+	default:
+		c.recs[i] = c.combine(c.recs[i], c.in(k, v))
 	}
-	if c.fold != nil {
-		c.fold(&c.aggs[i], k, v)
-		return
-	}
-	c.aggs[i] = c.combine(c.aggs[i], c.in(k, v))
 }
 
 // Fold implements stream.ColCombiner.
@@ -338,14 +323,9 @@ func (c *colCombiner[K, V, A]) FoldEvent(e stream.Event) {
 func (c *colCombiner[K, V, A]) Drain(out stream.Columns) (int, int) {
 	tc := out.(*stream.Cols[K, A])
 	tc.Keys = append(tc.Keys, c.keys...)
-	tc.Vals = append(tc.Vals, c.aggs...)
+	tc.Vals = append(tc.Vals, c.recs...)
 	ins, outs := c.ins, len(c.keys)
-	for _, k := range c.keys {
-		delete(c.idx, k)
-	}
-	c.keys = c.keys[:0]
-	clear(c.aggs)
-	c.aggs = c.aggs[:0]
+	c.reset()
 	c.ins = 0
 	return ins, outs
 }

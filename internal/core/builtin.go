@@ -61,35 +61,40 @@ func (s *Sort[K, V]) Validate() error {
 
 // New implements Operator.
 func (s *Sort[K, V]) New() Instance {
-	return &sortInstance[K, V]{op: s, buf: make(map[K][]V)}
+	return &sortInstance[K, V]{op: s, keyedState: keyedState[K, []V, struct{}]{template: "sort", flat: sortRecs[V]}}
 }
 
+// sortInstance's record is a key's values in the open block. At a
+// marker the store empties, but mid-block checkpoints are supported
+// for completeness.
 type sortInstance[K comparable, V any] struct {
-	op    *Sort[K, V]
-	buf   map[K][]V
-	keys  []K
-	codec *sortCodec[K, V] // built at the first snapshot or restore
+	op *Sort[K, V]
+	keyedState[K, []V, struct{}]
+}
+
+// sortRecs writes the buffered values ragged: no head, every key's
+// values flattened.
+func sortRecs[V any](d *codecDesc) recCodec[[]V] {
+	return newRaggedRecs(d,
+		func(r *[]V, vals []V) (struct{}, []V) { return struct{}{}, append(vals, *r...) },
+		func(_ struct{}, vals []V) []V { return vals })
 }
 
 func (in *sortInstance[K, V]) Next(e stream.Event, emit func(stream.Event)) {
 	if e.IsMarker {
-		for _, key := range in.keys {
-			vals := in.buf[key]
+		for i, key := range in.keys {
+			vals := in.recs[i]
 			sort.SliceStable(vals, func(i, j int) bool { return in.op.Less(vals[i], vals[j]) })
 			for _, v := range vals {
 				emit(stream.Item(key, v))
 			}
-			delete(in.buf, key)
 		}
-		in.keys = in.keys[:0]
+		in.reset()
 		emit(e)
 		return
 	}
-	key := castKey[K](in.op.OpName, e.Key)
-	if _, ok := in.buf[key]; !ok {
-		in.keys = append(in.keys, key)
-	}
-	in.buf[key] = append(in.buf[key], castVal[V](in.op.OpName, e.Value))
+	i, _ := in.slot(castKey[K](in.op.OpName, e.Key))
+	in.recs[i] = append(in.recs[i], castVal[V](in.op.OpName, e.Value))
 }
 
 // RunInstance feeds a complete event sequence through a fresh

@@ -28,10 +28,10 @@ type kuView struct {
 }
 
 func decodeKU(blob []byte) (kuView, error) {
-	s, err := newKUCodec[int, int, int]().decode(blob)
-	v := kuView{Keys: s.Keys, Aggs: map[int]int{}, States: map[int]int{}}
-	for i, k := range s.Keys {
-		v.Aggs[k], v.States[k] = s.Aggs[i], s.States[i]
+	keys, recs, _, err := sumPerKey().New().(*keyedUnorderedInstance[int, int, int, int, int, int]).codecOf().decode(blob)
+	v := kuView{Keys: keys, Aggs: map[int]int{}, States: map[int]int{}}
+	for i, k := range keys {
+		v.Aggs[k], v.States[k] = recs[i].Agg, recs[i].State
 	}
 	return v, err
 }
@@ -43,10 +43,10 @@ type koView struct {
 }
 
 func decodeKO(blob []byte) (koView, error) {
-	s, err := newKOCodec[int, int]().decode(blob)
-	v := koView{Keys: s.Keys, States: map[int]int{}}
-	for i, k := range s.Keys {
-		v.States[k] = s.States[i]
+	keys, states, _, err := runningSum().New().(*keyedOrderedInstance[int, int, int, int]).codecOf().decode(blob)
+	v := koView{Keys: keys, States: map[int]int{}}
+	for i, k := range keys {
+		v.States[k] = states[i]
 	}
 	return v, err
 }
@@ -66,17 +66,19 @@ type slidingView struct {
 }
 
 func decodeSliding(blob []byte) (slidingView, error) {
-	s, err := newSlidingCodec[int, int]().decode(blob)
-	v := slidingView{Keys: s.Keys, Wins: map[int]slidingKeySnap[int]{}, BlockIdx: s.BlockIdx}
+	sum := &SlidingAggregate[int, int, int]{ID: func() int { return 0 }, Combine: func(x, y int) int { return x + y }}
+	keys, wins, blockIdx, err := sum.New().(*slidingInstance[int, int, int]).codecOf().decode(blob)
+	v := slidingView{Keys: keys, Wins: map[int]slidingKeySnap[int]{}, BlockIdx: blockIdx}
 	if err != nil {
 		return v, err
 	}
-	vals, err := ragged(s.Vals, s.Lens)
-	if err != nil {
-		return v, err
-	}
-	for i, k := range s.Keys {
-		v.Wins[k] = slidingKeySnap[int]{Cur: s.Cur[i], Dirty: s.Dirty[i], Entries: vals[i]}
+	for i, k := range keys {
+		head, entries := appendEntries(&wins[i], nil)
+		w := slidingKeySnap[int]{Cur: head.Cur, Dirty: head.Dirty}
+		for _, e := range entries {
+			w.Entries = append(w.Entries, e.Val)
+		}
+		v.Wins[k] = w
 	}
 	return v, nil
 }

@@ -23,9 +23,10 @@ import (
 // storage behaves — and Restore never keeps a reference to its
 // argument, so a caller may reuse one buffer for every cut.
 //
-// The built-in templates implement Snapshotter through one typed codec
-// (below); the execution engines (internal/storm, internal/microbatch)
-// use it to implement marker-aligned checkpoint/restore.
+// The built-in templates implement Snapshotter through their keyed
+// store (keyed.go) and the column codec below; the execution engines
+// (internal/storm, internal/microbatch) use it to implement
+// marker-aligned checkpoint/restore.
 type Snapshotter interface {
 	// AppendSnapshot appends the instance's state to dst.
 	AppendSnapshot(dst []byte) ([]byte, error)
@@ -38,8 +39,8 @@ type Snapshotter interface {
 // --- The snapshot codec ---------------------------------------------------------
 //
 // A snapshot is the template's layout fingerprint (8 bytes), the row
-// count (4 bytes) and the template's columns, every one in the
-// instance's first-seen key order. A column's bytes are the stream
+// count (4 bytes) and the keyed store's columns (keyed.go), every one
+// in the store's slot order. A column's bytes are the stream
 // package's wire layout for its element type (stream.LayoutOf) — a
 // pointer-free type is its memory, a string type offsets plus bytes —
 // so one encoder serves the network and the checkpoint. Any other
@@ -76,7 +77,7 @@ func SnapshotGobColumns() int64 { return gobColumns.Load() }
 
 // SnapshotLayout describes how an instance's snapshot is written — the
 // template and one name=layout per column, e.g. "ku keys=raw/8
-// aggs=raw/8 states=gob" — or "" for an instance without state.
+// recs=gob scalar=raw/8" — or "" for an instance without state.
 func SnapshotLayout(inst Instance) string {
 	if l, ok := inst.(interface{ snapshotLayout() string }); ok {
 		return l.snapshotLayout()
@@ -96,7 +97,9 @@ func newCodecDesc(template string) *codecDesc {
 	return &codecDesc{fp: []byte(template + ";" + binary.NativeEndian.String() + ";"), text: []byte(template)}
 }
 
-// columnOf decides T's layout for the column called name.
+// columnOf decides T's layout for the column called name. A column of
+// a zero-size type writes nothing and is left out of the readable
+// layout.
 func columnOf[T any](d *codecDesc, name string) column[T] {
 	t := reflect.TypeFor[T]()
 	l := stream.LayoutOf(t, &d.fp)
@@ -104,9 +107,14 @@ func columnOf[T any](d *codecDesc, name string) column[T] {
 		d.fp = fmt.Appendf(d.fp, "gob %s;", t)
 	}
 	d.fp = append(d.fp, '|')
-	d.text = fmt.Appendf(d.text, " %s=%s", name, l)
+	if t.Size() > 0 {
+		d.text = fmt.Appendf(d.text, " %s=%s", name, l)
+	}
 	return column[T]{l}
 }
+
+// size is the bytes a row takes in the column, 0 for gob.
+func (c column[T]) size() int { return c.l.Size() }
 
 // finish returns the fingerprint and the readable layout.
 func (d *codecDesc) finish() (uint64, string) {
@@ -140,17 +148,17 @@ func (a *appendWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// put appends one column. An empty gob column writes nothing.
-func put[T any](w *snapWriter, c column[T], col []T) {
+// put appends col. An empty gob column writes nothing.
+func (c column[T]) put(w snapWriter, col []T) snapWriter {
 	if w.err != nil {
-		return
+		return w
 	}
 	if c.l.Raw() {
 		w.b = stream.AppendColumn(w.b, col, c.l)
-		return
+		return w
 	}
 	if len(col) == 0 {
-		return
+		return w
 	}
 	gobColumns.Add(1)
 	at := len(w.b)
@@ -159,10 +167,11 @@ func put[T any](w *snapWriter, c column[T], col []T) {
 	// caller's one-row literal stays on its stack.
 	if err := gob.NewEncoder(&aw).Encode(append([]T(nil), col...)); err != nil {
 		w.err = fmt.Errorf("core: snapshot column of %v: %w", reflect.TypeFor[T](), err)
-		return
+		return w
 	}
 	w.b = aw.b
 	binary.LittleEndian.PutUint32(w.b[at:], uint32(len(w.b)-at-4))
+	return w
 }
 
 // snapReader decodes one snapshot; err is sticky, and a read after an
@@ -213,8 +222,8 @@ func (r *snapReader) done() error {
 	return r.err
 }
 
-// get reads one column of rows rows into a fresh slice.
-func get[T any](r *snapReader, c column[T], rows int) []T {
+// get reads rows rows of the column into a fresh slice.
+func (c column[T]) get(r *snapReader, rows int) []T {
 	if r.err != nil || rows == 0 {
 		return nil
 	}
@@ -247,44 +256,6 @@ func get[T any](r *snapReader, c column[T], rows int) []T {
 	return col
 }
 
-// getOne reads a one-row column.
-func getOne[T any](r *snapReader, c column[T]) (v T) {
-	if col := get(r, c, 1); len(col) == 1 {
-		v = col[0]
-	}
-	return v
-}
-
-// indexKeys maps every key to its row; a key twice is corrupt bytes.
-func indexKeys[K comparable](keys []K) (map[K]int, error) {
-	index := make(map[K]int, len(keys))
-	for i, k := range keys {
-		if _, dup := index[k]; dup {
-			return nil, fmt.Errorf("%w: key %v twice", ErrSnapshotBytes, k)
-		}
-		index[k] = i
-	}
-	return index, nil
-}
-
-// ragged splits a flattened column into per-row slices of the given
-// lengths, which must add up to len(flat).
-func ragged[T any](flat []T, lens []uint32) ([][]T, error) {
-	out := make([][]T, len(lens))
-	at := 0
-	for i, n := range lens {
-		if int(n) > len(flat)-at {
-			return nil, fmt.Errorf("%w: row lengths exceed %d values", ErrSnapshotBytes, len(flat))
-		}
-		out[i] = flat[at : at+int(n) : at+int(n)]
-		at += int(n)
-	}
-	if at != len(flat) {
-		return nil, fmt.Errorf("%w: row lengths cover %d of %d values", ErrSnapshotBytes, at, len(flat))
-	}
-	return out, nil
-}
-
 // --- Stateless: trivially snapshotable (no state) ---------------------------
 
 // AppendSnapshot implements Snapshotter (stateless operators have
@@ -308,363 +279,6 @@ func (in *statelessInstance[K, V, L, W]) stateless() {}
 func IsStateless(inst Instance) bool {
 	_, ok := inst.(interface{ stateless() })
 	return ok
-}
-
-// --- KeyedOrdered ------------------------------------------------------------
-
-// koSnap is a keyed-ordered instance's snapshot: per-key state in
-// first-seen key order.
-type koSnap[K comparable, S any] struct {
-	Keys   []K
-	States []S
-}
-
-// koCodec is koSnap's layout.
-type koCodec[K comparable, S any] struct {
-	fp     uint64
-	text   string
-	keys   column[K]
-	states column[S]
-}
-
-func newKOCodec[K comparable, S any]() *koCodec[K, S] {
-	d := newCodecDesc("ko")
-	c := &koCodec[K, S]{keys: columnOf[K](d, "keys"), states: columnOf[S](d, "states")}
-	c.fp, c.text = d.finish()
-	return c
-}
-
-func (c *koCodec[K, S]) append(dst []byte, s *koSnap[K, S]) ([]byte, error) {
-	w := snapWriter{b: dst}
-	w.header(c.fp, len(s.Keys), c.keys.l.Size()+c.states.l.Size(), 0)
-	put(&w, c.keys, s.Keys)
-	put(&w, c.states, s.States)
-	return w.b, w.err
-}
-
-func (c *koCodec[K, S]) decode(data []byte) (s koSnap[K, S], err error) {
-	r := snapReader{b: data}
-	rows := r.header(c.fp)
-	s.Keys = get(&r, c.keys, rows)
-	s.States = get(&r, c.states, rows)
-	return s, r.done()
-}
-
-func (in *keyedOrderedInstance[K, V, W, S]) codecOf() *koCodec[K, S] {
-	if in.codec == nil {
-		in.codec = newKOCodec[K, S]()
-	}
-	return in.codec
-}
-
-func (in *keyedOrderedInstance[K, V, W, S]) snapshotLayout() string { return in.codecOf().text }
-
-// AppendSnapshot implements Snapshotter.
-func (in *keyedOrderedInstance[K, V, W, S]) AppendSnapshot(dst []byte) ([]byte, error) {
-	return in.codecOf().append(dst, &koSnap[K, S]{Keys: in.keys, States: in.states})
-}
-
-// Restore implements Snapshotter.
-func (in *keyedOrderedInstance[K, V, W, S]) Restore(data []byte) error {
-	s, err := in.codecOf().decode(data)
-	if err != nil {
-		return err
-	}
-	index, err := indexKeys(s.Keys)
-	if err != nil {
-		return err
-	}
-	in.index, in.keys, in.states = index, s.Keys, s.States
-	return nil
-}
-
-// --- KeyedUnordered ----------------------------------------------------------
-
-// kuSnap is a keyed-unordered instance's snapshot — Table 3's memory:
-// per-key {agg, state} in first-seen key order, and startS.
-type kuSnap[K comparable, S, A any] struct {
-	Keys   []K
-	Aggs   []A
-	States []S
-	StartS S
-}
-
-// kuCodec is kuSnap's layout; StartS is a one-row states column.
-type kuCodec[K comparable, S, A any] struct {
-	fp     uint64
-	text   string
-	keys   column[K]
-	aggs   column[A]
-	states column[S]
-}
-
-func newKUCodec[K comparable, S, A any]() *kuCodec[K, S, A] {
-	d := newCodecDesc("ku")
-	c := &kuCodec[K, S, A]{keys: columnOf[K](d, "keys"), aggs: columnOf[A](d, "aggs"), states: columnOf[S](d, "states")}
-	c.fp, c.text = d.finish()
-	return c
-}
-
-func (c *kuCodec[K, S, A]) append(dst []byte, s *kuSnap[K, S, A]) ([]byte, error) {
-	w := snapWriter{b: dst}
-	w.header(c.fp, len(s.Keys), c.keys.l.Size()+c.aggs.l.Size()+c.states.l.Size(), c.states.l.Size())
-	put(&w, c.keys, s.Keys)
-	put(&w, c.aggs, s.Aggs)
-	put(&w, c.states, s.States)
-	put(&w, c.states, []S{s.StartS})
-	return w.b, w.err
-}
-
-func (c *kuCodec[K, S, A]) decode(data []byte) (s kuSnap[K, S, A], err error) {
-	r := snapReader{b: data}
-	rows := r.header(c.fp)
-	s.Keys = get(&r, c.keys, rows)
-	s.Aggs = get(&r, c.aggs, rows)
-	s.States = get(&r, c.states, rows)
-	s.StartS = getOne(&r, c.states)
-	return s, r.done()
-}
-
-func (in *keyedUnorderedInstance[K, V, L, W, S, A]) codecOf() *kuCodec[K, S, A] {
-	if in.codec == nil {
-		in.codec = newKUCodec[K, S, A]()
-	}
-	return in.codec
-}
-
-func (in *keyedUnorderedInstance[K, V, L, W, S, A]) snapshotLayout() string {
-	return in.codecOf().text
-}
-
-// AppendSnapshot implements Snapshotter: the instance's columns as
-// they are, so a cut costs one copy of the state and, into a buffer
-// reused across cuts, no allocation.
-func (in *keyedUnorderedInstance[K, V, L, W, S, A]) AppendSnapshot(dst []byte) ([]byte, error) {
-	return in.codecOf().append(dst, &kuSnap[K, S, A]{Keys: in.keys, Aggs: in.aggs, States: in.states, StartS: in.startS})
-}
-
-// Restore implements Snapshotter.
-func (in *keyedUnorderedInstance[K, V, L, W, S, A]) Restore(data []byte) error {
-	s, err := in.codecOf().decode(data)
-	if err != nil {
-		return err
-	}
-	index, err := indexKeys(s.Keys)
-	if err != nil {
-		return err
-	}
-	in.index, in.keys, in.aggs, in.states, in.startS = index, s.Keys, s.Aggs, s.States, s.StartS
-	return nil
-}
-
-// --- Sort ---------------------------------------------------------------------
-
-// sortSnap is a sort instance's snapshot: each buffered key's values,
-// flattened in key order, Lens[i] of them for Keys[i]. At a marker
-// boundary the buffers are empty, but mid-block checkpoints are
-// supported for completeness.
-type sortSnap[K comparable, V any] struct {
-	Keys []K
-	Lens []uint32
-	Vals []V
-}
-
-// sortCodec is sortSnap's layout.
-type sortCodec[K comparable, V any] struct {
-	fp   uint64
-	text string
-	keys column[K]
-	lens column[uint32]
-	vals column[V]
-}
-
-func newSortCodec[K comparable, V any]() *sortCodec[K, V] {
-	d := newCodecDesc("sort")
-	c := &sortCodec[K, V]{keys: columnOf[K](d, "keys"), lens: columnOf[uint32](d, "lens"), vals: columnOf[V](d, "vals")}
-	c.fp, c.text = d.finish()
-	return c
-}
-
-func (c *sortCodec[K, V]) append(dst []byte, s *sortSnap[K, V]) ([]byte, error) {
-	w := snapWriter{b: dst}
-	w.header(c.fp, len(s.Keys), c.keys.l.Size()+c.lens.l.Size(), 4+len(s.Vals)*c.vals.l.Size())
-	put(&w, c.keys, s.Keys)
-	put(&w, c.lens, s.Lens)
-	w.u32(len(s.Vals))
-	put(&w, c.vals, s.Vals)
-	return w.b, w.err
-}
-
-func (c *sortCodec[K, V]) decode(data []byte) (s sortSnap[K, V], bufs [][]V, err error) {
-	r := snapReader{b: data}
-	rows := r.header(c.fp)
-	s.Keys = get(&r, c.keys, rows)
-	s.Lens = get(&r, c.lens, rows)
-	s.Vals = get(&r, c.vals, r.u32())
-	if err := r.done(); err != nil {
-		return s, nil, err
-	}
-	bufs, err = ragged(s.Vals, s.Lens)
-	return s, bufs, err
-}
-
-func (in *sortInstance[K, V]) codecOf() *sortCodec[K, V] {
-	if in.codec == nil {
-		in.codec = newSortCodec[K, V]()
-	}
-	return in.codec
-}
-
-func (in *sortInstance[K, V]) snapshotLayout() string { return in.codecOf().text }
-
-// AppendSnapshot implements Snapshotter.
-func (in *sortInstance[K, V]) AppendSnapshot(dst []byte) ([]byte, error) {
-	s := sortSnap[K, V]{Keys: in.keys, Lens: make([]uint32, len(in.keys))}
-	for i, k := range in.keys {
-		s.Lens[i] = uint32(len(in.buf[k]))
-		s.Vals = append(s.Vals, in.buf[k]...)
-	}
-	return in.codecOf().append(dst, &s)
-}
-
-// Restore implements Snapshotter.
-func (in *sortInstance[K, V]) Restore(data []byte) error {
-	s, bufs, err := in.codecOf().decode(data)
-	if err != nil {
-		return err
-	}
-	if _, err := indexKeys(s.Keys); err != nil {
-		return err
-	}
-	in.buf = make(map[K][]V, len(s.Keys))
-	for i, k := range s.Keys {
-		in.buf[k] = bufs[i]
-	}
-	in.keys = s.Keys
-	return nil
-}
-
-// --- SlidingAggregate ----------------------------------------------------------
-
-// slidingSnap is a sliding-aggregate instance's snapshot: per key (in
-// first-seen order) the open block's aggregate and dirty bit, and the
-// window's live entries in FIFO order, flattened — Lens[i] (block
-// index, value) pairs for Keys[i]. BlockIdx is a one-row column.
-type slidingSnap[K comparable, A any] struct {
-	Keys     []K
-	Cur      []A
-	Dirty    []bool
-	Lens     []uint32
-	Idx      []int64
-	Vals     []A
-	BlockIdx int64
-}
-
-// slidingCodec is slidingSnap's layout.
-type slidingCodec[K comparable, A any] struct {
-	fp    uint64
-	text  string
-	keys  column[K]
-	aggs  column[A] // Cur and Vals
-	dirty column[bool]
-	lens  column[uint32]
-	idx   column[int64] // Idx and BlockIdx
-}
-
-func newSlidingCodec[K comparable, A any]() *slidingCodec[K, A] {
-	d := newCodecDesc("sliding")
-	c := &slidingCodec[K, A]{
-		keys: columnOf[K](d, "keys"), aggs: columnOf[A](d, "aggs"), dirty: columnOf[bool](d, "dirty"),
-		lens: columnOf[uint32](d, "lens"), idx: columnOf[int64](d, "idx"),
-	}
-	c.fp, c.text = d.finish()
-	return c
-}
-
-func (c *slidingCodec[K, A]) append(dst []byte, s *slidingSnap[K, A]) ([]byte, error) {
-	w := snapWriter{b: dst}
-	rowSize := c.keys.l.Size() + c.aggs.l.Size() + c.dirty.l.Size() + c.lens.l.Size()
-	w.header(c.fp, len(s.Keys), rowSize, 12+len(s.Vals)*(c.idx.l.Size()+c.aggs.l.Size()))
-	put(&w, c.idx, []int64{s.BlockIdx})
-	put(&w, c.keys, s.Keys)
-	put(&w, c.aggs, s.Cur)
-	put(&w, c.dirty, s.Dirty)
-	put(&w, c.lens, s.Lens)
-	w.u32(len(s.Vals))
-	put(&w, c.idx, s.Idx)
-	put(&w, c.aggs, s.Vals)
-	return w.b, w.err
-}
-
-func (c *slidingCodec[K, A]) decode(data []byte) (s slidingSnap[K, A], err error) {
-	r := snapReader{b: data}
-	rows := r.header(c.fp)
-	s.BlockIdx = getOne(&r, c.idx)
-	s.Keys = get(&r, c.keys, rows)
-	s.Cur = get(&r, c.aggs, rows)
-	s.Dirty = get(&r, c.dirty, rows)
-	s.Lens = get(&r, c.lens, rows)
-	entries := r.u32()
-	s.Idx = get(&r, c.idx, entries)
-	s.Vals = get(&r, c.aggs, entries)
-	return s, r.done()
-}
-
-func (in *slidingInstance[K, V, A]) codecOf() *slidingCodec[K, A] {
-	if in.codec == nil {
-		in.codec = newSlidingCodec[K, A]()
-	}
-	return in.codec
-}
-
-func (in *slidingInstance[K, V, A]) snapshotLayout() string { return in.codecOf().text }
-
-// AppendSnapshot implements Snapshotter.
-func (in *slidingInstance[K, V, A]) AppendSnapshot(dst []byte) ([]byte, error) {
-	n := len(in.keys)
-	s := slidingSnap[K, A]{Keys: in.keys, Cur: make([]A, n), Dirty: make([]bool, n), Lens: make([]uint32, n), BlockIdx: in.blockIdx}
-	for i, k := range in.keys {
-		w := in.wins[k]
-		s.Cur[i], s.Dirty[i] = w.cur, w.dirty
-		s.Lens[i] = uint32(w.fifo.Len())
-		// Live entries in FIFO order: front stack top-down, then back
-		// stack bottom-up.
-		for j := len(w.fifo.front) - 1; j >= 0; j-- {
-			s.Idx = append(s.Idx, w.fifo.front[j].idx)
-			s.Vals = append(s.Vals, w.fifo.front[j].val)
-		}
-		for _, e := range w.fifo.back {
-			s.Idx = append(s.Idx, e.idx)
-			s.Vals = append(s.Vals, e.val)
-		}
-	}
-	return in.codecOf().append(dst, &s)
-}
-
-// Restore implements Snapshotter.
-func (in *slidingInstance[K, V, A]) Restore(data []byte) error {
-	s, err := in.codecOf().decode(data)
-	if err != nil {
-		return err
-	}
-	if _, err := indexKeys(s.Keys); err != nil {
-		return err
-	}
-	idx, err := ragged(s.Idx, s.Lens)
-	if err != nil {
-		return err
-	}
-	vals, _ := ragged(s.Vals, s.Lens) // len(Vals) == len(Idx): one count
-	wins := make(map[K]*keyWindow[A], len(s.Keys))
-	for i, k := range s.Keys {
-		w := &keyWindow[A]{cur: s.Cur[i], dirty: s.Dirty[i], fifo: newFifoAgg(in.op.ID, in.op.Combine)}
-		for j, bi := range idx[i] {
-			w.fifo.Push(bi, vals[i][j])
-		}
-		wins[k] = w
-	}
-	in.wins, in.keys, in.blockIdx = wins, s.Keys, s.BlockIdx
-	return nil
 }
 
 // --- Engine entry points ----------------------------------------------------------

@@ -94,6 +94,19 @@ func feed(inst Instance, in []stream.Event, val func(int) any) string {
 	return fmt.Sprint(out)
 }
 
+// feedEvents runs events through inst as feed does and returns the
+// output events.
+func feedEvents(inst Instance, in []stream.Event, val func(int) any) []stream.Event {
+	var out []stream.Event
+	for _, e := range in {
+		if !e.IsMarker {
+			e = stream.Item(e.Key, val(e.Value.(int)))
+		}
+		inst.Next(e, func(o stream.Event) { out = append(out, o) })
+	}
+	return out
+}
+
 // mustSnapshot snapshots inst or fails the test.
 func mustSnapshot(t *testing.T, inst Instance) []byte {
 	t.Helper()
@@ -133,6 +146,29 @@ func FuzzSnapshotCodec(f *testing.F) {
 			}
 			if got, want := feed(restored, in[split:], c.val), feed(live, in[split:], c.val); got != want {
 				t.Fatalf("%s: restored instance diverged:\n got  %s\n want %s", c.name, got, want)
+			}
+
+			// Reshard: to one instance it is the identity on the bytes; a
+			// split to n instances merged back continues equivalently.
+			if one, err := ReshardInstanceSnapshots(c.op.New(), [][]byte{b}, 1, func(any) int { return 0 }); err != nil || !bytes.Equal(one[0], b) {
+				t.Fatalf("%s: reshard to one instance changed the snapshot (%v):\n %x\n %x", c.name, err, b, one)
+			}
+			width := int(mask)%3 + 2
+			parts, err := ReshardInstanceSnapshots(c.op.New(), [][]byte{b}, width, func(k any) int { return stream.DefaultHash(k) % width })
+			if err == nil {
+				parts, err = ReshardInstanceSnapshots(c.op.New(), parts, 1, func(any) int { return 0 })
+			}
+			merged := c.op.New()
+			if err == nil {
+				err = merged.(Snapshotter).Restore(parts[0])
+			}
+			if err != nil {
+				t.Fatalf("%s: split to %d and merge back: %v", c.name, width, err)
+			}
+			replay := c.op.New()
+			feedEvents(replay, in[:split], c.val)
+			if got, want := feedEvents(merged, in[split:], c.val), feedEvents(replay, in[split:], c.val); !stream.Equivalent(c.op.OutType(), got, want) {
+				t.Fatalf("%s: split to %d and merged back, the instance diverged:\n got  %s\n want %s", c.name, width, stream.Render(got), stream.Render(want))
 			}
 
 			// A target with state of its own, which a failed restore must

@@ -147,20 +147,13 @@ func (o *KeyedOrdered[K, V, W, S]) Validate() error {
 
 // New implements Operator.
 func (o *KeyedOrdered[K, V, W, S]) New() Instance {
-	return &keyedOrderedInstance[K, V, W, S]{op: o, index: make(map[K]int)}
+	return &keyedOrderedInstance[K, V, W, S]{op: o, keyedState: keyedState[K, S, struct{}]{template: "ko"}}
 }
 
 type keyedOrderedInstance[K comparable, V, W, S any] struct {
 	op *KeyedOrdered[K, V, W, S]
-	// index maps a key to its row of keys/states: per-key state stored
-	// as columns in first-seen order, so marker processing is
-	// deterministic (any order yields an equivalent output trace, but
-	// determinism keeps test failures readable) and a snapshot writes
-	// the columns as they are.
-	index  map[K]int
-	keys   []K
-	states []S
-	codec  *koCodec[K, S] // built at the first snapshot or restore
+	// The store's record is the key's state.
+	keyedState[K, S, struct{}]
 	// emit/curKey/out implement the key-preserving emit callback with
 	// one closure per instance instead of one per event.
 	emit   func(stream.Event)
@@ -177,22 +170,19 @@ func (in *keyedOrderedInstance[K, V, W, S]) Next(e stream.Event, emit func(strea
 		if in.op.OnMarker != nil {
 			for i, key := range in.keys {
 				in.curKey = key
-				in.states[i] = in.op.OnMarker(in.out, in.states[i], key, e.Marker)
+				in.recs[i] = in.op.OnMarker(in.out, in.recs[i], key, e.Marker)
 			}
 		}
 		emit(e)
 		return
 	}
 	key := castKey[K](in.op.OpName, e.Key)
-	i, ok := in.index[key]
-	if !ok {
-		i = len(in.keys)
-		in.index[key] = i
-		in.keys = append(in.keys, key)
-		in.states = append(in.states, in.op.InitialState())
+	i, born := in.slot(key)
+	if born {
+		in.recs[i] = in.op.InitialState()
 	}
 	in.curKey = key
-	in.states[i] = in.op.OnItem(in.out, in.states[i], key, castVal[V](in.op.OpName, e.Value))
+	in.recs[i] = in.op.OnItem(in.out, in.recs[i], key, castVal[V](in.op.OpName, e.Value))
 }
 
 // ---------------------------------------------------------------------------
@@ -267,42 +257,36 @@ func (o *KeyedUnordered[K, V, L, W, S, A]) Validate() error {
 
 // New implements Operator. The instance is the streaming algorithm of
 // Table 3: a per-key record {agg, state} plus the state that a
-// not-yet-seen key would currently have (startS).
+// not-yet-seen key would currently have (startS, the store's scalar).
 func (o *KeyedUnordered[K, V, L, W, S, A]) New() Instance {
 	return &keyedUnorderedInstance[K, V, L, W, S, A]{
-		op:     o,
-		index:  make(map[K]int),
-		startS: o.InitialState(),
+		op:         o,
+		keyedState: keyedState[K, kuRec[A, S], S]{template: "ku", scalar: o.InitialState()},
 	}
+}
+
+// kuRec is a keyed-unordered key's record. Its fields are exported so
+// that a record without a wire layout takes the gob fallback whole.
+type kuRec[A, S any] struct {
+	Agg   A
+	State S
 }
 
 type keyedUnorderedInstance[K comparable, V, L, W, S, A any] struct {
 	op *KeyedUnordered[K, V, L, W, S, A]
-	// index maps a key to its row of keys/aggs/states: the per-key
-	// records stored as columns in first-seen order, which is also the
-	// snapshot's layout (snapshot.go).
-	index  map[K]int
-	keys   []K
-	aggs   []A
-	states []S
-	startS S
-	emit   func(stream.Event)
-	out    Emit[L, W]
-	codec  *kuCodec[K, S, A] // built at the first snapshot or restore
+	keyedState[K, kuRec[A, S], S]
+	emit func(stream.Event)
+	out  Emit[L, W]
 }
 
-// row returns key's row, appending one — aggregate ID(), state startS
-// — for a key not seen before.
-func (in *keyedUnorderedInstance[K, V, L, W, S, A]) row(key K) int {
-	i, ok := in.index[key]
-	if !ok {
-		i = len(in.keys)
-		in.index[key] = i
-		in.keys = append(in.keys, key)
-		in.aggs = append(in.aggs, in.op.ID())
-		in.states = append(in.states, in.startS)
+// row returns key's record, born with aggregate ID() and state startS.
+// The pointer is good until the next row call.
+func (in *keyedUnorderedInstance[K, V, L, W, S, A]) row(key K) *kuRec[A, S] {
+	i, born := in.slot(key)
+	if born {
+		in.recs[i] = kuRec[A, S]{in.op.ID(), in.scalar}
 	}
-	return i
+	return &in.recs[i]
 }
 
 func (in *keyedUnorderedInstance[K, V, L, W, S, A]) Next(e stream.Event, emit func(stream.Event)) {
@@ -313,23 +297,23 @@ func (in *keyedUnorderedInstance[K, V, L, W, S, A]) Next(e stream.Event, emit fu
 	out := in.out
 	if e.IsMarker {
 		for i, key := range in.keys {
-			in.states[i] = in.op.UpdateState(in.states[i], in.aggs[i])
-			in.aggs[i] = in.op.ID()
+			r := &in.recs[i]
+			r.State, r.Agg = in.op.UpdateState(r.State, r.Agg), in.op.ID()
 			if in.op.OnMarker != nil {
-				in.op.OnMarker(out, in.states[i], key, e.Marker)
+				in.op.OnMarker(out, r.State, key, e.Marker)
 			}
 		}
-		in.startS = in.op.UpdateState(in.startS, in.op.ID())
+		in.scalar = in.op.UpdateState(in.scalar, in.op.ID())
 		emit(e)
 		return
 	}
 	key := castKey[K](in.op.OpName, e.Key)
-	i := in.row(key)
+	r := in.row(key)
 	v := castVal[V](in.op.OpName, e.Value)
 	if in.op.OnItem != nil {
-		in.op.OnItem(out, in.states[i], key, v)
+		in.op.OnItem(out, r.State, key, v)
 	}
-	in.op.fold(&in.aggs[i], key, v)
+	in.op.fold(&r.Agg, key, v)
 }
 
 // fold absorbs one item into an aggregate the instance owns: r.agg

@@ -76,7 +76,9 @@ func (o *SlidingAggregate[K, V, A]) Validate() error {
 
 // New implements Operator.
 func (o *SlidingAggregate[K, V, A]) New() Instance {
-	return &slidingInstance[K, V, A]{op: o, wins: map[K]*keyWindow[A]{}}
+	in := &slidingInstance[K, V, A]{op: o}
+	in.template, in.flat = "sliding", in.windowRecs
+	return in
 }
 
 // fifoEntry is one element of the two-stacks aggregator.
@@ -90,16 +92,20 @@ type fifoEntry[A any] struct {
 // are O(1) amortized and Query is O(1), for any associative monoid.
 // The front stack stores suffix aggregates (cum = fold of this entry
 // and everything popped after it); the back stack stores prefix
-// aggregates (cum = fold of everything pushed up to this entry).
+// aggregates (cum = fold of everything pushed up to this entry). The
+// stacks live by value in a key's window; the aggregator binds them to
+// the operator's monoid for the duration of one use.
 type fifoAgg[A any] struct {
 	id      func() A
 	combine func(x, y A) A
-	front   []fifoEntry[A]
-	back    []fifoEntry[A]
+	*fifoStacks[A]
 }
 
+// fifoStacks are a two-stacks FIFO's entries.
+type fifoStacks[A any] struct{ front, back []fifoEntry[A] }
+
 func newFifoAgg[A any](id func() A, combine func(x, y A) A) *fifoAgg[A] {
-	return &fifoAgg[A]{id: id, combine: combine}
+	return &fifoAgg[A]{id, combine, new(fifoStacks[A])}
 }
 
 // Push appends a block aggregate with its block index.
@@ -156,46 +162,95 @@ func (f *fifoAgg[A]) Query() A {
 // Len returns the number of live entries.
 func (f *fifoAgg[A]) Len() int { return len(f.front) + len(f.back) }
 
+// keyWindow is a key's record: the open block's aggregate and the
+// window's FIFO.
 type keyWindow[A any] struct {
-	cur   A
-	dirty bool // any item in the current block
-	fifo  *fifoAgg[A]
+	windowHead[A]
+	fifo fifoStacks[A]
 }
 
+// windowHead is the open block: its aggregate, and whether any item
+// fell in it. Exported fields, so a head without a wire layout takes
+// the gob fallback.
+type windowHead[A any] struct {
+	Cur   A
+	Dirty bool
+}
+
+// windowEntry is one live window entry as a snapshot writes it.
+type windowEntry[A any] struct {
+	Idx int64
+	Val A
+}
+
+// slidingInstance's scalar is the block index: the number of markers
+// seen.
 type slidingInstance[K comparable, V, A any] struct {
-	op       *SlidingAggregate[K, V, A]
-	wins     map[K]*keyWindow[A]
-	keys     []K
-	blockIdx int64
-	codec    *slidingCodec[K, A] // built at the first snapshot or restore
+	op *SlidingAggregate[K, V, A]
+	keyedState[K, keyWindow[A], int64]
+}
+
+// fifo binds w's stacks to the operator's monoid.
+func (in *slidingInstance[K, V, A]) fifo(w *keyWindow[A]) fifoAgg[A] {
+	return fifoAgg[A]{in.op.ID, in.op.Combine, &w.fifo}
+}
+
+// windowRecs writes the windows ragged: the open block as the head,
+// the live entries as the values.
+func (in *slidingInstance[K, V, A]) windowRecs(d *codecDesc) recCodec[keyWindow[A]] {
+	return newRaggedRecs(d, appendEntries[A], func(h windowHead[A], vals []windowEntry[A]) keyWindow[A] {
+		w := keyWindow[A]{windowHead: h}
+		f := in.fifo(&w)
+		for _, e := range vals {
+			f.Push(e.Idx, e.Val)
+		}
+		return w
+	})
+}
+
+// appendEntries appends w's live entries in FIFO order — front stack
+// top-down, then back stack bottom-up — and returns its head.
+func appendEntries[A any](w *keyWindow[A], vals []windowEntry[A]) (windowHead[A], []windowEntry[A]) {
+	for j := len(w.fifo.front) - 1; j >= 0; j-- {
+		vals = append(vals, windowEntry[A]{w.fifo.front[j].idx, w.fifo.front[j].val})
+	}
+	for _, e := range w.fifo.back {
+		vals = append(vals, windowEntry[A]{e.idx, e.val})
+	}
+	return w.windowHead, vals
 }
 
 func (in *slidingInstance[K, V, A]) Next(e stream.Event, emit func(stream.Event)) {
 	if e.IsMarker {
-		minIdx := in.blockIdx - int64(in.op.WindowBlocks) + 1
-		for _, key := range in.keys {
-			w := in.wins[key]
-			if w.dirty {
-				w.fifo.Push(in.blockIdx, w.cur)
-				w.cur, w.dirty = in.op.ID(), false
+		block := in.scalar
+		minIdx := block - int64(in.op.WindowBlocks) + 1
+		for i, key := range in.keys {
+			w := &in.recs[i]
+			f := in.fifo(w)
+			if w.Dirty {
+				f.Push(block, w.Cur)
+				w.Cur, w.Dirty = in.op.ID(), false
 			}
-			w.fifo.EvictBefore(minIdx)
-			if w.fifo.Len() == 0 && !in.op.EmitEmpty {
+			f.EvictBefore(minIdx)
+			if f.Len() == 0 && !in.op.EmitEmpty {
 				continue
 			}
-			emit(stream.Item(key, w.fifo.Query()))
+			emit(stream.Item(key, f.Query()))
 		}
-		in.blockIdx++
+		in.scalar++
 		emit(e)
 		return
 	}
-	key := castKey[K](in.op.OpName, e.Key)
-	w, ok := in.wins[key]
-	if !ok {
-		w = &keyWindow[A]{cur: in.op.ID(), fifo: newFifoAgg(in.op.ID, in.op.Combine)}
-		in.wins[key] = w
-		in.keys = append(in.keys, key)
+	in.fold(castKey[K](in.op.OpName, e.Key), castVal[V](in.op.OpName, e.Value))
+}
+
+// fold absorbs one item into key's open block.
+func (in *slidingInstance[K, V, A]) fold(key K, v V) {
+	i, born := in.slot(key)
+	w := &in.recs[i]
+	if born {
+		w.Cur = in.op.ID()
 	}
-	w.cur = in.op.Combine(w.cur, in.op.In(key, castVal[V](in.op.OpName, e.Value)))
-	w.dirty = true
+	w.Cur = in.op.Combine(w.Cur, in.op.In(key, v))
+	w.Dirty = true
 }

@@ -147,29 +147,36 @@ func SortOp() core.Operator {
 	}
 }
 
+// liState is LI's per-sensor state: the last reading, once there is
+// one. A value without pointers, so checkpoints write it raw.
+type liState struct {
+	Last V
+	Seen bool
+}
+
 // LIOp is Table 2's linearInterpolation: per sensor, fill missing
 // per-second points. O(ID,V) → O(ID,V).
 func LIOp() core.Operator {
-	return &core.KeyedOrdered[int, V, V, *V]{
+	return &core.KeyedOrdered[int, V, V, liState]{
 		OpName:       "LI",
 		In:           stream.O("ID", "V"),
 		Out:          stream.O("ID", "V"),
-		InitialState: func() *V { return nil },
-		OnItem: func(emit func(V), st *V, _ int, v V) *V {
-			if st == nil {
+		InitialState: func() liState { return liState{} },
+		OnItem: func(emit func(V), st liState, _ int, v V) liState {
+			if !st.Seen {
 				emit(v)
-				return &v
+				return liState{v, true}
 			}
-			dt := v.TS - st.TS
+			dt := v.TS - st.Last.TS
 			if dt <= 0 {
-				return &v
+				return liState{v, true}
 			}
-			x := st.Scalar
+			x := st.Last.Scalar
 			for i := int64(1); i <= dt; i++ {
 				y := x + float64(i)*(v.Scalar-x)/float64(dt)
-				emit(V{Scalar: y, TS: st.TS + i})
+				emit(V{Scalar: y, TS: st.Last.TS + i})
 			}
-			return &v
+			return liState{v, true}
 		},
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"datatrace/internal/core"
 	"datatrace/internal/stream"
 )
 
@@ -201,5 +202,14 @@ func TestResequencerReordersContiguously(t *testing.T) {
 	feed(1, 10)
 	if len(got) != 3 || got[1] != 10 || got[2] != 20 {
 		t.Fatalf("after 1: got %v", got)
+	}
+}
+
+// TestLISnapshotIsRaw pins LI's state to a wire layout: a pointer or a
+// slice in it would move every checkpoint of the pipeline to the gob
+// fallback.
+func TestLISnapshotIsRaw(t *testing.T) {
+	if layout := core.SnapshotLayout(LIOp().New()); layout == "" || strings.Contains(layout, "gob") {
+		t.Fatalf("LI snapshot layout %q, want raw columns", layout)
 	}
 }

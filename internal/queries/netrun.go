@@ -19,8 +19,8 @@ import (
 // topology from it (the workload generator and reference database are
 // deterministic functions of the config), then serves its placement
 // share. RunWorkerIfSpawned is the process entry point workers share:
-// cmd/dttworker, cmd/dttbench and the test binaries all call it
-// first, becoming a worker when the spawn contract is present.
+// cmd/dttworker and this package's test binary call it first, becoming
+// a worker when the spawn contract is present.
 
 // NetSpec selects one networked run: a query Spec plus the worker
 // count and the workload configuration every worker process must
