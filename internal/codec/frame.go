@@ -13,11 +13,13 @@ import (
 )
 
 // This file defines the binary framing the networked storm runtime puts
-// on every inter-worker data connection. One frame carries one message
-// vector of the batched edge transport, addressed to one destination
-// executor. Fixed-width integers are little-endian except the length
-// prefix; uv is an unsigned varint (encoding/binary), which keeps the
-// per-message header of a boxed event at three bytes:
+// on every inter-worker data connection. One frame carries a sequence of
+// messages addressed to one destination executor; the runtime sends one
+// transport message per frame — a batch, a marker or EOS, or a batch and
+// the marker or EOS behind it, so one or two Messages — and its receiver
+// rejects any other shape. Fixed-width integers are little-endian except
+// the length prefix; uv is an unsigned varint (encoding/binary), which
+// keeps the per-message header of a boxed event at three bytes:
 //
 //	frame    := len:u32be payload                  len ≤ MaxFrameBytes
 //	payload  := dest:u32 count:u32 gobLen:u32 gob[gobLen] message*count
@@ -156,10 +158,10 @@ type WireMessage struct {
 	Cols *WireCols
 }
 
-// Frame is one message vector as a plain value, addressed to the
+// Frame is one frame's messages as a plain value, addressed to the
 // destination executor's global index (see storm.Placement): the form
 // tests and probes build frames in. The runtime encodes and decodes
-// Message vectors directly (EncodeVector, DecodeVector); Encode and
+// Message slices directly (EncodeVector, DecodeVector); Encode and
 // Decode convert and call those, so both forms are one wire format.
 type Frame struct {
 	Dest int32

@@ -326,14 +326,14 @@ func CompileWithPlan(d *core.DAG, sources map[string]SourceSpec, opts *Options) 
 				// folds typed rows; an operator exposing only the untyped
 				// monoid gets the same buffer over the universal kind.
 				if cc, ok := n.Op.(core.ColCombinable); ok {
-					if inK, outK, mk, can := cc.ColCombiner(); can {
-						comb = &storm.ColCombinerSpec{InKind: inK, OutKind: outK, New: mk, Cap: capKeys}
+					if outK, mk, can := cc.ColCombiner(); can {
+						comb = &storm.ColCombinerSpec{OutKind: outK, New: mk, Cap: capKeys}
 						stageOps[0] = cc.PreCombined()
 					}
 				} else if c, ok := n.Op.(core.Combinable); ok {
 					if in, combine, can := c.CombinerMonoid(); can {
 						mk := func() stream.ColCombiner { return stream.NewAnyCombiner(in, combine) }
-						comb = &storm.ColCombinerSpec{InKind: stream.AnyKind, OutKind: stream.AnyKind, New: mk, Cap: capKeys}
+						comb = &storm.ColCombinerSpec{OutKind: stream.AnyKind, New: mk, Cap: capKeys}
 						stageOps[0] = c.PreCombined()
 					}
 				}

@@ -239,18 +239,18 @@ func (in *slidingInstance[K, V, A]) ProcessCols(ic, _ stream.Columns) {
 // an operator that is Combinable only.
 type ColCombinable interface {
 	Combinable
-	// ColCombiner returns the input kind the buffer folds (the
-	// operator's raw (K,V) rows), the output kind it drains (the
-	// pre-combined (K,A) rows the PreCombined operator consumes), and
-	// a factory for per-destination buffers. ok is false under exactly
-	// the conditions CombinerMonoid declines.
-	ColCombiner() (in, out *stream.ColKind, mk func() stream.ColCombiner, ok bool)
+	// ColCombiner returns the output kind the buffer drains (the
+	// pre-combined (K,A) rows the PreCombined operator consumes) and a
+	// factory for per-destination buffers, which fold the operator's raw
+	// (K,V) rows without boxing. ok is false under exactly the conditions
+	// CombinerMonoid declines.
+	ColCombiner() (out *stream.ColKind, mk func() stream.ColCombiner, ok bool)
 }
 
 // ColCombiner implements ColCombinable.
-func (o *KeyedUnordered[K, V, L, W, S, A]) ColCombiner() (*stream.ColKind, *stream.ColKind, func() stream.ColCombiner, bool) {
+func (o *KeyedUnordered[K, V, L, W, S, A]) ColCombiner() (*stream.ColKind, func() stream.ColCombiner, bool) {
 	if o.OnItem != nil {
-		return nil, nil, nil, false
+		return nil, nil, false
 	}
 	var fold func(*A, K, V)
 	if o.MergeInto != nil || o.Fold != nil {
@@ -260,17 +260,17 @@ func (o *KeyedUnordered[K, V, L, W, S, A]) ColCombiner() (*stream.ColKind, *stre
 }
 
 // ColCombiner implements ColCombinable.
-func (o *SlidingAggregate[K, V, A]) ColCombiner() (*stream.ColKind, *stream.ColKind, func() stream.ColCombiner, bool) {
+func (o *SlidingAggregate[K, V, A]) ColCombiner() (*stream.ColKind, func() stream.ColCombiner, bool) {
 	return colCombinerKinds(o.In, o.ID, o.Combine, nil)
 }
 
-// colCombinerKinds is ColCombiner's answer for a monoid: the raw and
-// pre-combined kinds and a factory of buffers folding through it.
-func colCombinerKinds[K comparable, V, A any](in func(K, V) A, id func() A, combine func(A, A) A, fold func(*A, K, V)) (*stream.ColKind, *stream.ColKind, func() stream.ColCombiner, bool) {
+// colCombinerKinds is ColCombiner's answer for a monoid: the
+// pre-combined kind and a factory of buffers folding through it.
+func colCombinerKinds[K comparable, V, A any](in func(K, V) A, id func() A, combine func(A, A) A, fold func(*A, K, V)) (*stream.ColKind, func() stream.ColCombiner, bool) {
 	mk := func() stream.ColCombiner {
 		return &colCombiner[K, V, A]{in: in, id: id, combine: combine, fold: fold}
 	}
-	return stream.ColKindFor[K, V](), stream.ColKindFor[K, A](), mk, true
+	return stream.ColKindFor[K, A](), mk, true
 }
 
 // colCombiner is the typed per-destination combining buffer: a keyed

@@ -107,11 +107,12 @@ func TestInPlaceCombinerHandsOffOwnership(t *testing.T) {
 	for _, withFold := range []bool{false, true} {
 		var calls inPlaceCalls
 		op := distinctPerKey(&calls, withFold)
-		inK, outK, mkComb, ok := op.ColCombiner()
+		outK, mkComb, ok := op.ColCombiner()
 		if !ok {
 			t.Fatal("no combiner")
 		}
 		comb := mkComb()
+		inK := stream.ColKindFor[int, int]() // the operator's raw rows
 		rows := inK.Get().(*stream.Cols[int, int])
 		for i := 0; i < 12; i++ {
 			rows.Append(i%3, i)

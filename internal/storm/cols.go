@@ -66,11 +66,9 @@ type ColProcessor interface {
 }
 
 // ColumnarWith documents the kind of the bolt's most recently declared
-// input edge: its producer emits batches of this kind and the bolt's
-// ProcessCols accepts them (the compiler checks both and records the
-// edge in Plan.ColumnarEdges). It is a hint the runtime does not read —
-// a send buffer takes the kind of the rows it is given (see the header)
-// — kept so that topologies declaring their typed edges keep compiling.
+// input edge. The runtime does not read it — a send buffer takes the
+// kind of the rows it is given (see the header) — and keeps it so that
+// topologies declaring their typed edges keep compiling.
 func (d *BoltDecl) ColumnarWith(*stream.ColKind) *BoltDecl { return d }
 
 // route moves the rows of one emitted batch — typed, or the emitter's
@@ -124,24 +122,8 @@ func (em *emitter) route(cols stream.Columns) {
 	}
 }
 
-// entry is one unit of executor traffic at rest: a column batch, or
-// (cols nil) a marker. Merger channels, replay lists and the per-block
-// output buffer all hold entries.
-type entry struct {
-	cols stream.Columns
-	mark stream.Marker
-}
-
-// rows is the number of events the entry stands for.
-func (e entry) rows() int {
-	if e.cols != nil {
-		return e.cols.Len()
-	}
-	return 1
-}
-
 type colBlock struct {
-	items []entry
+	items []message
 	mark  stream.Marker
 }
 
@@ -160,23 +142,23 @@ type colBlock struct {
 // un-committed input, recoverable via Pending.
 type colMerge struct {
 	queued [][]colBlock
-	open   [][]entry
+	open   [][]message
 	// dev delivers one merged marker, dcols one column batch. dcols
 	// borrows the batch: the merger keeps ownership.
 	dev   func(stream.Event)
 	dcols func(stream.Columns)
 	// free recycles popped blocks' item slices.
-	free [][]entry
+	free [][]message
 }
 
 func newColMerge(n int, dev func(stream.Event), dcols func(stream.Columns)) *colMerge {
-	return &colMerge{queued: make([][]colBlock, n), open: make([][]entry, n), dev: dev, dcols: dcols}
+	return &colMerge{queued: make([][]colBlock, n), open: make([][]message, n), dev: dev, dcols: dcols}
 }
 
-// Next consumes one entry from channel ch: a batch, of which it takes
-// ownership, or the marker that closes the channel's open block. The
-// entry is buffered before any consumer code runs.
-func (m *colMerge) Next(ch int, e entry) {
+// Next consumes one part of a message from channel ch: a batch, of which
+// it takes ownership, or the marker that closes the channel's open block.
+// The part is buffered before any consumer code runs.
+func (m *colMerge) Next(ch int, e message) {
 	if e.cols != nil {
 		if m.open[ch] == nil && len(m.free) > 0 {
 			m.open[ch] = m.free[len(m.free)-1]
@@ -190,7 +172,7 @@ func (m *colMerge) Next(ch int, e entry) {
 	m.advance()
 }
 
-func (m *colMerge) deliver(items []entry) {
+func (m *colMerge) deliver(items []message) {
 	for _, it := range items {
 		m.dcols(it.cols)
 	}
@@ -225,28 +207,28 @@ func (m *colMerge) advance() {
 	}
 }
 
-// release returns the entries' batches to their arenas and clears the
-// entries, so a recycled slice holds no stale reference.
-func release(items []entry) {
+// release returns the parts' batches to their arenas and clears the
+// parts, so a recycled slice holds no stale reference.
+func release(items []message) {
 	for i := range items {
 		if c := items[i].cols; c != nil {
 			c.Release()
 		}
-		items[i] = entry{}
+		items[i] = message{}
 	}
 }
 
-// Pending returns, per channel, every entry the merger has not yet
+// Pending returns, per channel, every part the merger has not yet
 // popped: the items and marker of each queued block, then the open
 // block's items. Feeding each sequence into a fresh merger on the same
 // channel reproduces this merger's state; the batches move with the
-// entries, so the caller must abandon this merger.
-func (m *colMerge) Pending() [][]entry {
-	out := make([][]entry, len(m.open))
+// parts, so the caller must abandon this merger.
+func (m *colMerge) Pending() [][]message {
+	out := make([][]message, len(m.open))
 	for ch := range out {
 		for _, b := range m.queued[ch] {
 			out[ch] = append(out[ch], b.items...)
-			out[ch] = append(out[ch], entry{mark: b.mark})
+			out[ch] = append(out[ch], message{punct: markPunct, mark: b.mark})
 		}
 		out[ch] = append(out[ch], m.open[ch]...)
 	}

@@ -141,7 +141,7 @@ func (c *maxCombiner) Drain(out stream.Columns) (int, int) {
 func (c *maxCombiner) Len() int { return len(c.keys) }
 
 func maxSpec(boxed *atomic.Int64) ColCombinerSpec {
-	return ColCombinerSpec{InKind: intKind, OutKind: intKind, Cap: 1024,
+	return ColCombinerSpec{OutKind: intKind, Cap: 1024,
 		New: func() stream.ColCombiner { return &maxCombiner{idx: map[int]int{}, boxed: boxed} }}
 }
 
@@ -190,7 +190,7 @@ func heldBy(em *emitter) string {
 	}
 	for i := range em.bufs {
 		b := &em.bufs[i]
-		if b.vec != nil || b.buf != nil || b.comb != nil && b.comb.Len() != 0 {
+		if b.buf != nil || b.comb != nil && b.comb.Len() != 0 {
 			s += fmt.Sprintf(" buf%d holds output", i)
 		}
 	}
@@ -423,20 +423,20 @@ func (c trackedCols) Release() {
 // policy that fails for good (the run aborts) still releases every batch
 // it was handed, once — the one in flight when the bolt panicked, the
 // ones the merger held, and the ones that arrive while it drains to its
-// EOS. The vector is placed in the inbox before the run starts, ahead of
-// the (empty) source's EOS.
+// EOS. The messages are placed in the inbox before the run starts, ahead
+// of the (empty) source's EOS.
 func TestFailedExecutorReleasesItsBatches(t *testing.T) {
 	for _, aligned := range []bool{false, true} {
 		var released [3]atomic.Int64
-		vec := make([]message, 0, 4)
+		msgs := make([]message, 0, 3)
 		for i := range released {
 			c := intKind.Get()
 			c.AppendEvent(stream.Item(i, i))
-			vec = append(vec, message{cols: trackedCols{c, &released[i]}})
+			msgs = append(msgs, message{cols: trackedCols{c, &released[i]}})
 			if i == 0 {
 				// Aligned, the first batch waits in the merger for this
 				// marker; raw, the bolt has already failed on the batch.
-				vec = append(vec, message{mark: mk(0, 10).Marker})
+				msgs[0].punct, msgs[0].mark = markPunct, mk(0, 10).Marker
 			}
 		}
 		top := NewTopology("leak")
@@ -449,7 +449,9 @@ func TestFailedExecutorReleasesItsBatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rts["boom"].inboxes[0] <- &vec
+		for _, m := range msgs {
+			rts["boom"].inboxes[0] <- m
+		}
 		if _, err := top.execute(rts); err == nil {
 			t.Fatalf("aligned=%v: the run must fail", aligned)
 		}

@@ -49,13 +49,12 @@ const DefaultCombinerCap = 1024
 // ColCombinerSpec configures sender-side combining on one input edge
 // of a bolt (see BoltDecl.ColCombineWith). The edge carries batches of
 // OutKind — each drain ships one (key, partial aggregate) row per
-// distinct key — while the producer emits rows of InKind; rows of any
-// other kind are folded boxed (ColCombiner.FoldEvent).
+// distinct key. The combiner folds rows of the kind it was built for
+// without boxing (ColCombiner.Fold) and rows of any other kind boxed
+// (ColCombiner.FoldEvent).
 type ColCombinerSpec struct {
-	// InKind is the kind of rows the combiner folds without boxing (the
-	// producer's output kind); OutKind is the kind of rows it drains (the
-	// kind the edge carries and the consumer accepts).
-	InKind  *stream.ColKind
+	// OutKind is the kind of rows the combiner drains: the kind the edge
+	// carries and the consumer accepts.
 	OutKind *stream.ColKind
 	// New builds one combining buffer per (subscription, destination).
 	New func() stream.ColCombiner
@@ -65,8 +64,8 @@ type ColCombinerSpec struct {
 
 // validate checks a spec at topology validation time.
 func (s *ColCombinerSpec) validate(bolt, from string, g Grouping) error {
-	if s.InKind == nil || s.OutKind == nil || s.New == nil {
-		return fmt.Errorf("storm: combiner on edge %s→%s needs In and Combine (CombineWith) or InKind, OutKind and New (ColCombineWith)", from, bolt)
+	if s.OutKind == nil || s.New == nil {
+		return fmt.Errorf("storm: combiner on edge %s→%s needs In and Combine (CombineWith) or OutKind and New (ColCombineWith)", from, bolt)
 	}
 	if s.Cap < 1 {
 		return fmt.Errorf("storm: combiner on edge %s→%s needs a positive key cap, got %d", from, bolt, s.Cap)
@@ -102,7 +101,7 @@ type CombinerSpec struct {
 // CombineWith is ColCombineWith for an untyped monoid: the combiner
 // folds and drains rows of the universal kind.
 func (d *BoltDecl) CombineWith(spec CombinerSpec) *BoltDecl {
-	cs := ColCombinerSpec{InKind: stream.AnyKind, OutKind: stream.AnyKind, Cap: spec.Cap}
+	cs := ColCombinerSpec{OutKind: stream.AnyKind, Cap: spec.Cap}
 	if spec.In != nil && spec.Combine != nil {
 		cs.New = func() stream.ColCombiner { return stream.NewAnyCombiner(spec.In, spec.Combine) }
 	}

@@ -43,9 +43,9 @@ func asColSpec(spec *CombinerSpec) *ColCombinerSpec {
 // Fields edge.
 func newCombinedPair(tr TransportOptions, recvPar int, spec *CombinerSpec) *transportPair {
 	recv := &runtimeComponent{component: &component{name: "dst", parallelism: recvPar}}
-	recv.inboxes = make([]chan *[]message, recvPar)
+	recv.inboxes = make([]chan message, recvPar)
 	for i := range recv.inboxes {
-		recv.inboxes[i] = make(chan *[]message, 1<<15)
+		recv.inboxes[i] = make(chan message, 1<<15)
 	}
 	recv.depths = make([]atomic.Int64, recvPar)
 	recv.nChannels = 2
@@ -196,7 +196,7 @@ func TestCombinerEmptyAtMarkersAndEOS(t *testing.T) {
 func TestCombinerStatsCounters(t *testing.T) {
 	stats := metrics.NewStats()
 	recv := &runtimeComponent{component: &component{name: "dst", parallelism: 1}}
-	recv.inboxes = []chan *[]message{make(chan *[]message, 1<<15)}
+	recv.inboxes = []chan message{make(chan message, 1<<15)}
 	recv.depths = make([]atomic.Int64, 1)
 	recv.nChannels = 1
 	send := &runtimeComponent{component: &component{name: "src", parallelism: 1}}

@@ -15,23 +15,50 @@ import (
 )
 
 // message is one unit of executor input, tagged with the receiver-side
-// input channel it arrived on: a column batch of items, a marker, or an
-// end-of-stream notice. Messages travel in vectors — the batched edge
-// transport (transport.go) groups them per destination — and receivers
-// unpack a vector one message at a time.
+// input channel it arrived on: a piece of a block — a column batch of
+// items — optionally closed by the marker that ends the block or by the
+// channel's end-of-stream notice. Every inbox slot, channel send and
+// network frame carries exactly one message. At rest — in merger
+// channels, replay lists and the per-block output buffer — the executor
+// holds the parts of messages, each a batch or (cols nil) a marker.
 type message struct {
-	ch int
-	// cols, when set, makes this message a batch of items (markers never
-	// enter batches; see cols.go). The receiver owns the batch and
-	// releases it after consumption.
+	// ch is the input channel, 32 bits as on the wire: it packs with punct.
+	ch int32
+	// punct is what follows the batch, if anything; mark is the marker
+	// when punct is markPunct.
+	punct punct
+	// cols, when set, is the batch of items (markers never enter
+	// batches; see cols.go). The receiver owns the batch and releases it
+	// after consumption.
 	cols stream.Columns
-	// mark is the marker when cols is nil and eos is false.
 	mark stream.Marker
-	eos  bool
 	// sent is the send wall time (UnixNano) when observability is
 	// enabled, 0 otherwise; receivers derive emit-to-receive inbox
-	// latency from it.
+	// latency from it. A batch carries the stamp of its first row.
 	sent int64
+}
+
+// punct is the punctuation a message closes with: none, a marker, or
+// end-of-stream.
+type punct uint8
+
+const (
+	noPunct punct = iota
+	markPunct
+	eosPunct
+)
+
+// weight is the message's size in events, the unit of the inbox-depth
+// gauges and of the fault hooks: the batch's rows, plus one for a
+// punctuation; a marker part counts one.
+func (m *message) weight() int {
+	switch {
+	case m.cols == nil:
+		return 1
+	case m.punct != noPunct:
+		return m.cols.Len() + 1
+	}
+	return m.cols.Len()
 }
 
 const defaultChannelCap = 1024
@@ -70,16 +97,15 @@ type subscription struct {
 // runtimeComponent is a component with resolved wiring.
 type runtimeComponent struct {
 	*component
-	// inboxes[i] is instance i's input channel; nil when the instance
-	// is placed on another worker process (its traffic travels the
-	// networked transport instead). The slice always has parallelism
+	// inboxes[i] is instance i's input channel; nil for a spout (no
+	// input) and for an instance on another worker process (its traffic
+	// travels the networked transport). The slice always has parallelism
 	// entries so routing arithmetic is placement-blind.
-	inboxes []chan *[]message
+	inboxes []chan message
 	// depths[i] is inbox i's depth in *events* (a channel slot holds a
-	// whole vector, and a message a whole batch of rows): senders
-	// add a vector's weight (vecWeight) at flush, the receiver subtracts
-	// it at dequeue. Maintained only when observability is enabled;
-	// feeds the sampled queue-depth gauge.
+	// message, a whole batch of rows): senders add a message's weight
+	// at delivery, the receiver subtracts it at dequeue. Maintained only
+	// when observability is enabled; feeds the sampled queue-depth gauge.
 	depths    []atomic.Int64
 	subs      []subscription
 	nChannels int // receiver-side input channel count
@@ -117,7 +143,7 @@ func (rc *runtimeComponent) record(e stream.Event) {
 
 // appendSink records a block a sink instance received, batches row by
 // row.
-func (rc *runtimeComponent) appendSink(block []entry) {
+func (rc *runtimeComponent) appendSink(block []message) {
 	rc.sinkMu.Lock()
 	defer rc.sinkMu.Unlock()
 	for _, e := range block {
@@ -227,13 +253,13 @@ func (t *Topology) resolve(w *workerNet) (map[string]*runtimeComponent, error) {
 	t.layout(rts, workers)
 	for _, name := range t.order {
 		rc := rts[name]
-		rc.inboxes = make([]chan *[]message, rc.parallelism)
+		rc.inboxes = make([]chan message, rc.parallelism)
 		rc.depths = make([]atomic.Int64, rc.parallelism)
 		for i := range rc.inboxes {
-			if !rc.localInst(i) {
+			if rc.spout != nil || !rc.localInst(i) {
 				continue
 			}
-			rc.inboxes[i] = make(chan *[]message, t.channelCap())
+			rc.inboxes[i] = make(chan message, t.channelCap())
 			if w != nil {
 				w.register(rc.gids[i], rc.inboxes[i], &rc.depths[i])
 			}
@@ -242,7 +268,7 @@ func (t *Topology) resolve(w *workerNet) (map[string]*runtimeComponent, error) {
 	return rts, nil
 }
 
-// channelCap is the inbox capacity in vectors.
+// channelCap is the inbox capacity in messages.
 func (t *Topology) channelCap() int { return positiveOr(t.ChannelCap, defaultChannelCap) }
 
 // layout derives everything in the wiring that depends on the
@@ -419,17 +445,16 @@ type emitter struct {
 	// Batched transport state (see transport.go). bufs holds one send
 	// buffer per (subscription, destination instance), flattened;
 	// bufBase[si] indexes subscription si's instance-0 buffer. pending
-	// counts the events held by all bufs — rows of open batches, events
-	// of unflushed vectors, keys of combining buffers; oldest is the
-	// idle-flush deadline anchor (zero when nothing is pending).
+	// counts the events held by all bufs — rows of open batches and keys
+	// of combining buffers; oldest is the idle-flush deadline anchor
+	// (zero when nothing is pending).
 	bufs       []outBuf
 	bufBase    []int
 	pending    int
 	oldest     time.Time
 	batchSize  int
 	flushEvery time.Duration
-	// idle is recvBatch's reusable idle-flush timer (nil until first
-	// needed).
+	// idle is recv's reusable idle-flush timer (nil until first needed).
 	idle *time.Timer
 }
 
@@ -464,7 +489,7 @@ func (em *emitter) rebuildBufs() {
 	for si := range rc.subs {
 		sub := &rc.subs[si]
 		for k := range sub.to.inboxes {
-			b := outBuf{ch: sub.chBase + em.instance}
+			b := outBuf{ch: int32(sub.chBase + em.instance)}
 			if sub.to.localInst(k) {
 				b.sink, b.depth = chanSink{ch: sub.to.inboxes[k]}, &sub.to.depths[k]
 			} else {
@@ -499,15 +524,14 @@ func (em *emitter) stage(n int, marker bool) {
 	}
 }
 
-// emit sends one event: a marker to every destination, flushing
-// everything — markers punctuate every buffer, and aligned consumers
-// must not wait on a partial batch to complete a cut — an item as one
-// row of the universal kind.
+// emit sends one event: a marker to every destination, behind everything
+// each buffer holds — markers punctuate every buffer, and aligned
+// consumers must not wait on a partial batch to complete a cut — an
+// item as one row of the universal kind.
 func (em *emitter) emit(e stream.Event) {
 	em.stage(1, e.IsMarker)
 	if e.IsMarker {
 		em.mark(e.Marker)
-		em.flushAll()
 		return
 	}
 	r := em.row
@@ -524,13 +548,12 @@ func (em *emitter) emitCols(cols stream.Columns) {
 
 // send delivers a block of emissions — batches and markers in emission
 // order — transactionally: every fault hook fires before the first
-// buffer append, and delivery itself cannot panic. Each batch is
-// consumed (released, its entry cleared) as it is delivered, so a
-// caller that recovers from a staging panic still owns exactly the
-// batches left in block. The caller flushes.
-func (em *emitter) send(block []entry) {
+// buffer append. Each batch is consumed (released, its part cleared) as
+// it is delivered, so a caller that recovers from a staging panic still
+// owns exactly the batches left in block. The caller flushes.
+func (em *emitter) send(block []message) {
 	for i := range block {
-		em.stage(block[i].rows(), block[i].cols == nil)
+		em.stage(block[i].weight(), block[i].cols == nil)
 	}
 	for i := range block {
 		if c := block[i].cols; c != nil {
@@ -543,31 +566,35 @@ func (em *emitter) send(block []entry) {
 	}
 }
 
-// mark appends a marker to every destination's vector.
+// mark sends a marker to every destination, each copy in one message
+// with the open batch it closes, behind the combiner's aggregates.
 func (em *emitter) mark(m stream.Marker) {
 	em.stats.AddEmitted(1)
-	em.punctuate(message{mark: m, sent: em.now})
-}
-
-// eos notifies every downstream instance that this sender instance's
-// channel has ended, and flushes: EOS is the last message each channel
-// delivers.
-func (em *emitter) eos() {
-	em.punctuate(message{eos: true})
-	em.flushAll()
-}
-
-// punctuate appends a marker or EOS to every destination's vector,
-// behind the aggregates and rows the buffer still holds in its
-// combining buffer and open batch.
-func (em *emitter) punctuate(m message) {
 	for i := range em.bufs {
 		b := &em.bufs[i]
 		em.drain(b)
-		em.seal(b)
-		m.ch = b.ch
-		em.appendMsg(b, m, 1)
+		em.flushBuf(b, message{punct: markPunct, mark: m, sent: em.now})
 	}
+	em.oldest = time.Time{}
+}
+
+// eos notifies every downstream instance that this sender instance's
+// channel has ended, behind everything its buffer still holds. Each
+// delivery runs under its own guard, so a failed one (a dead TCP link)
+// keeps no other destination from seeing its channel end; the first
+// failure is returned.
+func (em *emitter) eos() (err error) {
+	for i := range em.bufs {
+		b := &em.bufs[i]
+		if ferr := guard(em.rc.name, em.instance, func() {
+			em.drain(b)
+			em.flushBuf(b, message{punct: eosPunct})
+		}); err == nil {
+			err = ferr
+		}
+	}
+	em.oldest = time.Time{}
+	return err
 }
 
 // guard runs fn, converting a panic into an error so the topology can
@@ -685,7 +712,9 @@ func runSpout(rc *runtimeComponent, instance int, is *metrics.InstanceStats, ef 
 		pol.logf("storm: spout %s[%d] failed, truncating its input: %v", rc.name, instance, err)
 		err = nil
 	}
-	em.eos()
+	if eerr := em.eos(); err == nil {
+		err = eerr
+	}
 	return err
 }
 
@@ -742,7 +771,7 @@ type boltExec struct {
 	// (a restart then uses a fresh instance). spare is the buffer the
 	// next cut's snapshot is written into before it swaps with snap.
 	rec      bool
-	out      []entry
+	out      []message
 	snap     []byte
 	spare    []byte
 	hasSnap  bool
@@ -808,17 +837,16 @@ func runBolt(rc *runtimeComponent, instance int, is *metrics.InstanceStats, ef *
 
 	inbox := rc.inboxes[instance]
 	for x.eosLeft > 0 && !x.retired {
-		bp := recvBatch(inbox, x.em)
-		if bp == nil {
+		m, ok := recv(inbox, x.em)
+		if !ok {
 			continue // idle flush fired; retry the receive
 		}
-		x.runVector(*bp)
-		putBatch(bp)
+		x.runMessage(m)
 		if x.retired {
 			return nil
 		}
 		// Bound buffered-output residency even under a steady trickle
-		// of input (which keeps resetting recvBatch's idle timer).
+		// of input (which keeps resetting recv's idle timer).
 		x.em.tick()
 	}
 	if x.fatal == nil && x.degraded == nil {
@@ -829,7 +857,9 @@ func runBolt(rc *runtimeComponent, instance int, is *metrics.InstanceStats, ef *
 	if g != nil {
 		cg.leave(g)
 	}
-	x.em.eos()
+	if err := x.em.eos(); x.fatal == nil {
+		x.fatal = err
+	}
 	return x.fatal
 }
 
@@ -869,115 +899,96 @@ func (x *boltExec) newMerge() *colMerge {
 }
 
 // held returns, per input channel, the received input the executor has
-// not finished with: the merger's un-popped entries (the merger is
+// not finished with: the merger's un-popped parts (the merger is
 // abandoned), nothing on raw inputs.
-func (x *boltExec) held() [][]entry {
+func (x *boltExec) held() [][]message {
 	if x.merge == nil {
-		return make([][]entry, x.rc.nChannels)
+		return make([][]message, x.rc.nChannels)
 	}
 	return x.merge.Pending()
 }
 
-// runVector consumes one received vector. Processing runs under one
-// panic guard and one busy-time clock pair per vector when observability
-// is off; with it on the clock is read once per message, each message's
-// end time being the next one's start. On a panic the in-flight message is
-// handled exactly once: the guard is re-entered at the same message
-// with absorbed and fired preserved, so a message the merger already
-// holds is not fed twice and an injected Nth-event fault neither
-// re-fires nor loses count of the batch rows behind it.
-func (x *boltExec) runVector(batch []message) {
-	name, inst, is, ef := x.rc.name, x.instance, x.is, x.ef
-	obs := is.ObsEnabled()
-	// weight is the vector's not-yet-processed remainder in events, the
-	// unit of the inbox-depth gauge (maintained under observability only).
-	depth := &x.rc.depths[inst]
-	var weight int64
-	if obs {
-		weight = vecWeight(batch)
-		depth.Add(-weight)
+// runMessage consumes one received message: its batch, then its
+// punctuation.
+func (x *boltExec) runMessage(m message) {
+	if x.is.ObsEnabled() {
+		x.rc.depths[x.instance].Add(int64(-m.weight()))
 	}
-	// bi is the message being processed, fired the fault-hook calls
-	// already made for it, absorbed whether it was handed to the merger
-	// (or the bolt).
-	bi, fired, absorbed := 0, 0, false
-	for bi < len(batch) && !x.retired {
-		if x.fatal != nil || x.degraded != nil {
-			// A failed executor keeps draining to its EOS.
-			if m := &batch[bi]; m.eos {
-				x.eosLeft--
-			} else {
-				x.discard(entry{cols: m.cols, mark: m.mark}, 0)
-			}
-			bi++
-			continue
-		}
+	if m.cols != nil {
+		x.runPart(message{ch: m.ch, cols: m.cols, sent: m.sent})
+	}
+	switch m.punct {
+	case markPunct:
+		x.runPart(message{ch: m.ch, punct: markPunct, mark: m.mark, sent: m.sent})
+	case eosPunct:
+		x.eosLeft--
+	}
+}
+
+// runPart consumes one part of a message — a batch or a marker — under
+// one panic guard and one busy-time clock pair. On a panic the part is
+// handled exactly once: the guard is re-entered with absorbed and fired
+// preserved, so a part the merger already holds is not fed twice and an
+// injected Nth-event fault neither re-fires nor loses count of the batch
+// rows behind it.
+func (x *boltExec) runPart(in message) {
+	if x.fatal != nil || x.degraded != nil {
+		// A failed executor keeps draining to its EOS.
+		x.discard(in, 0)
+		return
+	}
+	name, inst, is, ef := x.rc.name, x.instance, x.is, x.ef
+	// fired counts the fault-hook calls already made for the part,
+	// absorbed whether it was handed to the merger (or the bolt).
+	fired, absorbed := 0, false
+	for {
 		err := guard(name, inst, func() {
 			t0 := time.Now()
 			defer func() { is.AddBusy(time.Since(t0)) }()
-			for bi < len(batch) && !x.retired {
-				m := &batch[bi]
-				if m.eos {
-					x.eosLeft--
-					bi++
-					continue
-				}
-				in := entry{cols: m.cols, mark: m.mark}
-				if obs && fired == 0 && !absorbed {
-					now := t0.UnixNano()
-					x.em.now = now
-					if x.qskip--; x.qskip <= 0 {
-						x.qskip = queueObsEvery
-						// Inbox depth in events, plus this vector's
-						// not-yet-processed remainder (the current
-						// message included).
-						is.ObserveQueueDepth(int(depth.Load() + weight))
-						if m.sent != 0 {
-							is.ObserveQueue(time.Duration(now - m.sent))
-						}
-					}
-					weight -= int64(in.rows())
-					if x.markerSeen != nil && m.cols == nil {
-						if _, ok := x.markerSeen[m.mark.Seq]; !ok {
-							x.markerSeen[m.mark.Seq] = now
-						}
+			obs := is.ObsEnabled()
+			if obs && fired == 0 && !absorbed {
+				now := t0.UnixNano()
+				x.em.now = now
+				if x.qskip--; x.qskip <= 0 {
+					x.qskip = queueObsEvery
+					// Inbox depth in events, plus the part in hand.
+					is.ObserveQueueDepth(int(x.rc.depths[inst].Load()) + in.weight())
+					if in.sent != 0 {
+						is.ObserveQueue(time.Duration(now - in.sent))
 					}
 				}
-				if ef != nil {
-					for n := in.rows(); fired < n; {
-						fired++
-						ef.onEvent(name, inst)
+				if x.markerSeen != nil && in.cols == nil {
+					if _, ok := x.markerSeen[in.mark.Seq]; !ok {
+						x.markerSeen[in.mark.Seq] = now
 					}
 				}
-				if !absorbed {
-					absorbed = true
-					x.absorb(m.ch, in)
-				}
-				bi, fired, absorbed = bi+1, 0, false
-				if obs {
-					t1 := time.Now()
-					d := t1.Sub(t0)
-					is.AddBusy(d)
-					is.ObserveExec(t0, d)
-					t0 = t1
-				}
+			}
+			for n := in.weight(); ef != nil && fired < n; {
+				fired++
+				ef.onEvent(name, inst)
+			}
+			if !absorbed {
+				absorbed = true
+				x.absorb(int(in.ch), in)
+			}
+			if obs {
+				is.ObserveExec(t0, time.Since(t0))
 			}
 		})
 		if err == nil {
-			continue
+			return
 		}
-		// The panic hit message bi. The executor still owns the merger's
-		// input plus the in-flight message, unless the merger already
-		// holds that (on raw inputs nothing does: absorb releases a batch
-		// only after the bolt returned). Under recovery, roll back to the
-		// last cut, replay all of it and resume the same message with
-		// absorbed set, so only its remaining fault hooks run; otherwise,
-		// or when recovery gives up, fail hands it to discard. On aligned
-		// inputs the block is replayed or dropped whole, with its output.
-		m := &batch[bi]
+		// The executor still owns the merger's input plus the in-flight
+		// part, unless the merger already holds that (on raw inputs
+		// nothing does: absorb releases a batch only after the bolt
+		// returned). Under recovery, roll back to the last cut, replay all
+		// of it and resume the same part with absorbed set, so only its
+		// remaining fault hooks run; otherwise, or when recovery gives up,
+		// fail hands it to discard. On aligned inputs the block is
+		// replayed or dropped whole, with its output.
 		pending := x.held()
 		if !absorbed || x.merge == nil {
-			pending[m.ch] = append(pending[m.ch], entry{cols: m.cols, mark: m.mark})
+			pending[in.ch] = append(pending[in.ch], in)
 			absorbed = true
 		}
 		if x.rec {
@@ -988,14 +999,14 @@ func (x *boltExec) runVector(batch []message) {
 			err, pending = rerr, left
 		}
 		x.fail(err, pending)
-		bi, fired, absorbed = bi+1, 0, false
+		return
 	}
 }
 
 // absorb hands one live message to the merger, which takes ownership of
 // a batch, or on raw inputs straight to the bolt, releasing a batch
 // once the bolt returned.
-func (x *boltExec) absorb(ch int, in entry) {
+func (x *boltExec) absorb(ch int, in message) {
 	if x.merge != nil {
 		x.merge.Next(ch, in)
 		return
@@ -1013,11 +1024,11 @@ func (x *boltExec) absorb(ch int, in entry) {
 // parked output, an item as a row of the universal batch at its end.
 func (x *boltExec) park(e stream.Event) {
 	if e.IsMarker {
-		x.out = append(x.out, entry{mark: e.Marker})
+		x.out = append(x.out, message{punct: markPunct, mark: e.Marker})
 		return
 	}
 	if n := len(x.out); n == 0 || x.out[n-1].cols == nil || x.out[n-1].cols.Kind() != stream.AnyKind {
-		x.out = append(x.out, entry{cols: stream.AnyKind.Get()})
+		x.out = append(x.out, message{cols: stream.AnyKind.Get()})
 	}
 	x.out[len(x.out)-1].cols.AppendEvent(e)
 }
@@ -1060,7 +1071,7 @@ func (x *boltExec) deliverCols(c stream.Columns) {
 	out := x.outKind.Get()
 	x.cp.ProcessCols(c, out)
 	if x.rec {
-		x.out = append(x.out, entry{cols: out})
+		x.out = append(x.out, message{cols: out})
 	} else {
 		x.em.emitCols(out)
 	}

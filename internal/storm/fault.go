@@ -87,7 +87,7 @@ func (p *FaultPlan) SlowExecutor(component string, instance int, perEvent time.D
 
 // CorruptEdge fails the atSend-th send (1-based) from executor
 // from[fromInstance] to component to. Sends are counted per routed row
-// (and marker copy), not per batch or vector, so the fault keeps
+// (and marker copy), not per batch or message, so the fault keeps
 // per-event granularity under the batched transport; it fires when an
 // emission is staged (emitter.stage), before any row of it reaches a
 // buffer, so a corrupted emission is never partially delivered.

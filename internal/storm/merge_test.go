@@ -82,12 +82,12 @@ func (p *mergePair) apply(op mOp) {
 		p.next++
 		c := stream.AnyKind.Get() // a boxed emission is a one-row universal batch
 		c.AppendEvent(e)
-		p.cm.Next(ch, entry{cols: c})
+		p.cm.Next(ch, message{cols: c})
 		p.model.Next(ch, e, p.wantEv)
 	case 1:
 		e := stream.Mark(stream.Marker{Seq: p.seq[ch], Timestamp: op.ts})
 		p.seq[ch]++
-		p.cm.Next(ch, entry{mark: e.Marker})
+		p.cm.Next(ch, message{punct: markPunct, mark: e.Marker})
 		p.model.Next(ch, e, p.wantEv)
 	case 2:
 		c := mergeKind.Get().(*stream.Cols[mergeKey, int])
@@ -97,7 +97,7 @@ func (p *mergePair) apply(op mOp) {
 			p.next++
 		}
 		p.live = append(p.live, c)
-		p.cm.Next(ch, entry{cols: c})
+		p.cm.Next(ch, message{cols: c})
 	case 3:
 		p.handover()
 	}
@@ -105,7 +105,7 @@ func (p *mergePair) apply(op mOp) {
 }
 
 // expand renders a Pending list with batches expanded to rows.
-func expand(pending [][]entry) [][]stream.Event {
+func expand(pending [][]message) [][]stream.Event {
 	out := make([][]stream.Event, len(pending))
 	for ch, es := range pending {
 		for _, e := range es {

@@ -16,10 +16,11 @@ import (
 )
 
 // This file is the sending half of the networked runtime's data plane:
-// the TCP form of the vectorSink seam. Each ordered pair of workers
+// the TCP form of the edgeSink seam. Each ordered pair of workers
 // shares one TCP connection (a netLink, dialled by the sender); a
-// flushed message vector crossing a worker boundary becomes one binary
-// frame (codec/frame.go; a batch of a wired kind as its columns' memory,
+// message crossing a worker boundary becomes one binary frame
+// (codec/frame.go: one or two codec.Messages, the batch and the
+// punctuation behind it; a batch of a wired kind as its columns' memory,
 // any other — the universal kind's among them — through the counted gob
 // fallback) addressed to the destination executor's global
 // index. Per-(sender,channel) FIFO order is preserved: one connection
@@ -29,12 +30,12 @@ import (
 //
 // Backpressure is credits, not blocking writes. A sending worker holds,
 // per destination executor, a window of ChannelCap credits, one per
-// vector in flight; an executor takes a credit before it encodes a
-// vector and waits — for that destination only — when the window is
+// message in flight; an executor takes a credit before it encodes a
+// message and waits — for that destination only — when the window is
 // spent. The receiving worker returns credits as the destination's inbox
-// accepts vectors (networker.go), on the reverse direction of the same
+// accepts messages (networker.go), on the reverse direction of the same
 // connection, which carries nothing else. So a worker never has more
-// than ChannelCap vectors per (peer, destination) beyond the destination
+// than ChannelCap messages per (peer, destination) beyond the destination
 // inbox, the receiver can always take what arrives without blocking its
 // frame dispatcher, and a stalled consumer stalls exactly the senders of
 // its own edges — the shape of the in-process bounded channel, with the
@@ -49,13 +50,13 @@ import (
 //
 // Failure model: a socket error on either direction kills the link;
 // every executor that subsequently sends on it (or is waiting for its
-// credit) panics, which the guard converts into executor failure, and
-// the worker aborts (workerNet.fail) so the coordinator sees an attempt
-// failure and recovers by restarting all workers (see netcoord.go). The
-// one typed exception is codec.ErrUnregisteredType: it is detected
-// before any byte is queued, leaves the link healthy, returns the
-// credit, and fails only the emitting executor, which may then degrade
-// per the drop-and-log policy.
+// credit) panics, having let go of the message, which the guard converts
+// into executor failure, and the worker aborts (workerNet.fail) so the
+// coordinator sees an attempt failure and recovers by restarting all
+// workers (see netcoord.go). The one typed exception is
+// codec.ErrUnregisteredType: it is detected before any byte is queued,
+// leaves the link healthy, returns the credit, and fails only the
+// emitting executor, which may then degrade per the drop-and-log policy.
 
 // grantLen is the size of one credit grant on a link's reverse
 // direction: the destination executor (u32) and the number of credits
@@ -76,7 +77,7 @@ type netLink struct {
 	mu      sync.Mutex
 	enc     *codec.FrameEncoder
 	pending []byte
-	scratch []codec.Message
+	scratch [2]codec.Message
 	gates   map[int]chan struct{}
 	err     error
 	// flushing tells the writer to exit once pending is empty; closed
@@ -163,23 +164,25 @@ func (l *netLink) acquire(g chan struct{}) error {
 	}
 }
 
-// send encodes one vector for the destination executor into the pending
-// buffer and wakes the writer. It never blocks on the network.
-func (l *netLink) send(dest int, msgs []message) error {
+// send encodes one message for the destination executor into the
+// pending buffer, as a frame of its batch and then its punctuation, and
+// wakes the writer. It never blocks on the network.
+func (l *netLink) send(dest int, m message) error {
 	l.mu.Lock()
 	if l.err != nil {
 		l.mu.Unlock()
 		return l.err
 	}
 	ws := l.scratch[:0]
-	for i := range msgs {
-		m := &msgs[i]
-		// The codec reads Ev only when the message is neither EOS nor a batch.
-		ws = append(ws, codec.Message{Ch: int32(m.ch), EOS: m.eos, Sent: m.sent, Ev: stream.Mark(m.mark), Cols: m.cols})
+	if m.cols != nil {
+		ws = append(ws, codec.Message{Ch: m.ch, Sent: m.sent, Cols: m.cols})
+	}
+	if m.punct != noPunct {
+		// The codec reads Ev only when the message is not EOS.
+		ws = append(ws, codec.Message{Ch: m.ch, EOS: m.punct == eosPunct, Sent: m.sent, Ev: stream.Mark(m.mark)})
 	}
 	err := l.enc.EncodeVector(int32(dest), ws)
 	clear(ws)
-	l.scratch = ws
 	if err != nil && !errors.Is(err, codec.ErrUnregisteredType) {
 		l.err = err // the encoder's stream state is no longer the peer's
 	}
@@ -310,10 +313,10 @@ func (l *netLink) wire() metrics.WireStats {
 	}
 }
 
-// netSink is the vectorSink of a remote destination: it takes a credit
-// of the destination's window, queues the vector's frame on the
-// destination worker's link and recycles the box (nothing downstream in
-// this process will consume it). A send error panics in the calling
+// netSink is the edgeSink of a remote destination: it takes a credit of
+// the destination's window, queues the message's frame on the
+// destination worker's link and releases the batch (nothing downstream
+// in this process will consume it). A send error panics in the calling
 // executor, whose guard applies the configured degradation or failure
 // policy.
 type netSink struct {
@@ -322,22 +325,18 @@ type netSink struct {
 	gate chan struct{}
 }
 
-func (s netSink) deliver(b *[]message) {
+func (s netSink) deliver(m message) {
 	err := s.link.acquire(s.gate)
 	if err == nil {
-		if err = s.link.send(s.dest, *b); errors.Is(err, codec.ErrUnregisteredType) {
+		if err = s.link.send(s.dest, m); errors.Is(err, codec.ErrUnregisteredType) {
 			s.gate <- struct{}{} // nothing was queued: the credit is still ours
 		}
 	}
-	// Column batches are released only after send returns: the frame
-	// encoder copies their columns during the call.
-	for i := range *b {
-		if c := (*b)[i].cols; c != nil {
-			(*b)[i].cols = nil
-			c.Release()
-		}
+	// The batch is released only after send returns: the frame encoder
+	// copies its columns during the call.
+	if m.cols != nil {
+		m.cols.Release()
 	}
-	putBatch(b)
 	if err != nil {
 		panic(fmt.Errorf("net transport: send to executor %d: %w", s.dest, err))
 	}

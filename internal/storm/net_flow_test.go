@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"datatrace/internal/codec"
+	"datatrace/internal/metrics"
 	"datatrace/internal/stream"
 )
 
@@ -19,7 +20,7 @@ import (
 
 // flowWorker is worker 1 of 2 with the given inboxes registered and its
 // transport serving on a loopback listener.
-func flowWorker(t *testing.T, window int, inboxes map[int]chan *[]message) (*workerNet, net.Listener) {
+func flowWorker(t *testing.T, window int, inboxes map[int]chan message) (*workerNet, net.Listener) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -37,26 +38,24 @@ func flowWorker(t *testing.T, window int, inboxes map[int]chan *[]message) (*wor
 	return w, ln
 }
 
-func oneItemVector(i int) *[]message {
-	bp := getBatch()
+func oneItemMessage(i int) message {
 	c := stream.AnyKind.Get()
 	c.AppendEvent(stream.Item(int64(i), int64(i)))
-	*bp = append((*bp)[:0], message{ch: 0, cols: c})
-	return bp
+	return message{ch: 0, cols: c}
 }
 
 // TestDispatcherNeverBlocksOnFullInbox pins the invariant the credit
 // windows exist for. One destination's inbox is held full; the sender of
 // that edge must stall on its spent window, with a bounded number of
-// vectors in flight, while vectors for a second destination on the same
+// messages in flight, while messages for a second destination on the same
 // connection — behind the first destination's in the byte stream — keep
 // arriving for as long as anyone looks: the frame dispatcher is never
 // parked on the full inbox. Draining the inbox then restarts its sender.
 func TestDispatcherNeverBlocksOnFullInbox(t *testing.T) {
 	const window, stuck, live = 2, 10, 11
-	stuckInbox := make(chan *[]message, 1)
-	liveInbox := make(chan *[]message, 1)
-	_, ln := flowWorker(t, window, map[int]chan *[]message{stuck: stuckInbox, live: liveInbox})
+	stuckInbox := make(chan message, 1)
+	liveInbox := make(chan message, 1)
+	_, ln := flowWorker(t, window, map[int]chan message{stuck: stuckInbox, live: liveInbox})
 
 	var linkErr atomic.Value
 	link, err := dialLink(ln.Addr().String(), 0, window, func(err error) { linkErr.Store(err) })
@@ -79,18 +78,18 @@ func TestDispatcherNeverBlocksOnFullInbox(t *testing.T) {
 			// executor; that is how these goroutines end.
 			func() {
 				defer func() { _ = recover() }()
-				sink.deliver(oneItemVector(i))
+				sink.deliver(oneItemMessage(i))
 				sent.Add(1)
 			}()
 		}
 	}
 	go sender(stuck, &sentStuck)
 	go sender(live, &sentLive)
-	drain := func(inbox chan *[]message, got *atomic.Int64) {
+	drain := func(inbox chan message, got *atomic.Int64) {
 		for {
 			select {
-			case bp := <-inbox:
-				putBatch(bp)
+			case m := <-inbox:
+				m.cols.Release()
 				got.Add(1)
 			case <-stop:
 				return
@@ -100,21 +99,21 @@ func TestDispatcherNeverBlocksOnFullInbox(t *testing.T) {
 	go drain(liveInbox, &gotLive)
 	defer close(stop)
 
-	// The stuck edge's sender runs out of credit: one vector in the inbox,
+	// The stuck edge's sender runs out of credit: one message in the inbox,
 	// one in the pump's hand, and a window's worth behind them.
 	waitFor(t, "the stuck edge's sender to stall", func() bool { return sentStuck.Load() >= window })
 	time.Sleep(20 * time.Millisecond)
 	stalledAt := sentStuck.Load()
 	if stalledAt > 2*window+2 {
-		t.Fatalf("%d vectors sent into a full inbox with a window of %d", stalledAt, window)
+		t.Fatalf("%d messages sent into a full inbox with a window of %d", stalledAt, window)
 	}
 	before := gotLive.Load()
 	time.Sleep(100 * time.Millisecond)
 	if n := sentStuck.Load(); n != stalledAt {
-		t.Fatalf("the stuck edge's sender went from %d to %d vectors with the inbox held full", stalledAt, n)
+		t.Fatalf("the stuck edge's sender went from %d to %d messages with the inbox held full", stalledAt, n)
 	}
 	if n := gotLive.Load() - before; n < 100 {
-		t.Fatalf("only %d vectors reached the second destination in 100 ms with the first one's inbox full", n)
+		t.Fatalf("only %d messages reached the second destination in 100 ms with the first one's inbox full", n)
 	}
 	if len(stuckInbox) != cap(stuckInbox) {
 		t.Fatal("the full inbox is not full")
@@ -182,7 +181,7 @@ func TestDispatcherFailsTyped(t *testing.T) {
 	name := []byte(kind.Name())
 
 	t.Run("unknown kind", func(t *testing.T) {
-		w, ln := flowWorker(t, 2, map[int]chan *[]message{10: make(chan *[]message, 1)})
+		w, ln := flowWorker(t, 2, map[int]chan message{10: make(chan message, 1)})
 		frame := bytes.Replace(valid.Bytes(), name, bytes.Replace(name, []byte("cols"), []byte("colz"), 1), 1)
 		if _, err := rawPeer(t, ln).Write(frame); err != nil {
 			t.Fatal(err)
@@ -190,7 +189,7 @@ func TestDispatcherFailsTyped(t *testing.T) {
 		wantFailure(t, w, codec.ErrUnknownKind)
 	})
 	t.Run("layout mismatch", func(t *testing.T) {
-		w, ln := flowWorker(t, 2, map[int]chan *[]message{10: make(chan *[]message, 1)})
+		w, ln := flowWorker(t, 2, map[int]chan message{10: make(chan message, 1)})
 		frame := append([]byte(nil), valid.Bytes()...)
 		frame[bytes.Index(frame, name)+len(name)] ^= 0xff // first byte of the fingerprint
 		if _, err := rawPeer(t, ln).Write(frame); err != nil {
@@ -199,7 +198,7 @@ func TestDispatcherFailsTyped(t *testing.T) {
 		wantFailure(t, w, codec.ErrLayoutMismatch)
 	})
 	t.Run("column past the frame", func(t *testing.T) {
-		w, ln := flowWorker(t, 2, map[int]chan *[]message{10: make(chan *[]message, 1)})
+		w, ln := flowWorker(t, 2, map[int]chan message{10: make(chan message, 1)})
 		frame := append([]byte(nil), valid.Bytes()...)
 		rows := bytes.Index(frame, name) + len(name) + 8
 		binary.LittleEndian.PutUint32(frame[rows:], 1000)
@@ -209,17 +208,17 @@ func TestDispatcherFailsTyped(t *testing.T) {
 		wantFailure(t, w, codec.ErrShortFrame)
 	})
 	t.Run("unhosted destination", func(t *testing.T) {
-		w, ln := flowWorker(t, 2, map[int]chan *[]message{11: make(chan *[]message, 1)})
+		w, ln := flowWorker(t, 2, map[int]chan message{11: make(chan message, 1)})
 		if _, err := rawPeer(t, ln).Write(valid.Bytes()); err != nil {
 			t.Fatal(err)
 		}
 		wantFailure(t, w, nil)
 	})
 	t.Run("window overrun", func(t *testing.T) {
-		// A peer that ignores its credits: the inbox takes one vector, the
+		// A peer that ignores its credits: the inbox takes one message, the
 		// pump holds one, the ingress queue two, and the fifth has nowhere
 		// to go — the dispatcher reports it instead of waiting.
-		w, ln := flowWorker(t, 2, map[int]chan *[]message{10: make(chan *[]message, 1)})
+		w, ln := flowWorker(t, 2, map[int]chan message{10: make(chan message, 1)})
 		conn := rawPeer(t, ln)
 		enc := codec.NewFrameEncoder(conn)
 		for i := 0; i < 8; i++ {
@@ -229,6 +228,87 @@ func TestDispatcherFailsTyped(t *testing.T) {
 		}
 		wantFailure(t, w, nil)
 	})
+	// A runtime frame is one message: a batch, a punctuation, or a batch
+	// and the punctuation that closes it. Anything else is a protocol error.
+	for _, shape := range []struct {
+		name string
+		msgs []codec.Message
+	}{
+		{"no message", nil},
+		{"two batches", []codec.Message{{Cols: batch}, {Cols: batch}}},
+		{"batch after a punctuation", []codec.Message{{Ev: stream.Mark(stream.Marker{Seq: 1})}, {Cols: batch}}},
+		{"boxed item", []codec.Message{{Ev: stream.Item(int64(1), int64(2))}}},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			w, ln := flowWorker(t, 2, map[int]chan message{10: make(chan message, 1)})
+			if err := codec.NewFrameEncoder(rawPeer(t, ln)).EncodeVector(10, shape.msgs); err != nil {
+				t.Fatal(err)
+			}
+			wantFailure(t, w, errFrameShape)
+		})
+	}
+}
+
+// deadLinkSender is a spout component on worker 0 of 2 whose only
+// subscriber, one instance on worker 1, sits behind a link that has been
+// closed.
+func deadLinkSender(t *testing.T) *runtimeComponent {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("environment forbids localhost TCP sockets (%v)", err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	link, err := dialLink(ln.Addr().String(), 0, 2, func(error) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	link.close()
+	w := newWorkerNet(2, 0, 2, false)
+	w.links[1] = link
+	recv := &runtimeComponent{component: &component{name: "dst", parallelism: 1}, net: w, workerOf: []int{1}, gids: []int{1}}
+	recv.inboxes, recv.depths = make([]chan message, 1), make([]atomic.Int64, 1)
+	src := &component{name: "src", parallelism: 1, spout: func(int) Spout { return SliceSpout(nil) }}
+	send := &runtimeComponent{component: src, net: w, workerOf: []int{0}, gids: []int{0}}
+	send.subs = []subscription{{to: recv, grouping: Shuffle}}
+	return send
+}
+
+// TestDeadLinkFlushLeavesNothingBuffered: a flush into a failed link
+// panics out of the emitter, as it does out of an executor, and leaves
+// the emitter holding nothing — no open batch, no pending row — that a
+// later flush, or a replay after a restart, would write into again.
+func TestDeadLinkFlushLeavesNothingBuffered(t *testing.T) {
+	em := newEmitter(deadLinkSender(t), 0, metrics.NewStats().Instance("src", 0), nil)
+	for i := 0; i < 10; i++ {
+		em.emit(stream.Item(i, i))
+	}
+	if em.pending != 10 {
+		t.Fatalf("%d events pending before the flush, want 10", em.pending)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a flush into a closed link did not panic")
+			}
+		}()
+		em.flushAll()
+	}()
+	if held := heldBy(em); held != "" {
+		t.Fatalf("after the failed flush the emitter still holds output: %s", held)
+	}
+}
+
+// TestSpoutEOSIntoDeadLinkFails: a spout whose end-of-stream notice cannot
+// be delivered — its only subscriber sits behind a failed link — returns
+// the send error instead of panicking its goroutine (which would take the
+// worker process down without a typed error).
+func TestSpoutEOSIntoDeadLinkFails(t *testing.T) {
+	err := runSpout(deadLinkSender(t), 0, metrics.NewStats().Instance("src", 0), nil, RecoveryPolicy{}, nil, nil)
+	if err == nil {
+		t.Fatal("the spout's EOS went into a closed link and the spout reported no error")
+	}
+	t.Logf("spout failed: %v", err)
 }
 
 // flowTopology is an all-typed topology: column sources, a column bolt

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -71,19 +72,19 @@ func WorkerEnvConfig() (cfg WorkerConfig, spec string, ok bool) {
 }
 
 // inboxRef is one locally hosted executor's delivery point for the
-// frame dispatchers: vectors from peers queue on ingress, whose capacity
-// is the peers' credit windows together, so a dispatcher's send never
-// blocks; the executor's pump moves them into the inbox.
+// frame dispatchers: messages from peers queue on ingress, whose
+// capacity is the peers' credit windows together, so a dispatcher's send
+// never blocks; the executor's pump moves them into the inbox.
 type inboxRef struct {
-	ch      chan *[]message
+	ch      chan message
 	depth   *atomic.Int64
 	ingress chan inbound
 }
 
-// inbound is one received vector, the worker that sent it and the
+// inbound is one received message, the worker that sent it and the
 // connection its credit returns on.
 type inbound struct {
-	bp   *[]message
+	m    message
 	peer int
 	conn net.Conn
 }
@@ -124,15 +125,15 @@ func newWorkerNet(workers, self, window int, obs bool) *workerNet {
 	}
 }
 
-func (w *workerNet) register(gid int, ch chan *[]message, depth *atomic.Int64) {
+func (w *workerNet) register(gid int, ch chan message, depth *atomic.Int64) {
 	// Sized to the number of sends that can be outstanding: every peer's
 	// whole window.
 	ingress := make(chan inbound, (w.workers-1)*w.window)
 	w.byGID[gid] = inboxRef{ch: ch, depth: depth, ingress: ingress}
 }
 
-// sinkTo resolves the vectorSink of a remote destination instance.
-func (w *workerNet) sinkTo(rc *runtimeComponent, k int) vectorSink {
+// sinkTo resolves the edgeSink of a remote destination instance.
+func (w *workerNet) sinkTo(rc *runtimeComponent, k int) edgeSink {
 	l := w.links[rc.workerOf[k]]
 	return netSink{link: l, dest: rc.gids[k], gate: l.gate(rc.gids[k])}
 }
@@ -174,10 +175,11 @@ func (w *workerNet) serve(ln net.Listener) {
 }
 
 // dispatch serves one inbound data connection: it decodes frames and
-// queues each as a pooled vector on the destination executor's ingress.
-// The queue has room for every vector the peer holds a credit for, so
+// queues each as one message on the destination executor's ingress.
+// The queue has room for every message the peer holds a credit for, so
 // the send cannot block — a dispatcher only ever waits for the socket —
-// and a peer overrunning its window is a protocol error.
+// and a peer overrunning its window, like a frame that is not one
+// message, is a protocol error.
 func (w *workerNet) dispatch(conn net.Conn) {
 	defer w.wg.Done()
 	defer conn.Close()
@@ -203,41 +205,60 @@ func (w *workerNet) dispatch(conn net.Conn) {
 			w.fail(fmt.Errorf("inbound frame from worker %d: %w", peer, err))
 			return
 		}
-		bp := getBatch()
-		b := (*bp)[:0]
-		for i := range ms {
-			m := &ms[i]
-			msg := message{ch: int(m.Ch), eos: m.EOS, sent: m.Sent, mark: m.Ev.Marker, cols: m.Cols}
-			if m.Cols == nil && !m.EOS && !m.Ev.IsMarker {
-				// A boxed item: the frame format can carry one, though no
-				// emitter of this runtime sends any.
-				msg.cols = stream.AnyKind.Get()
-				msg.cols.AppendEvent(m.Ev)
-			}
-			b = append(b, msg)
-		}
-		*bp = b
+		m, err := fromWire(ms)
 		clear(ms)
 		msgs = ms
+		if err != nil {
+			w.fail(fmt.Errorf("inbound frame from worker %d: %w", peer, err))
+			return
+		}
 		ref, ok := w.byGID[int(dest)]
 		if !ok {
 			w.fail(fmt.Errorf("frame from worker %d addressed to executor %d, which is not hosted here", peer, dest))
 			return
 		}
 		if w.obs && ref.depth != nil {
-			ref.depth.Add(vecWeight(b))
+			ref.depth.Add(int64(m.weight()))
 		}
 		select {
-		case ref.ingress <- inbound{bp: bp, peer: peer, conn: conn}:
+		case ref.ingress <- inbound{m: m, peer: peer, conn: conn}:
 		default:
-			w.fail(fmt.Errorf("worker %d overran its window of %d vectors to executor %d", peer, w.window, dest))
+			w.fail(fmt.Errorf("worker %d overran its window of %d messages to executor %d", peer, w.window, dest))
 			return
 		}
 	}
 }
 
+// errFrameShape reports an inbound frame that is not one message: a
+// batch, a marker or EOS, or a batch and the marker or EOS behind it,
+// all on one channel.
+var errFrameShape = errors.New("frame is not one message")
+
+// fromWire assembles the one message a frame's codec messages make up.
+func fromWire(ms []codec.Message) (m message, err error) {
+	for i, w := range ms {
+		switch {
+		case m.punct != noPunct || i > 0 && w.Ch != m.ch:
+			return message{}, errFrameShape
+		case w.EOS:
+			m.punct = eosPunct
+		case w.Cols != nil && m.cols == nil:
+			m.cols = w.Cols
+		case w.Cols == nil && w.Ev.IsMarker:
+			m.punct, m.mark = markPunct, w.Ev.Marker
+		default: // a second batch, or a boxed item
+			return message{}, errFrameShape
+		}
+		m.ch, m.sent = w.Ch, w.Sent
+	}
+	if m.cols == nil && m.punct == noPunct {
+		err = errFrameShape
+	}
+	return m, err
+}
+
 // pump is the local stand-in for one executor's remote senders: it moves
-// received vectors from the ingress queue into the inbox — blocking
+// received messages from the ingress queue into the inbox — blocking
 // where a local sender would, on a full inbox — and returns a credit to
 // the sending worker for each one the inbox accepted. Credits go back in
 // batches of half a window, written straight to the connection's
@@ -257,7 +278,7 @@ func (w *workerNet) pump(gid int, ref inboxRef) {
 			return
 		}
 		select {
-		case ref.ch <- in.bp:
+		case ref.ch <- in.m:
 		case <-w.stop:
 			return
 		}

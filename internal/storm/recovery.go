@@ -30,9 +30,9 @@ import (
 //     the spare of the executor's two snapshot buffers; then
 //     flush the parked block transactionally (emitter.send: every fault
 //     hook fires before the first transport append, and the flush
-//     leaves no buffer — combiner, open batch or vector — holding
-//     anything); then commit the snapshot, by swapping the two buffers,
-//     and the round-robin cursors as the checkpoint. A steady-state cut
+//     leaves no buffer — combiner or open batch — holding anything);
+//     then commit the snapshot, by swapping the two buffers, and the
+//     round-robin cursors as the checkpoint. A steady-state cut
 //     allocates nothing, and a crash inside the flush restores the
 //     previous cut's bytes. Nothing of a block is visible downstream
 //     before its snapshot succeeded, and batches keep their kind
@@ -150,7 +150,7 @@ func (x *boltExec) flushOut() {
 // deterministic bug re-panics during replay) and returns (nil, nil)
 // on success, or the still-pending input with the terminal error so a
 // drop-and-log caller can drain it.
-func (x *boltExec) recoverFrom(cause error, pending [][]entry) ([][]entry, error) {
+func (x *boltExec) recoverFrom(cause error, pending [][]message) ([][]message, error) {
 	if _, ok := x.bolt.(Recoverable); !ok {
 		return pending, fmt.Errorf("%w (bolt is not snapshottable)", cause)
 	}
@@ -178,11 +178,12 @@ func (x *boltExec) recoverFrom(cause error, pending [][]entry) ([][]entry, error
 // an empty merger (the caller holds the old one's input), and an empty
 // output buffer, its parked batches released. The emitter's buffers
 // need no discard: between cuts every emission is parked in out (never
-// pushed to the transport), a crash inside a cut's flush can only fire
-// before the first buffer append (send stages everything first;
-// delivery and flushAll cannot panic — combiner folds are pure by the
-// template contract), and flushOut ends in flushAll, so every buffer
-// layer is provably empty at every restart point.
+// pushed to the transport), flushOut ends in flushAll, and an injected
+// fault inside a cut's flush fires before the first buffer append (send
+// stages everything first; combiner folds are pure). In-process delivery
+// cannot panic; a netSink delivery can (a failed link aborts the worker;
+// an unregistered type fails every replay until the budget runs out),
+// and then what it sent stays sent and later buffers keep their rows.
 func (x *boltExec) restart() error {
 	b := x.newBolt()
 	r, ok := b.(Recoverable)
@@ -210,7 +211,7 @@ func (x *boltExec) restart() error {
 // popping, followed by the not-yet-fed tails — so a further retry
 // replays everything since the last committed cut, and every batch
 // still has exactly one owner.
-func (x *boltExec) replayAll(pending [][]entry) ([][]entry, error) {
+func (x *boltExec) replayAll(pending [][]message) ([][]message, error) {
 	fed := make([]int, len(pending))
 	err := guard(x.rc.name, x.instance, func() {
 		t0 := time.Now()
@@ -227,7 +228,7 @@ func (x *boltExec) replayAll(pending [][]entry) ([][]entry, error) {
 				e := pending[ch][fed[ch]]
 				fed[ch]++
 				progressed = true
-				x.is.AddReplayed(int64(e.rows()))
+				x.is.AddReplayed(int64(e.weight()))
 				x.absorb(ch, e)
 			}
 		}
@@ -247,7 +248,7 @@ func (x *boltExec) replayAll(pending [][]entry) ([][]entry, error) {
 // — with the same crash recovery as live processing, then drops the
 // merger's last batches. On terminal failure it returns the
 // still-pending input for drop-and-log draining.
-func (x *boltExec) finish() ([][]entry, error) {
+func (x *boltExec) finish() ([][]message, error) {
 	for {
 		err := guard(x.rc.name, x.instance, func() {
 			t0 := time.Now()
@@ -291,7 +292,7 @@ func (x *boltExec) finish() ([][]entry, error) {
 // are discarded, their batches released, and it stopped completing
 // cuts: a rescale barrier can no longer form, and parked peers must not
 // wait for one.
-func (x *boltExec) fail(cause error, pending [][]entry) {
+func (x *boltExec) fail(cause error, pending [][]message) {
 	if x.pol.Enabled && x.pol.OnUnrecoverable == DropAndLog {
 		x.pol.logf("storm: %s[%d] is unrecoverable, degrading to drop-and-log: %v", x.rc.name, x.instance, cause)
 		x.degraded = &degradeState{seen: map[int64]int{}}
@@ -334,7 +335,7 @@ type degradeState struct {
 // process: dropped and counted in degraded mode, silently otherwise. A
 // batch is released either way; its first done rows are not counted
 // (the ones a raw-input bolt finished before failing in it).
-func (x *boltExec) discard(e entry, done int) {
+func (x *boltExec) discard(e message, done int) {
 	d := x.degraded
 	if e.cols != nil {
 		if d != nil {

@@ -34,7 +34,7 @@ import (
 //   - every inbox is drained: a channel's cut-N marker is the last
 //     message the channel carries until after the barrier, and an
 //     aligned consumer cannot complete cut N before consuming every
-//     channel's marker N — hence every earlier vector too;
+//     channel's marker N — hence every earlier message too;
 //   - every merger is empty (block N was popped when its cut
 //     completed) and no event beyond marker N exists anywhere.
 //
@@ -534,10 +534,10 @@ func (cg *cutGate) rewire(req *rescaleReq) error {
 	cg.gates = kept
 
 	rc.parallelism = q
-	rc.inboxes = make([]chan *[]message, q)
+	rc.inboxes = make([]chan message, q)
 	rc.depths = make([]atomic.Int64, q)
 	for i := range rc.inboxes {
-		rc.inboxes[i] = make(chan *[]message, cg.t.channelCap())
+		rc.inboxes[i] = make(chan message, cg.t.channelCap())
 	}
 
 	cg.t.layout(cg.rts, cg.t.workers)

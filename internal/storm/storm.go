@@ -155,9 +155,9 @@ type Topology struct {
 	components map[string]*component
 	order      []string
 	// ChannelCap bounds executor inboxes (backpressure); 0 selects the
-	// default of 1024. Each inbox slot holds one transport vector (up
-	// to TransportOptions.BatchSize events), so the in-flight event
-	// bound per edge is ChannelCap × BatchSize.
+	// default of 1024. Each inbox slot holds one message (a batch of up to
+	// TransportOptions.BatchSize events and the punctuation closing it),
+	// so the in-flight event bound per edge is ChannelCap × BatchSize.
 	ChannelCap  int
 	workers     int
 	faultPlan   *FaultPlan

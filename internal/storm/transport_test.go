@@ -34,11 +34,11 @@ type transportPair struct {
 
 func newTransportPair(tr TransportOptions, recvPar int) *transportPair {
 	recv := &runtimeComponent{component: &component{name: "dst", parallelism: recvPar}}
-	recv.inboxes = make([]chan *[]message, recvPar)
+	recv.inboxes = make([]chan message, recvPar)
 	for i := range recv.inboxes {
 		// Large enough that scripted runs never block (the harness has
 		// no receiver goroutine to apply backpressure).
-		recv.inboxes[i] = make(chan *[]message, 1<<15)
+		recv.inboxes[i] = make(chan message, 1<<15)
 	}
 	recv.depths = make([]atomic.Int64, recvPar)
 	recv.nChannels = 2
@@ -54,28 +54,31 @@ func newTransportPair(tr TransportOptions, recvPar int) *transportPair {
 	}
 }
 
-// drainVectors returns the vectors queued per inbox. It does not
-// return them to the pool: the harness keeps the messages for
-// comparison. Safe because the harness is single-threaded — nothing
-// sends while draining.
-func (p *transportPair) drainVectors() [][][]message {
-	out := make([][][]message, len(p.recv.inboxes))
+// drainMessages returns the messages queued per inbox. Safe because the
+// harness is single-threaded — nothing sends while draining.
+func (p *transportPair) drainMessages() [][]message {
+	out := make([][]message, len(p.recv.inboxes))
 	for i, ch := range p.recv.inboxes {
 		for len(ch) > 0 {
-			bp := <-ch
-			out[i] = append(out[i], *bp)
+			out[i] = append(out[i], <-ch)
 		}
 	}
 	return out
 }
 
-// drain flattens drainVectors into one message sequence per inbox.
+// drain is drainMessages with every message split into its parts — the
+// batch, then the punctuation — each a message of its own.
 func (p *transportPair) drain() [][]message {
-	vecs := p.drainVectors()
-	out := make([][]message, len(vecs))
-	for i, vs := range vecs {
-		for _, v := range vs {
-			out[i] = append(out[i], v...)
+	msgs := p.drainMessages()
+	out := make([][]message, len(msgs))
+	for i, ms := range msgs {
+		for _, m := range ms {
+			if m.cols != nil {
+				out[i] = append(out[i], message{ch: m.ch, cols: m.cols, sent: m.sent})
+			}
+			if m.punct != noPunct {
+				out[i] = append(out[i], message{ch: m.ch, punct: m.punct, mark: m.mark, sent: m.sent})
+			}
 		}
 	}
 	return out
@@ -110,7 +113,7 @@ func applyOps(em *emitter, ops []tOp, flushes bool) {
 				typed.AppendEvent(stream.Item(op.key+i, op.val))
 			}
 			seq++
-			em.send([]entry{{cols: boxed}, {cols: typed}, {mark: stream.Marker{Seq: seq, Timestamp: seq}}})
+			em.send([]message{{cols: boxed}, {cols: typed}, {punct: markPunct, mark: stream.Marker{Seq: seq, Timestamp: seq}}})
 			em.flushAll()
 		case 3:
 			if flushes {
@@ -146,7 +149,7 @@ func randomOps(r *rand.Rand, n int) []tOp {
 	return ops
 }
 
-// events expands one non-EOS message: a batch's rows, or the marker.
+// events expands one non-EOS part: a batch's rows, or the marker.
 func (m message) events() []stream.Event {
 	if m.cols == nil {
 		return []stream.Event{stream.Mark(m.mark)}
@@ -161,15 +164,15 @@ func (m message) events() []stream.Event {
 // byChannel projects one inbox's flat message sequence per channel,
 // batches expanded to rows, failing if any channel's EOS is not its
 // final message.
-func byChannel(t *testing.T, inbox int, msgs []message) map[int][]stream.Event {
+func byChannel(t *testing.T, inbox int, msgs []message) map[int32][]stream.Event {
 	t.Helper()
-	out := map[int][]stream.Event{}
-	closed := map[int]bool{}
+	out := map[int32][]stream.Event{}
+	closed := map[int32]bool{}
 	for _, m := range msgs {
 		if closed[m.ch] {
 			t.Fatalf("inbox %d channel %d received a message after its EOS", inbox, m.ch)
 		}
-		if m.eos {
+		if m.punct == eosPunct {
 			closed[m.ch] = true
 			continue
 		}
@@ -222,11 +225,11 @@ func TestTransportDifferentialRandomOps(t *testing.T) {
 	}
 }
 
-// TestBatchSizeOneSendsSingletonVectors checks the compatibility
-// contract: BatchSize 1 flushes every push immediately, so every
-// vector on the wire carries exactly one message and nothing is ever
-// pending between emitter calls.
-func TestBatchSizeOneSendsSingletonVectors(t *testing.T) {
+// TestBatchSizeOneSendsOneEventPerMessage checks the compatibility
+// contract: BatchSize 1 sends every push immediately, so every message
+// on the wire carries exactly one event — a one-row batch, a marker or
+// EOS — and nothing is ever pending between emitter calls.
+func TestBatchSizeOneSendsOneEventPerMessage(t *testing.T) {
 	p := newTransportPair(TransportOptions{BatchSize: 1}, 2)
 	r := rand.New(rand.NewSource(7))
 	seq := int64(0)
@@ -242,11 +245,33 @@ func TestBatchSizeOneSendsSingletonVectors(t *testing.T) {
 		}
 	}
 	p.em.eos()
-	for i, vecs := range p.drainVectors() {
-		for _, v := range vecs {
-			if len(v) != 1 {
-				t.Fatalf("inbox %d received a vector of %d messages; BatchSize 1 must send singletons", i, len(v))
+	for i, msgs := range p.drainMessages() {
+		for _, m := range msgs {
+			if n := m.weight(); n != 1 {
+				t.Fatalf("inbox %d received a message of %d events; BatchSize 1 must send one per message", i, n)
 			}
+		}
+	}
+}
+
+// TestMarkerRidesWithTheBatchItCloses: rows below BatchSize and then a
+// marker reach each destination as one message carrying both — one
+// channel operation, not one for the batch and one for the marker.
+func TestMarkerRidesWithTheBatchItCloses(t *testing.T) {
+	p := newTransportPair(TransportOptions{BatchSize: 64, FlushInterval: -1}, 2)
+	p.em.rc.subs = p.em.rc.subs[:1] // the Shuffle edge: rows reach both instances
+	p.em.rebuildBufs()
+	for i := 0; i < 10; i++ {
+		p.em.emit(stream.Item(i, i))
+	}
+	p.em.emit(mk(1, 1))
+	for i, msgs := range p.drainMessages() {
+		if len(msgs) != 1 {
+			t.Fatalf("inbox %d received %d messages, want one", i, len(msgs))
+		}
+		m := msgs[0]
+		if m.cols == nil || m.cols.Len() != 5 || m.punct != markPunct || m.mark != mk(1, 1).Marker {
+			t.Fatalf("inbox %d received %+v, want the 5 rows routed to it closed by marker 1", i, m)
 		}
 	}
 }
@@ -294,7 +319,7 @@ func TestEOSArrivesAfterBufferedEvents(t *testing.T) {
 	for i, msgs := range p.drain() {
 		perCh := map[int]int{}
 		for _, m := range msgs {
-			perCh[m.ch]++
+			perCh[int(m.ch)]++
 		}
 		// byChannel fails on any post-EOS message; also require every
 		// channel to have seen its EOS.
