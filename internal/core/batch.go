@@ -304,13 +304,12 @@ func (c *colCombiner[K, V, A]) add(k K, v V) {
 }
 
 // Fold implements stream.ColCombiner.
-func (c *colCombiner[K, V, A]) Fold(in stream.Columns, i int) bool {
+func (c *colCombiner[K, V, A]) Fold(in stream.Columns, rows []int32, capacity int) (m int, ok bool) {
 	tc, ok := in.(*stream.Cols[K, V])
-	if !ok {
-		return false
+	for ; ok && m < len(rows) && len(c.keys) < capacity; m++ {
+		c.add(tc.Keys[rows[m]], tc.Vals[rows[m]])
 	}
-	c.add(tc.Keys[i], tc.Vals[i])
-	return true
+	return m, ok
 }
 
 // FoldEvent implements stream.ColCombiner.

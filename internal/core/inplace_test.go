@@ -2,6 +2,7 @@ package core
 
 import (
 	"maps"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -118,7 +119,7 @@ func TestInPlaceCombinerHandsOffOwnership(t *testing.T) {
 			rows.Append(i%3, i)
 		}
 		for i := 0; i < rows.Len(); i++ {
-			comb.Fold(rows, i)
+			comb.Fold(rows, []int32{int32(i)}, math.MaxInt)
 		}
 		partials := outK.Get().(*stream.Cols[int, set])
 		if ins, outs := comb.Drain(partials); ins != 12 || outs != 3 {
@@ -135,7 +136,7 @@ func TestInPlaceCombinerHandsOffOwnership(t *testing.T) {
 			more.Append(i%3, 100+i)
 		}
 		for i := 0; i < more.Len(); i++ {
-			comb.Fold(more, i)
+			comb.Fold(more, []int32{int32(i)}, math.MaxInt)
 		}
 		for i, p := range partials.Vals {
 			if !maps.Equal(p, sent[i]) {

@@ -114,12 +114,12 @@ func (c *maxCombiner) fold(k, v int) {
 	c.keys, c.vals = append(c.keys, k), append(c.vals, v)
 }
 
-func (c *maxCombiner) Fold(in stream.Columns, i int) bool {
+func (c *maxCombiner) Fold(in stream.Columns, rows []int32, capacity int) (m int, ok bool) {
 	tin, ok := in.(*stream.Cols[int, int])
-	if ok {
-		c.fold(tin.Keys[i], tin.Vals[i])
+	for ; ok && m < len(rows) && len(c.keys) < capacity; m++ {
+		c.fold(tin.Keys[rows[m]], tin.Vals[rows[m]])
 	}
-	return ok
+	return m, ok
 }
 
 func (c *maxCombiner) FoldEvent(e stream.Event) {
@@ -374,9 +374,10 @@ type countingCombiner struct {
 	seen *atomic.Int64
 }
 
-func (c *countingCombiner) Fold(in stream.Columns, i int) bool {
-	c.seen.Add(1)
-	return c.ColCombiner.Fold(in, i)
+func (c *countingCombiner) Fold(in stream.Columns, rows []int32, capacity int) (int, bool) {
+	m, ok := c.ColCombiner.Fold(in, rows, capacity)
+	c.seen.Add(int64(m))
+	return m, ok
 }
 
 // TestDropAndLogDrainReleasesBatches: an executor that cannot recover

@@ -30,16 +30,13 @@ import (
 //     is preserved (within a block the edge is unordered, so the
 //     reordering of items into first-seen key order is trace-invisible).
 //   - EOS/block/idle: all run through flushAll, which drains every
-//     combining buffer first. In particular a committed marker cut
-//     leaves every combining buffer provably empty — the invariant
-//     marker-cut recovery relies on for the transport buffers too (see
-//     boltExec.restart) — so restarts never need to discard or
-//     reconstruct combiner state.
+//     combining buffer first, so a committed marker cut leaves every
+//     combining buffer empty, as it leaves the transport buffers.
 //
-// Folds run inside the emitter's delivery path, after a transactional
-// send staged its fault hooks; they must be pure and non-panicking,
-// which the core template contract already requires. Injected edge
-// faults count the rows folded, not the aggregates drained.
+// Folds run inside the emitter's delivery path (emitter.move), one call
+// per destination's share of a batch; they must be pure and
+// non-panicking, which the core template contract already requires.
+// Injected edge faults count the rows folded, not the aggregates drained.
 
 // DefaultCombinerCap is the per-destination distinct-key capacity of
 // a combining buffer when the compile layer's CombinerCap is zero; the
@@ -106,20 +103,6 @@ func (d *BoltDecl) CombineWith(spec CombinerSpec) *BoltDecl {
 		cs.New = func() stream.ColCombiner { return stream.NewAnyCombiner(spec.In, spec.Combine) }
 	}
 	return d.ColCombineWith(cs)
-}
-
-// fold folds row i of cols into b's combining buffer, draining it when
-// the key cap is reached.
-func (em *emitter) fold(b *outBuf, cols stream.Columns, i int) {
-	c := b.comb
-	before := c.Len()
-	if !c.Fold(cols, i) {
-		c.FoldEvent(cols.EventAt(i))
-	}
-	em.pending += c.Len() - before
-	if c.Len() >= b.combCap {
-		em.drain(b)
-	}
 }
 
 // drain moves a combining buffer's partial aggregates into its

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"datatrace/internal/metrics"
 	"datatrace/internal/stream"
 )
 
@@ -462,5 +463,61 @@ func TestRecoveryEnabledNoFaultsIsTransparent(t *testing.T) {
 	restarts, replayed, dropped := res.Stats.Recovery()
 	if restarts != 0 || replayed != 0 || dropped != 0 {
 		t.Fatalf("fault-free run recorded recovery activity: %d/%d/%d", restarts, replayed, dropped)
+	}
+}
+
+// passRecoverable forwards every event; its checkpoint is empty.
+type passRecoverable struct{}
+
+func (passRecoverable) Next(e stream.Event, emit func(stream.Event)) { emit(e) }
+func (passRecoverable) Snapshot() ([]byte, error)                    { return nil, nil }
+func (passRecoverable) Restore([]byte) error                         { return nil }
+
+// TestRestartDiscardsBufferedRows: a delivery that panics inside a cut's
+// flush — the first destination's channel is closed, an in-process
+// stand-in for a failed link — stops the flush there, so the buffers
+// behind it still hold the block's rows. The restart must discard them:
+// the replay regenerates the block, and rows kept from the failed
+// attempt would reach the second, healthy destination twice.
+func TestRestartDiscardsBufferedRows(t *testing.T) {
+	top := NewTopology("restart-discard")
+	top.AddSpout("src", 1, func(int) Spout { return SliceSpout(nil) })
+	top.AddBolt("mid", 1, func(int) Bolt { return passRecoverable{} }).ShuffleGrouping("src", true)
+	top.AddBolt("dst", 2, func(int) Bolt { return passRecoverable{} }).ShuffleGrouping("mid", false)
+	top.SetTransport(TransportOptions{BatchSize: 1024, FlushInterval: -1})
+	rts, err := top.resolve(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, healthy := make(chan message), make(chan message, 64)
+	close(dead)
+	rts["dst"].inboxes[0], rts["dst"].inboxes[1] = dead, healthy
+	in := rts["mid"].inboxes[0]
+	rows := intKind.Get().(*stream.Cols[int, int])
+	for i := 0; i < 10; i++ {
+		rows.Append(i, i)
+	}
+	in <- message{cols: rows, punct: markPunct, mark: stream.Marker{Seq: 1, Timestamp: 1}}
+	in <- message{punct: eosPunct}
+	pol := RecoveryPolicy{Enabled: true, MaxRestarts: 2, Logf: t.Logf}
+	if err := runBolt(rts["mid"], 0, metrics.NewStats().Instance("mid", 0), nil, pol, nil, nil); err == nil {
+		t.Fatal("every flush into the closed channel panics, yet the executor reported no failure")
+	}
+	close(healthy)
+	seen := map[any]int{}
+	for m := range healthy {
+		if m.cols == nil {
+			continue
+		}
+		for i := 0; i < m.cols.Len(); i++ {
+			e := m.cols.EventAt(i)
+			if seen[e.Key]++; seen[e.Key] > 1 {
+				t.Fatalf("row %v reached the healthy destination %d times", e, seen[e.Key])
+			}
+		}
+		m.cols.Release()
+	}
+	if len(seen) == 0 {
+		t.Fatal("no row reached the healthy destination: the test exercises nothing")
 	}
 }

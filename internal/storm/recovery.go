@@ -175,15 +175,11 @@ func (x *boltExec) recoverFrom(cause error, pending [][]message) ([][]message, e
 
 // restart rebuilds the executor at its last committed cut: a fresh
 // bolt instance restored from the snapshot, reset round-robin cursors,
-// an empty merger (the caller holds the old one's input), and an empty
-// output buffer, its parked batches released. The emitter's buffers
-// need no discard: between cuts every emission is parked in out (never
-// pushed to the transport), flushOut ends in flushAll, and an injected
-// fault inside a cut's flush fires before the first buffer append (send
-// stages everything first; combiner folds are pure). In-process delivery
-// cannot panic; a netSink delivery can (a failed link aborts the worker;
-// an unregistered type fails every replay until the budget runs out),
-// and then what it sent stays sent and later buffers keep their rows.
+// an empty merger (the caller holds the old one's input), an empty
+// output buffer, its parked batches released, and empty emitter
+// buffers. Between cuts every emission is parked in out, so only a
+// netSink delivery that panicked inside a cut's flush leaves rows
+// buffered: they belong to the block the replay regenerates.
 func (x *boltExec) restart() error {
 	b := x.newBolt()
 	r, ok := b.(Recoverable)
@@ -196,6 +192,7 @@ func (x *boltExec) restart() error {
 		}
 	}
 	x.setBolt(b)
+	x.em.rebuildBufs()
 	x.em.rrNext = append(x.em.rrNext[:0], x.rrSnap...)
 	x.merge = x.newMerge()
 	release(x.out)
