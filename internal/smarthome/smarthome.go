@@ -123,11 +123,11 @@ func jfmOp(env *Env) core.Operator {
 		In:     stream.U("Ut", "SItem"),
 		Out:    stream.U("Plug", "VT"),
 		OnItem: func(emit core.Emit[workload.PlugKey, VT], _ stream.Unit, m workload.PlugMeasurement) {
-			row, ok := env.Plugs.Get(m.Key.String())
+			dtype, ok := env.Plugs.GetVal(m.Key.String(), 1)
 			if !ok {
 				return
 			}
-			if !env.Keep[row[1].(string)] {
+			if !env.Keep[dtype.(string)] {
 				return
 			}
 			emit(m.Key, VT{Value: m.Value, TS: m.Timestamp})

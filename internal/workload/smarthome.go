@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"datatrace/internal/db"
 	"datatrace/internal/stream"
@@ -17,8 +18,16 @@ type PlugKey struct {
 	Plug     int
 }
 
-// String renders the key as b/u/p.
-func (k PlugKey) String() string { return fmt.Sprintf("%d/%d/%d", k.Building, k.Unit, k.Plug) }
+// String renders the key as b/u/p, the plugs table's primary key
+// (SetupDB). It runs once per measurement on the JFM join, so it formats
+// with strconv into a stack buffer: one allocation, the string.
+func (k PlugKey) String() string {
+	var buf [64]byte
+	b := strconv.AppendInt(buf[:0], int64(k.Building), 10)
+	b = strconv.AppendInt(append(b, '/'), int64(k.Unit), 10)
+	b = strconv.AppendInt(append(b, '/'), int64(k.Plug), 10)
+	return string(b)
+}
 
 // PlugMeasurement is one smart-plug load reading: a timestamp in
 // seconds and the instantaneous power draw in Watts, with the plug's

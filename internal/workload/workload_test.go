@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"datatrace/internal/db"
@@ -227,6 +228,28 @@ func TestSmartHomeSetupDB(t *testing.T) {
 	row, ok := plugs.Get(k.String())
 	if !ok || row[1] != s.DeviceTypeOf(k) {
 		t.Fatalf("plug row %v", row)
+	}
+}
+
+// TestPlugKeyString pins the plugs table's key format, b/u/p, which
+// SetupDB inserts with and the JFM join looks up with: every plug of a
+// deployment is found under it.
+func TestPlugKeyString(t *testing.T) {
+	for _, k := range []PlugKey{{}, {1, 2, 3}, {40, 0, 999}, {-1, 12345678, -90}} {
+		if got, want := k.String(), fmt.Sprintf("%d/%d/%d", k.Building, k.Unit, k.Plug); got != want {
+			t.Errorf("PlugKey%v.String() = %q, want %q", k, got, want)
+		}
+	}
+	s, _ := NewSmartHome(DefaultSmartHomeConfig())
+	d := db.New()
+	if err := s.SetupDB(d); err != nil {
+		t.Fatal(err)
+	}
+	plugs := d.MustTable("plugs")
+	for _, k := range s.Plugs() {
+		if v, ok := plugs.GetVal(k.String(), 1); !ok || v != s.DeviceTypeOf(k) {
+			t.Fatalf("plug %v: GetVal = %v, %v; want %s", k, v, ok, s.DeviceTypeOf(k))
+		}
 	}
 }
 
