@@ -23,6 +23,7 @@ import (
 	"datatrace/internal/microbatch"
 	"datatrace/internal/queries"
 	"datatrace/internal/smarthome"
+	"datatrace/internal/storm"
 	"datatrace/internal/stream"
 	"datatrace/internal/workload"
 )
@@ -106,6 +107,9 @@ func scaling(stats *metrics.Stats, inputTuples int64, maxWorkers int) []Point {
 type arm struct {
 	label string
 	spec  queries.Spec
+	// home, when set, makes the arm a Smart Homes run on that workload
+	// at spec's parallelism and source partitions.
+	home *workload.SmartHomeConfig
 }
 
 // sample is one measured run of an arm.
@@ -134,14 +138,14 @@ func interleave(cfg Config, sweep string, reps int, arms []arm) ([][]sample, err
 	var before, after runtime.MemStats
 	for i := 0; i < reps; i++ {
 		for ai, a := range arms {
-			env, err := queries.NewEnv(cfg.Yahoo, cfg.OpDelay)
+			run, err := a.prepare(cfg)
 			if err != nil {
 				return nil, err
 			}
 			runtime.GC()
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			r, err := queries.Run(env, a.spec)
+			r, err := run()
 			if err != nil {
 				return nil, fmt.Errorf("bench: %s sweep (%s): %w", sweep, a.label, err)
 			}
@@ -150,6 +154,22 @@ func interleave(cfg Config, sweep string, reps int, arms []arm) ([][]sample, err
 		}
 	}
 	return out, nil
+}
+
+// prepare sets up the arm's environment and returns its run.
+func (a arm) prepare(cfg Config) (func() (*storm.Result, error), error) {
+	if a.home != nil {
+		env, err := smarthome.NewEnv(*a.home, nil)
+		if err != nil {
+			return nil, err
+		}
+		return func() (*storm.Result, error) { return smarthome.Run(env, a.spec.Par, a.spec.SourcePar) }, nil
+	}
+	env, err := queries.NewEnv(cfg.Yahoo, cfg.OpDelay)
+	if err != nil {
+		return nil, err
+	}
+	return func() (*storm.Result, error) { return queries.Run(env, a.spec) }, nil
 }
 
 // minWall is the least-perturbed run of a fixed workload.

@@ -67,7 +67,7 @@ func fusionSweep(cfg Config, reps int, rows []FusionRow) (*FusionSweepResult, er
 	for i, row := range rows {
 		spec := queryIV(cfg)
 		spec.NoFuseChains, spec.NoCombiners = !row.FuseChains, !row.Combiners
-		arms[i] = arm{row.Label, spec}
+		arms[i] = arm{label: row.Label, spec: spec}
 	}
 	runs, err := interleave(cfg, "fusion", reps, arms)
 	if err != nil {

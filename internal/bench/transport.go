@@ -47,7 +47,7 @@ func transportSweep(cfg Config, batches []int) (*TransportSweepResult, error) {
 	for i, batch := range batches {
 		spec := queryIV(cfg)
 		spec.Transport = &storm.TransportOptions{BatchSize: batch}
-		arms[i] = arm{fmt.Sprintf("batch %d", batch), spec}
+		arms[i] = arm{label: fmt.Sprintf("batch %d", batch), spec: spec}
 	}
 	const reps = 5
 	runs, err := interleave(cfg, "transport", reps, arms)

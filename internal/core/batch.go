@@ -13,12 +13,15 @@ import (
 // turning per-event virtual dispatch and interface boxing into tight
 // loops over typed slices.
 //
-// Markers never appear in column batches: they always travel boxed
-// through Instance.Next, so every template's marker logic (state
-// rollover, window emission, forwarding) is shared verbatim between
-// the boxed and columnar paths. A batch therefore denotes a fragment
-// of one block's items, and processing it row-by-row is exactly the
-// per-event semantics — the equivalence the differential tests check.
+// Markers never appear in column batches. A template whose output is
+// typed (Stateless, Sort, KeyedOrdered) also runs its marker step on
+// the batch surface (ColMarker): the rows it emits at a marker land in
+// a batch of its output kind, which the runtime sends as the batch the
+// marker closes. The others (KeyedUnordered, SlidingAggregate) take
+// markers through Instance.Next and emit boxed. Either way a batch
+// denotes a fragment of one block's items, and processing it row by
+// row is exactly the per-event semantics — the equivalence the
+// differential tests check.
 
 // ColOperator is implemented by operators whose instances can consume
 // (and possibly produce) typed column batches. A nil kind means "no
@@ -48,13 +51,23 @@ type BatchInstance interface {
 	ProcessCols(in, out stream.Columns)
 }
 
+// ColMarker is implemented by batch instances whose marker step emits
+// typed rows. ProcessMarker runs the step Next runs for marker m,
+// appending the rows it emits to out, a batch of OutColKind — or, when
+// out is nil, handing them to the output a fused chain bound (see
+// ColChain) — and does not forward m: the caller sends m behind out.
+type ColMarker interface {
+	ProcessMarker(m stream.Marker, out stream.Columns)
+}
+
 // ColChain is implemented by batch instances whose per-row work can be
 // composed by typed closure chaining: the fusion pass binds each
 // stage's output closure to the next stage's per-row entry point, so a
-// fused stateless chain processes a column batch in ONE loop — no
-// intermediate batches, no per-stage passes, no per-row dispatch. The
-// any-typed closures are asserted back to their concrete func(K, V)
-// form once at bind time (per topology), never per row.
+// fused chain processes a column batch in ONE loop — no intermediate
+// batches, no per-stage passes, no per-row dispatch. The any-typed
+// closures are asserted back to their concrete func(K, V) form once at
+// bind time (per topology), never per row. A stage that holds rows
+// until a marker (Sort) passes them on in its ProcessMarker.
 type ColChain interface {
 	// RowEmit returns the instance's typed per-row entry point as a
 	// func(K, V) boxed in any. The closure tallies every row delivered
@@ -73,6 +86,66 @@ type ColChain interface {
 	// since the last call — the chained form of per-stage delivery
 	// counts.
 	TakeRows() int64
+}
+
+// rowSink is a batch instance's columnar output of (L, W) rows: colOut
+// appends to the current output batch, or, bound by fusion, calls the
+// next stage's per-row entry. It implements ColChain's output half;
+// rows tallies RowEmit deliveries.
+type rowSink[L, W any] struct {
+	curOut *stream.Cols[L, W]
+	colOut Emit[L, W]
+	rows   int64
+}
+
+// begin points the output at oc for one call, unless oc is nil (a
+// chained stage: the bound output, or the batch SetOutBatch parked).
+func (o *rowSink[L, W]) begin(oc stream.Columns) {
+	if oc != nil {
+		o.curOut = oc.(*stream.Cols[L, W])
+	}
+	o.ensureColOut()
+}
+
+// end drops the batch begin parked.
+func (o *rowSink[L, W]) end(oc stream.Columns) {
+	if oc != nil {
+		o.curOut = nil
+	}
+}
+
+// ensureColOut installs the default columnar output closure — append
+// to the current output batch — unless BindRowOut already redirected
+// the output into the next fused stage.
+func (o *rowSink[L, W]) ensureColOut() {
+	if o.colOut == nil {
+		o.colOut = func(key L, value W) { o.curOut.Append(key, value) }
+	}
+}
+
+// BindRowOut implements ColChain.
+func (o *rowSink[L, W]) BindRowOut(out any) bool {
+	f, ok := out.(func(key L, value W))
+	if ok {
+		o.colOut = f
+	}
+	return ok
+}
+
+// SetOutBatch implements ColChain.
+func (o *rowSink[L, W]) SetOutBatch(oc stream.Columns) {
+	if oc == nil {
+		o.curOut = nil
+		return
+	}
+	o.begin(oc)
+}
+
+// TakeRows implements ColChain.
+func (o *rowSink[L, W]) TakeRows() int64 {
+	r := o.rows
+	o.rows = 0
+	return r
 }
 
 // ---------------------------------------------------------------------------
@@ -115,12 +188,12 @@ func (in *statelessInstance[K, V, L, W]) ProcessCols(ic, oc stream.Columns) {
 	in.curOut = nil
 }
 
-// ensureColOut installs the default columnar output closure — append
-// to the instance's current output batch — unless BindRowOut already
-// redirected the output into the next fused stage.
-func (in *statelessInstance[K, V, L, W]) ensureColOut() {
-	if in.colOut == nil {
-		in.colOut = func(key L, value W) { in.curOut.Append(key, value) }
+// ProcessMarker implements ColMarker.
+func (in *statelessInstance[K, V, L, W]) ProcessMarker(m stream.Marker, oc stream.Columns) {
+	if in.op.OnMarker != nil {
+		in.begin(oc)
+		in.op.OnMarker(in.colOut, m)
+		in.end(oc)
 	}
 }
 
@@ -135,30 +208,100 @@ func (in *statelessInstance[K, V, L, W]) RowEmit() any {
 	}
 }
 
-// BindRowOut implements ColChain.
-func (in *statelessInstance[K, V, L, W]) BindRowOut(out any) bool {
-	f, ok := out.(func(key L, value W))
-	if ok {
-		in.colOut = f
+// ---------------------------------------------------------------------------
+// Sort and KeyedOrdered: columnar in and out. Per-key order is row
+// order, within a batch and across a channel's batches, which routing
+// and the merger preserve; Sort's output is its marker step's.
+// ---------------------------------------------------------------------------
+
+// InColKind implements ColOperator.
+func (s *Sort[K, V]) InColKind() *stream.ColKind { return stream.ColKindFor[K, V]() }
+
+// OutColKind implements ColOperator.
+func (s *Sort[K, V]) OutColKind() *stream.ColKind { return stream.ColKindFor[K, V]() }
+
+// InColKind implements BatchInstance.
+func (in *sortInstance[K, V]) InColKind() *stream.ColKind { return stream.ColKindFor[K, V]() }
+
+// OutColKind implements BatchInstance.
+func (in *sortInstance[K, V]) OutColKind() *stream.ColKind { return stream.ColKindFor[K, V]() }
+
+// ProcessCols implements BatchInstance: buffer every row under its key.
+// Nothing is emitted before the marker.
+func (in *sortInstance[K, V]) ProcessCols(ic, _ stream.Columns) {
+	tin := ic.(*stream.Cols[K, V])
+	for i, key := range tin.Keys {
+		in.add(key, tin.Vals[i])
 	}
-	return ok
 }
 
-// SetOutBatch implements ColChain.
-func (in *statelessInstance[K, V, L, W]) SetOutBatch(oc stream.Columns) {
-	if oc == nil {
-		in.curOut = nil
-		return
-	}
-	in.curOut = oc.(*stream.Cols[L, W])
-	in.ensureColOut()
+// ProcessMarker implements ColMarker: the sorted block.
+func (in *sortInstance[K, V]) ProcessMarker(_ stream.Marker, oc stream.Columns) {
+	in.begin(oc)
+	in.flush(in.colOut)
+	in.end(oc)
 }
 
-// TakeRows implements ColChain.
-func (in *statelessInstance[K, V, L, W]) TakeRows() int64 {
-	r := in.rows
-	in.rows = 0
-	return r
+// RowEmit implements ColChain.
+func (in *sortInstance[K, V]) RowEmit() any {
+	return func(key K, v V) {
+		in.rows++
+		in.add(key, v)
+	}
+}
+
+// InColKind implements ColOperator.
+func (o *KeyedOrdered[K, V, W, S]) InColKind() *stream.ColKind { return stream.ColKindFor[K, V]() }
+
+// OutColKind implements ColOperator.
+func (o *KeyedOrdered[K, V, W, S]) OutColKind() *stream.ColKind { return stream.ColKindFor[K, W]() }
+
+// InColKind implements BatchInstance.
+func (in *keyedOrderedInstance[K, V, W, S]) InColKind() *stream.ColKind {
+	return stream.ColKindFor[K, V]()
+}
+
+// OutColKind implements BatchInstance.
+func (in *keyedOrderedInstance[K, V, W, S]) OutColKind() *stream.ColKind {
+	return stream.ColKindFor[K, W]()
+}
+
+// begin parks oc and builds the key-preserving columnar emit once.
+func (in *keyedOrderedInstance[K, V, W, S]) begin(oc stream.Columns) {
+	in.rowSink.begin(oc)
+	if in.wOut == nil {
+		in.wOut = func(w W) { in.colOut(in.curKey, w) }
+	}
+}
+
+// ProcessCols implements BatchInstance: OnItem over typed columns in
+// row order.
+func (in *keyedOrderedInstance[K, V, W, S]) ProcessCols(ic, oc stream.Columns) {
+	tin := ic.(*stream.Cols[K, V])
+	if oc != nil {
+		in.curOut = oc.(*stream.Cols[K, W])
+	}
+	in.begin(nil)
+	for i, key := range tin.Keys {
+		in.item(key, tin.Vals[i], in.wOut)
+	}
+	in.curOut = nil
+}
+
+// ProcessMarker implements ColMarker: OnMarker for every live key.
+func (in *keyedOrderedInstance[K, V, W, S]) ProcessMarker(m stream.Marker, oc stream.Columns) {
+	in.begin(oc)
+	in.marker(m, in.wOut)
+	in.end(oc)
+}
+
+// RowEmit implements ColChain.
+func (in *keyedOrderedInstance[K, V, W, S]) RowEmit() any {
+	in.begin(nil)
+	return func(key K, v V) {
+		in.rows++
+		in.item(key, v, in.wOut)
+	}
 }
 
 // ---------------------------------------------------------------------------

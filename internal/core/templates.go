@@ -65,12 +65,8 @@ type statelessInstance[K, V, L, W any] struct {
 	op   *Stateless[K, V, L, W]
 	emit func(stream.Event)
 	out  Emit[L, W]
-	// curOut/colOut implement the columnar emit callback (see
-	// ProcessCols in batch.go) with one closure per instance. rows
-	// tallies RowEmit deliveries for chained fusion (see ColChain).
-	curOut *stream.Cols[L, W]
-	colOut Emit[L, W]
-	rows   int64
+	// The columnar output (batch.go).
+	rowSink[L, W]
 }
 
 func (in *statelessInstance[K, V, L, W]) Next(e stream.Event, emit func(stream.Event)) {
@@ -155,10 +151,13 @@ type keyedOrderedInstance[K comparable, V, W, S any] struct {
 	// The store's record is the key's state.
 	keyedState[K, S, struct{}]
 	// emit/curKey/out implement the key-preserving emit callback with
-	// one closure per instance instead of one per event.
+	// one closure per instance instead of one per event; wOut is its
+	// columnar form, which emits into the rowSink (batch.go).
 	emit   func(stream.Event)
 	curKey K
 	out    func(w W)
+	wOut   func(w W)
+	rowSink[K, W]
 }
 
 func (in *keyedOrderedInstance[K, V, W, S]) Next(e stream.Event, emit func(stream.Event)) {
@@ -167,22 +166,32 @@ func (in *keyedOrderedInstance[K, V, W, S]) Next(e stream.Event, emit func(strea
 		in.out = func(w W) { in.emit(stream.Item(in.curKey, w)) }
 	}
 	if e.IsMarker {
-		if in.op.OnMarker != nil {
-			for i, key := range in.keys {
-				in.curKey = key
-				in.recs[i] = in.op.OnMarker(in.out, in.recs[i], key, e.Marker)
-			}
-		}
+		in.marker(e.Marker, in.out)
 		emit(e)
 		return
 	}
-	key := castKey[K](in.op.OpName, e.Key)
+	in.item(castKey[K](in.op.OpName, e.Key), castVal[V](in.op.OpName, e.Value), in.out)
+}
+
+// item runs OnItem for one arrival, in key order.
+func (in *keyedOrderedInstance[K, V, W, S]) item(key K, v V, out func(W)) {
 	i, born := in.slot(key)
 	if born {
 		in.recs[i] = in.op.InitialState()
 	}
 	in.curKey = key
-	in.recs[i] = in.op.OnItem(in.out, in.recs[i], key, castVal[V](in.op.OpName, e.Value))
+	in.recs[i] = in.op.OnItem(out, in.recs[i], key, v)
+}
+
+// marker runs OnMarker for every live key.
+func (in *keyedOrderedInstance[K, V, W, S]) marker(m stream.Marker, out func(W)) {
+	if in.op.OnMarker == nil {
+		return
+	}
+	for i, key := range in.keys {
+		in.curKey = key
+		in.recs[i] = in.op.OnMarker(out, in.recs[i], key, m)
+	}
 }
 
 // ---------------------------------------------------------------------------

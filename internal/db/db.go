@@ -463,6 +463,25 @@ func (t *Table) GetIntVal(pk int64, col int) (any, bool) {
 	return row[col], true
 }
 
+// GetStrVal is GetVal for tables with a STRING primary key, given as
+// bytes: a key rendered into a caller's buffer is looked up in the read
+// index without converting it to a string (the map index m[string(pk)]
+// does not allocate) and without boxing it.
+func (t *Table) GetStrVal(pk []byte, col int) (any, bool) {
+	t.simulate()
+	var row Row
+	var ok bool
+	if ix := t.idx.Load(); ix != nil && ix.strs != nil {
+		row, ok = ix.strs[string(pk)]
+	} else {
+		row, ok = t.lookup(string(pk))
+	}
+	if !ok {
+		return nil, false
+	}
+	return row[col], true
+}
+
 // LookupIndexed returns all rows whose indexed column equals val. The
 // column must have an index (CreateIndex).
 func (t *Table) LookupIndexed(col string, val any) ([]Row, error) {

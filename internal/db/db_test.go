@@ -410,6 +410,36 @@ func TestReadAfterWrite(t *testing.T) {
 	}
 }
 
+// TestGetStrValReadsBytes checks the byte-keyed lookup of a STRING key
+// against GetVal, before the read index exists (under the lock), through
+// it without allocating, and for a missing key.
+func TestGetStrValReadsBytes(t *testing.T) {
+	d := New()
+	plugs, err := d.CreateTable("plugs", []Column{{Name: "plug", Type: String}, {Name: "kind", Type: String}}, "plug")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := plugs.Insert("0/"+strconv.Itoa(i), "k"+strconv.Itoa(i)); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := plugs.GetStrVal([]byte("0/"+strconv.Itoa(i)), 1); !ok || v != "k"+strconv.Itoa(i) {
+			t.Fatalf("GetStrVal(0/%d) after its insert = %v, %v", i, v, ok)
+		}
+	}
+	plugs.Scan(func(Row) bool { return true }) // publishes the index
+	key := []byte("0/7")
+	if v, ok := plugs.GetStrVal(key, 1); !ok || v != "k7" {
+		t.Fatalf("GetStrVal through the index = %v, %v", v, ok)
+	}
+	if a := testing.AllocsPerRun(100, func() { plugs.GetStrVal(key, 1) }); a != 0 {
+		t.Errorf("GetStrVal allocates %.1f times per lookup", a)
+	}
+	if v, ok := plugs.GetStrVal([]byte("9/9"), 1); ok {
+		t.Fatalf("GetStrVal of a missing key = %v, true", v)
+	}
+}
+
 // TestBulkLoadIsLinear guards the write path: loading 4n rows allocates
 // at most 4.5× the bytes of loading n, so no write copies the read
 // index (that would be quadratic). A few reads ride along with the load,

@@ -123,7 +123,9 @@ func jfmOp(env *Env) core.Operator {
 		In:     stream.U("Ut", "SItem"),
 		Out:    stream.U("Plug", "VT"),
 		OnItem: func(emit core.Emit[workload.PlugKey, VT], _ stream.Unit, m workload.PlugMeasurement) {
-			dtype, ok := env.Plugs.GetVal(m.Key.String(), 1)
+			var buf [64]byte
+			pk, _ := m.Key.AppendText(buf[:0])
+			dtype, ok := env.Plugs.GetStrVal(pk, 1)
 			if !ok {
 				return
 			}
@@ -154,33 +156,41 @@ func sortPlugOp() core.Operator {
 	}
 }
 
+// liState is LI's per-plug state: the last measurement, once there is
+// one. A value without pointers, so checkpoints write it raw and no
+// item allocates one.
+type liState struct {
+	Last VT
+	Seen bool
+}
+
 // liOp is Table 2's linearInterpolation, verbatim: for every plug
 // independently, fill in missing per-second data points between the
 // previous and current measurement. Duplicate timestamps update the
 // state without emitting. O(Plug,VT) → O(Plug,VT).
 func liOp() core.Operator {
-	return &core.KeyedOrdered[workload.PlugKey, VT, VT, *VT]{
+	return &core.KeyedOrdered[workload.PlugKey, VT, VT, liState]{
 		OpName:       "LI",
 		In:           stream.O("Plug", "VT"),
 		Out:          stream.O("Plug", "VT"),
-		InitialState: func() *VT { return nil },
-		OnItem: func(emit func(VT), st *VT, _ workload.PlugKey, v VT) *VT {
-			if st == nil {
+		InitialState: func() liState { return liState{} },
+		OnItem: func(emit func(VT), st liState, _ workload.PlugKey, v VT) liState {
+			if !st.Seen {
 				emit(v)
-				return &v
+				return liState{v, true}
 			}
-			dt := v.TS - st.TS
+			dt := v.TS - st.Last.TS
 			if dt <= 0 {
 				// Duplicate (or stale) timestamp: adopt the new value
 				// as the state, emit nothing (Table 2's dt=0 case).
-				return &v
+				return liState{v, true}
 			}
-			x := st.Value
+			x := st.Last.Value
 			for i := int64(1); i <= dt; i++ {
 				y := x + float64(i)*(v.Value-x)/float64(dt)
-				emit(VT{Value: y, TS: st.TS + i})
+				emit(VT{Value: y, TS: st.Last.TS + i})
 			}
-			return &v
+			return liState{v, true}
 		},
 	}
 }
@@ -209,11 +219,13 @@ func sortDTypeOp() core.Operator {
 	}
 }
 
-// avgState groups consecutive equal-timestamp values.
+// avgState groups consecutive equal-timestamp values; Open is false
+// while no group is open. A value without pointers, like liState.
 type avgState struct {
-	ts    int64
-	sum   float64
-	count int64
+	TS    int64
+	Sum   float64
+	Count int64
+	Open  bool
 }
 
 // avgOp computes, per device type, the average of all values with
@@ -221,28 +233,28 @@ type avgState struct {
 // a later timestamp arrives or at a marker (the watermark guarantees
 // no more values for past seconds). O(DType,VT) → O(DType,VT).
 func avgOp() core.Operator {
-	return &core.KeyedOrdered[string, VT, VT, *avgState]{
+	return &core.KeyedOrdered[string, VT, VT, avgState]{
 		OpName:       "AVG",
 		In:           stream.O("DType", "VT"),
 		Out:          stream.O("DType", "VT"),
-		InitialState: func() *avgState { return nil },
-		OnItem: func(emit func(VT), st *avgState, _ string, v VT) *avgState {
-			if st != nil && v.TS != st.ts {
-				emit(VT{Value: st.sum / float64(st.count), TS: st.ts})
-				st = nil
+		InitialState: func() avgState { return avgState{} },
+		OnItem: func(emit func(VT), st avgState, _ string, v VT) avgState {
+			if st.Open && v.TS != st.TS {
+				emit(VT{Value: st.Sum / float64(st.Count), TS: st.TS})
+				st.Open = false
 			}
-			if st == nil {
-				st = &avgState{ts: v.TS}
+			if !st.Open {
+				st = avgState{TS: v.TS, Open: true}
 			}
-			st.sum += v.Value
-			st.count++
+			st.Sum += v.Value
+			st.Count++
 			return st
 		},
-		OnMarker: func(emit func(VT), st *avgState, _ string, m stream.Marker) *avgState {
-			if st != nil {
-				emit(VT{Value: st.sum / float64(st.count), TS: st.ts})
+		OnMarker: func(emit func(VT), st avgState, _ string, m stream.Marker) avgState {
+			if st.Open {
+				emit(VT{Value: st.Sum / float64(st.Count), TS: st.TS})
 			}
-			return nil
+			return avgState{}
 		},
 	}
 }

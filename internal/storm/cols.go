@@ -5,9 +5,10 @@ import "datatrace/internal/stream"
 // This file is the runtime's one data path: items move between
 // executors as column batches (stream.Columns) and as nothing else. A
 // message carries a batch, a marker or an end-of-stream notice; the
-// receiver hands a batch whole to a ColProcessor bolt of its kind, and
-// row by row (EventAt) to any other bolt — a handcrafted Bolt or
-// ChannelBolt, a sink, an ordered-type template.
+// receiver hands a batch whole to a ColProcessor bolt of its kind —
+// a universal-kind batch unboxed once into that kind first — and row
+// by row (EventAt) to any other bolt: a handcrafted Bolt or
+// ChannelBolt, a sink.
 //
 // "Boxed" is a kind, not a path. An event emitted through emit(e) is a
 // row of the universal kind stream.AnyKind, whose columns are []any; a
@@ -63,6 +64,14 @@ type ColProcessor interface {
 	// implementation must not retain in, out or their column slices
 	// past the call (dttlint rule DTT007).
 	ProcessCols(in, out stream.Columns)
+}
+
+// ColMarker is an optional extension of a ColProcessor with an output
+// kind: ProcessMarker runs the bolt's step for marker m, appending the
+// rows it emits to out (of OutColKind), but does not forward m — the
+// executor sends out as the batch m closes.
+type ColMarker interface {
+	ProcessMarker(m stream.Marker, out stream.Columns)
 }
 
 // ColumnarWith documents the kind of the bolt's most recently declared

@@ -749,12 +749,13 @@ type boltExec struct {
 	retired bool
 
 	// bolt is the operator instance (sinks run an identity bolt whose
-	// output is the sink's record); cp/inKind/outKind are its columnar
+	// output is the sink's record); cp/inKind/outKind/cm are its columnar
 	// surface, chBolt its channel-aware one on raw inputs, ch the input
 	// channel of the message being delivered there.
 	bolt            Bolt
 	cp              ColProcessor
 	inKind, outKind *stream.ColKind
+	cm              ColMarker
 	chBolt          ChannelBolt
 	ch              int
 	// row is the row being delivered when a batch goes to the bolt row by
@@ -893,6 +894,7 @@ func (x *boltExec) setBolt(b Bolt) {
 	if cp, ok := b.(ColProcessor); ok && cp.InColKind() != nil {
 		x.cp, x.inKind, x.outKind = cp, cp.InColKind(), cp.OutColKind()
 	}
+	x.cm, _ = b.(ColMarker)
 	if !x.rc.aligned {
 		x.chBolt, _ = b.(ChannelBolt)
 	}
@@ -1039,12 +1041,19 @@ func (x *boltExec) park(e stream.Event) {
 
 // deliver runs the bolt on one event: a row of a batch the bolt does
 // not consume whole, or a marker (on aligned inputs, the merged one that
-// completes the cut).
+// completes the cut). A typed marker step's rows are the batch the
+// marker closes.
 func (x *boltExec) deliver(e stream.Event) {
 	x.is.AddExecuted(1)
-	if x.chBolt != nil {
+	switch {
+	case x.chBolt != nil:
 		x.chBolt.NextFrom(x.ch, e, x.emitFn)
-	} else {
+	case e.IsMarker && x.cm != nil && x.outKind != nil:
+		out := x.outKind.Get()
+		x.cm.ProcessMarker(e.Marker, out)
+		x.sendOut(out)
+		x.emitFn(e)
+	default:
 		x.bolt.Next(e, x.emitFn)
 	}
 	if x.rec && e.IsMarker {
@@ -1054,12 +1063,21 @@ func (x *boltExec) deliver(e stream.Event) {
 
 // deliverCols runs the bolt on one column batch, which stays the
 // caller's: whole through ProcessCols when the bolt consumes batches of
-// its kind — exactly so under recovery as without — and row by row
-// otherwise, which is how every bolt without a columnar surface (a
-// handcrafted Bolt or ChannelBolt, a sink, an ordered-type template)
-// and every bolt behind a mismatched edge sees its items.
+// its kind — exactly so under recovery as without — after unboxing a
+// universal-kind batch into that kind once, and row by row otherwise,
+// which is how every bolt without a columnar surface (a handcrafted
+// Bolt or ChannelBolt, a sink) and every bolt behind an edge of another
+// typed kind sees its items.
 func (x *boltExec) deliverCols(c stream.Columns) {
 	n := c.Len()
+	if c.Kind() == stream.AnyKind && x.inKind != nil && x.inKind != stream.AnyKind {
+		t := x.inKind.Get()
+		for i := range n {
+			t.AppendEvent(c.EventAt(i))
+		}
+		defer t.Release()
+		c = t
+	}
 	if x.inKind == nil || c.Kind() != x.inKind {
 		for x.row = 0; x.row < n; x.row++ {
 			x.deliver(c.EventAt(x.row))
@@ -1074,7 +1092,15 @@ func (x *boltExec) deliverCols(c stream.Columns) {
 	}
 	out := x.outKind.Get()
 	x.cp.ProcessCols(c, out)
-	if x.rec {
+	x.sendOut(out)
+}
+
+// sendOut hands on a batch of the bolt's output: parked under recovery,
+// to the transport otherwise, released when empty.
+func (x *boltExec) sendOut(out stream.Columns) {
+	if out.Len() == 0 {
+		out.Release()
+	} else if x.rec {
 		x.out = append(x.out, message{cols: out})
 	} else {
 		x.em.emitCols(out)
@@ -1084,17 +1110,9 @@ func (x *boltExec) deliverCols(c stream.Columns) {
 // String renders the topology's structure for debugging.
 func (t *Topology) String() string {
 	s := fmt.Sprintf("topology %s:\n", t.name)
-	for _, name := range t.order {
-		c := t.components[name]
-		kind := "bolt"
-		if c.spout != nil {
-			kind = "spout"
-		}
-		if c.isSink {
-			kind = "sink"
-		}
-		s += fmt.Sprintf("  %s %s ×%d", kind, name, c.parallelism)
-		for _, in := range c.inputs {
+	for _, c := range t.Components() {
+		s += fmt.Sprintf("  %s %s ×%d", c.Kind, c.Name, c.Parallelism)
+		for _, in := range t.components[c.Name].inputs {
 			al := ""
 			if in.aligned {
 				al = ",aligned"

@@ -70,19 +70,19 @@ func NewFaultPlan() *FaultPlan { return &FaultPlan{} }
 // CrashAt schedules executor component[instance] to panic upon its
 // atEvent-th event (1-based).
 func (p *FaultPlan) CrashAt(component string, instance int, atEvent int64) *FaultPlan {
-	return p.add(Fault{Kind: CrashFault, Component: component, Instance: instance, AtEvent: atEvent, Times: 1})
+	return p.Add(Fault{Kind: CrashFault, Component: component, Instance: instance, AtEvent: atEvent, Times: 1})
 }
 
 // CrashTimes is CrashAt firing on `times` consecutive events, for
 // repeated crash/recover cycles of one executor.
 func (p *FaultPlan) CrashTimes(component string, instance int, atEvent int64, times int) *FaultPlan {
-	return p.add(Fault{Kind: CrashFault, Component: component, Instance: instance, AtEvent: atEvent, Times: max(times, 1)})
+	return p.Add(Fault{Kind: CrashFault, Component: component, Instance: instance, AtEvent: atEvent, Times: max(times, 1)})
 }
 
 // SlowExecutor makes executor component[instance] sleep perEvent
 // before processing each event.
 func (p *FaultPlan) SlowExecutor(component string, instance int, perEvent time.Duration) *FaultPlan {
-	return p.add(Fault{Kind: SlowFault, Component: component, Instance: instance, Delay: perEvent})
+	return p.Add(Fault{Kind: SlowFault, Component: component, Instance: instance, Delay: perEvent})
 }
 
 // CorruptEdge fails the atSend-th send (1-based) from executor
@@ -92,13 +92,11 @@ func (p *FaultPlan) SlowExecutor(component string, instance int, perEvent time.D
 // emission is staged (emitter.stage), before any row of it reaches a
 // buffer, so a corrupted emission is never partially delivered.
 func (p *FaultPlan) CorruptEdge(from string, fromInstance int, to string, atSend int64) *FaultPlan {
-	return p.add(Fault{Kind: CorruptFault, Component: from, Instance: fromInstance, To: to, AtEvent: atSend, Times: 1})
+	return p.Add(Fault{Kind: CorruptFault, Component: from, Instance: fromInstance, To: to, AtEvent: atSend, Times: 1})
 }
 
 // Add appends an explicitly constructed fault.
-func (p *FaultPlan) Add(f Fault) *FaultPlan { return p.add(f) }
-
-func (p *FaultPlan) add(f Fault) *FaultPlan {
+func (p *FaultPlan) Add(f Fault) *FaultPlan {
 	p.faults = append(p.faults, f)
 	return p
 }
@@ -122,17 +120,12 @@ func (p *FaultPlan) validate(t *Topology) error {
 	return nil
 }
 
-// crashState is the live countdown of one CrashFault.
-type crashState struct {
-	at   int64
-	left int
-}
-
-// corruptState is the live countdown of one CorruptFault.
-type corruptState struct {
-	at    int64
-	sends int64
-	left  int
+// trigger is the live countdown of one crash or corruption fault: it
+// fires left more times once the count reaches at. A corruption counts
+// its edge's sends in count; crashes count the executor's events.
+type trigger struct {
+	at, count int64
+	left      int
 }
 
 // executorFaults is the fault state of a single executor. It is built
@@ -140,9 +133,9 @@ type corruptState struct {
 type executorFaults struct {
 	events  int64
 	delay   time.Duration
-	crashes []*crashState
+	crashes []*trigger
 	// corrupt maps consumer component name → corruption schedule.
-	corrupt map[string][]*corruptState
+	corrupt map[string][]*trigger
 }
 
 // injectedFault marks panics raised by fault injection, so errors can
@@ -158,27 +151,23 @@ func (p *FaultPlan) faultsFor(component string, instance int) *executorFaults {
 		return nil
 	}
 	var ef *executorFaults
-	lazy := func() *executorFaults {
-		if ef == nil {
-			ef = &executorFaults{}
-		}
-		return ef
-	}
 	for _, f := range p.faults {
 		if f.Component != component || f.Instance != instance {
 			continue
 		}
-		switch f.Kind {
+		if ef == nil {
+			ef = &executorFaults{}
+		}
+		switch t := (&trigger{at: f.AtEvent, left: f.Times}); f.Kind {
 		case CrashFault:
-			lazy().crashes = append(lazy().crashes, &crashState{at: f.AtEvent, left: f.Times})
+			ef.crashes = append(ef.crashes, t)
 		case SlowFault:
-			lazy().delay += f.Delay
+			ef.delay += f.Delay
 		case CorruptFault:
-			e := lazy()
-			if e.corrupt == nil {
-				e.corrupt = map[string][]*corruptState{}
+			if ef.corrupt == nil {
+				ef.corrupt = map[string][]*trigger{}
 			}
-			e.corrupt[f.To] = append(e.corrupt[f.To], &corruptState{at: f.AtEvent, left: f.Times})
+			ef.corrupt[f.To] = append(ef.corrupt[f.To], t)
 		}
 	}
 	return ef
@@ -211,10 +200,10 @@ func (ef *executorFaults) onSend(component string, instance int, to string) {
 		return
 	}
 	for _, c := range ef.corrupt[to] {
-		c.sends++
-		if c.sends >= c.at && c.left > 0 {
+		c.count++
+		if c.count >= c.at && c.left > 0 {
 			c.left--
-			panic(injectedFault{fmt.Sprintf("injected serializer corruption on edge %s[%d]→%s at send %d", component, instance, to, c.sends)})
+			panic(injectedFault{fmt.Sprintf("injected serializer corruption on edge %s[%d]→%s at send %d", component, instance, to, c.count)})
 		}
 	}
 }

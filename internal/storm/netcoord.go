@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"os"
 	"os/exec"
@@ -142,7 +143,10 @@ func spawnOS(command, env []string) func(worker int, extra map[string]string) (n
 		if base == nil {
 			base = os.Environ()
 		}
-		cmd.Env = append(append([]string(nil), base...), flattenEnv(extra)...)
+		cmd.Env = append([]string(nil), base...)
+		for k, v := range extra {
+			cmd.Env = append(cmd.Env, k+"="+v)
+		}
 		// Worker diagnostics interleave on the coordinator's stderr.
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
@@ -151,14 +155,6 @@ func spawnOS(command, env []string) func(worker int, extra map[string]string) (n
 		}
 		return &osProc{cmd: cmd}, nil
 	}
-}
-
-func flattenEnv(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for k, v := range m {
-		out = append(out, k+"="+v)
-	}
-	return out
 }
 
 // sinkState is the coordinator's committed/pending split of one
@@ -424,7 +420,7 @@ func (r *coordinator) runAttempt(attempt int) ([]*netDone, error) {
 	}
 	for i := 0; i < W; i++ {
 		env[EnvWorkerID] = strconv.Itoa(i)
-		p, err := r.opts.spawn(i, copyEnv(env))
+		p, err := r.opts.spawn(i, maps.Clone(env))
 		if err != nil {
 			return fail(fmt.Errorf("spawning worker %d: %w", i, err))
 		}
@@ -625,12 +621,4 @@ func rebuildStats(dones []*netDone) *metrics.Stats {
 		}
 	}
 	return stats
-}
-
-func copyEnv(m map[string]string) map[string]string {
-	out := make(map[string]string, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package storm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -525,13 +526,7 @@ func (cg *cutGate) rewire(req *rescaleReq) error {
 	for _, g := range oldGates {
 		g.retired = true
 	}
-	kept := cg.gates[:0]
-	for _, g := range cg.gates {
-		if !g.retired {
-			kept = append(kept, g)
-		}
-	}
-	cg.gates = kept
+	cg.gates = slices.DeleteFunc(cg.gates, func(g *execGate) bool { return g.retired })
 
 	rc.parallelism = q
 	rc.inboxes = make([]chan message, q)

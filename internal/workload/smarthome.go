@@ -18,14 +18,21 @@ type PlugKey struct {
 	Plug     int
 }
 
-// String renders the key as b/u/p, the plugs table's primary key
-// (SetupDB). It runs once per measurement on the JFM join, so it formats
-// with strconv into a stack buffer: one allocation, the string.
+// AppendText implements encoding.TextAppender: the key as b/u/p, the
+// plugs table's primary key (SetupDB). The JFM join renders every
+// measurement's key into a stack buffer with it and looks the bytes up
+// (db.Table.GetStrVal), and key hashing renders it the same way, so
+// neither allocates.
+func (k PlugKey) AppendText(b []byte) ([]byte, error) {
+	b = strconv.AppendInt(b, int64(k.Building), 10)
+	b = strconv.AppendInt(append(b, '/'), int64(k.Unit), 10)
+	return strconv.AppendInt(append(b, '/'), int64(k.Plug), 10), nil
+}
+
+// String renders the key as b/u/p: its text (AppendText).
 func (k PlugKey) String() string {
 	var buf [64]byte
-	b := strconv.AppendInt(buf[:0], int64(k.Building), 10)
-	b = strconv.AppendInt(append(b, '/'), int64(k.Unit), 10)
-	b = strconv.AppendInt(append(b, '/'), int64(k.Plug), 10)
+	b, _ := k.AppendText(buf[:0])
 	return string(b)
 }
 
