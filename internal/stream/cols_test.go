@@ -104,9 +104,12 @@ func TestHashAtMatchesDefaultHash(t *testing.T) {
 	prop := func(i64 int64, i int, i32 int32, u64 uint64, s string) bool {
 		u, ti64, ti, ti32 := AnyKind.Get(), ColKindFor[int64, Unit]().Get(), ColKindFor[int, Unit]().Get(), ColKindFor[int32, Unit]().Get()
 		tu64, ts, tr := ColKindFor[uint64, Unit]().Get(), ColKindFor[string, Unit]().Get(), ColKindFor[anyRow, Unit]().Get()
-		for _, k := range []any{i64, i, i32, u64, s, anyRow{i, s}} {
+		tt, tp := ColKindFor[textKey, Unit]().Get(), ColKindFor[*ptrText, Unit]().Get()
+		for _, k := range []any{i64, i, i32, u64, s, anyRow{i, s}, textKey{i}, &ptrText{s}} {
 			u.AppendEvent(Item(k, Unit{}))
 		}
+		tt.AppendEvent(Item(textKey{i}, Unit{}))
+		tp.AppendEvent(Item(&ptrText{s}, Unit{}))
 		ti64.AppendEvent(Item(i64, Unit{}))
 		ti.AppendEvent(Item(i, Unit{}))
 		ti32.AppendEvent(Item(i32, Unit{}))
@@ -114,7 +117,7 @@ func TestHashAtMatchesDefaultHash(t *testing.T) {
 		ts.AppendEvent(Item(s, Unit{}))
 		tr.AppendEvent(Item(anyRow{i, s}, Unit{}))
 		failed := t.Failed()
-		for _, c := range []Columns{u, ti64, ti, ti32, tu64, ts, tr} {
+		for _, c := range []Columns{u, ti64, ti, ti32, tu64, ts, tr, tt, tp} {
 			check(c)
 		}
 		return failed || !t.Failed()
@@ -123,6 +126,18 @@ func TestHashAtMatchesDefaultHash(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// textKey renders its own text through a value receiver, ptrText
+// through a pointer receiver, so only *ptrText is a TextAppender.
+type textKey struct{ N int }
+
+func (k textKey) AppendText(b []byte) ([]byte, error) {
+	return strconv.AppendInt(append(b, 'k'), int64(k.N), 10), nil
+}
+
+type ptrText struct{ S string }
+
+func (p *ptrText) AppendText(b []byte) ([]byte, error) { return append(b, p.S...), nil }
 
 func TestAnyKindDoubleReleasePanics(t *testing.T) {
 	c := AnyKind.Get()
