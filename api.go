@@ -310,8 +310,9 @@ type KillPlan = storm.KillPlan
 // against MaxRestarts.
 type NetRescalePlan = storm.NetRescalePlan
 
-// NetResult is a networked run's outcome: spliced sink streams,
-// worker-reported stats, and recovery counters.
+// NetResult is a networked run's outcome: the sinks' output, kept cut
+// by cut across cluster restarts, worker-reported stats, and recovery
+// counters.
 type NetResult = storm.NetResult
 
 // RunNetworked launches a cluster of worker processes over localhost

@@ -66,14 +66,7 @@ func collectWants(t *testing.T, fixtureDir, moduleRoot string) map[string]int {
 // markers: every marked line must be flagged with the marked code,
 // and nothing else may be flagged (the ok fixtures stay silent).
 func TestGoldenFixtures(t *testing.T) {
-	src, err := filepath.Abs(filepath.Join("testdata", "src"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run([]string{"./..."}, Options{Dir: src})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := sharedFixtureRun(t)
 	got := map[string]int{}
 	byKey := map[string][]Diagnostic{}
 	for _, d := range res.Diagnostics {

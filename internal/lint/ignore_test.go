@@ -41,10 +41,7 @@ func TestIgnoreDirectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run([]string{"."}, Options{Dir: dir})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := sharedSuppressRun(t)
 	const fix = "internal/lint/testdata/suppress/suppress.go"
 	path := filepath.Join(dir, "suppress.go")
 

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"encoding/json"
-	"path/filepath"
 	"testing"
 )
 
@@ -10,14 +9,7 @@ import (
 // packages / diagnostics / elapsed_ms, and per-diagnostic file / line
 // / col / code / message with 1-based positions.
 func TestJSONSchema(t *testing.T) {
-	dir, err := filepath.Abs(filepath.Join("testdata", "suppress"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run([]string{"."}, Options{Dir: dir})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := sharedSuppressRun(t)
 	if len(res.Diagnostics) == 0 {
 		t.Fatal("suppress fixture produced no diagnostics to serialize")
 	}

@@ -124,29 +124,45 @@ type Options struct {
 // never produce an error.
 func Run(patterns []string, opts Options) (*Result, error) {
 	start := time.Now()
+	ld, pkgs, err := loadPatterns(patterns, opts.Dir, opts.IncludeTests)
+	if err != nil {
+		return nil, err
+	}
+	return analyzeLoaded(ld, pkgs, start)
+}
+
+// loadPatterns loads and type-checks the packages matched by the
+// patterns ("./..." when there are none).
+func loadPatterns(patterns []string, dir string, includeTests bool) (*loader, []*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	ld, err := newLoader(opts.Dir, opts.IncludeTests)
+	ld, err := newLoader(dir, includeTests)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	dirs, err := ld.expand(patterns)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var pkgs []*Package
 	for _, dir := range dirs {
 		path, err := ld.pathFor(dir)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		p, err := ld.load(path)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		pkgs = append(pkgs, p)
 	}
+	return ld, pkgs, nil
+}
+
+// analyzeLoaded runs the analysis over packages ld loaded; start is when
+// the loading began.
+func analyzeLoaded(ld *loader, pkgs []*Package, start time.Time) (*Result, error) {
 	hooks, err := resolveHooks(ld)
 	if err != nil {
 		return nil, err

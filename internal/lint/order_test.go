@@ -10,11 +10,7 @@ import (
 // runFixtures runs the analyzer over the golden fixture tree.
 func runFixtures(t *testing.T) *Result {
 	t.Helper()
-	src, err := filepath.Abs(filepath.Join("testdata", "src"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run([]string{"./..."}, Options{Dir: src})
+	res, err := runIn(filepath.Join("testdata", "src"), "./...")
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -24,7 +20,8 @@ func runFixtures(t *testing.T) *Result {
 // TestDiagnosticOrdering pins the output contract: diagnostics sort
 // by (file, line, col, code), and two runs — each with its own
 // parallel parse and parallel rule phase — produce byte-identical
-// output, messages included.
+// output, messages included. The first run is the shared one; the
+// two it is compared with are its own.
 func TestDiagnosticOrdering(t *testing.T) {
 	render := func(res *Result) []string {
 		out := make([]string, len(res.Diagnostics))
@@ -33,7 +30,7 @@ func TestDiagnosticOrdering(t *testing.T) {
 		}
 		return out
 	}
-	first := runFixtures(t)
+	first := sharedFixtureRun(t)
 	if len(first.Diagnostics) == 0 {
 		t.Fatal("fixture tree produced no diagnostics")
 	}
@@ -62,7 +59,7 @@ func TestDiagnosticOrdering(t *testing.T) {
 // invisible to a body-local analysis: the offending site lives in a
 // helper, not in the hot function.
 func TestInterproceduralChains(t *testing.T) {
-	res := runFixtures(t)
+	res := sharedFixtureRun(t)
 	wantChains := map[string]string{
 		"DTT001": "fanOut → f(...) inside a map range",
 		"DTT002": "nowish → stamp → time.Now()",

@@ -31,14 +31,7 @@ func TestAnalyzerSelfCheck(t *testing.T) {
 // determinism contract (the two historical findings there are fixed or
 // carry a justified //lint:ignore, and this test keeps it that way).
 func TestAnalyzerSelfCheckWithTests(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run([]string{"./..."}, Options{Dir: root, IncludeTests: true})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := sharedModuleAnalysis(t)
 	for _, d := range res.Diagnostics {
 		t.Errorf("self-check finding: %s", d)
 	}

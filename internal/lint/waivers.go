@@ -43,27 +43,17 @@ type WaiverReport struct {
 // error covers load failures only; malformed directives are Problems,
 // not errors.
 func CollectWaivers(patterns []string, opts Options) (*WaiverReport, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	ld, err := newLoader(opts.Dir, true)
+	ld, pkgs, err := loadPatterns(patterns, opts.Dir, true)
 	if err != nil {
 		return nil, err
 	}
-	dirs, err := ld.expand(patterns)
-	if err != nil {
-		return nil, err
-	}
+	return collectWaivers(ld, pkgs), nil
+}
+
+// collectWaivers lists the directives in packages ld loaded.
+func collectWaivers(ld *loader, pkgs []*Package) *WaiverReport {
 	rep := &WaiverReport{Module: ld.module}
-	for _, dir := range dirs {
-		path, err := ld.pathFor(dir)
-		if err != nil {
-			return nil, err
-		}
-		p, err := ld.load(path)
-		if err != nil {
-			return nil, err
-		}
+	for _, p := range pkgs {
 		for _, f := range p.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
@@ -98,5 +88,5 @@ func CollectWaivers(patterns []string, opts Options) (*WaiverReport, error) {
 		}
 		return rep.Problems[i].Line < rep.Problems[j].Line
 	})
-	return rep, nil
+	return rep
 }

@@ -73,14 +73,8 @@ func TestCollectWaivers(t *testing.T) {
 // `dttlint -waivers ./...` as a test, and the form in which
 // scripts/check.sh gates on it.
 func TestCollectWaiversRepo(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := CollectWaivers([]string{"./..."}, Options{Dir: root})
-	if err != nil {
-		t.Fatalf("CollectWaivers: %v", err)
-	}
+	m := sharedModuleWithTests(t)
+	rep := collectWaivers(m.ld, m.pkgs)
 	for _, p := range rep.Problems {
 		t.Errorf("malformed waiver: %s:%d %s", p.File, p.Line, p.Message)
 	}

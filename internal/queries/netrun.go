@@ -138,6 +138,12 @@ func RunNetworked(ns NetSpec, tune func(*storm.NetOptions)) (*storm.NetResult, e
 		return nil, err
 	}
 	RegisterWireTypes()
+	// The coordinator decodes the sinks' typed frames, so it needs the
+	// column kinds the workers' topologies create: it builds the same
+	// topology, which also checks the spec before any worker starts.
+	if _, err := ns.build(); err != nil {
+		return nil, err
+	}
 	payload, err := ns.Payload()
 	if err != nil {
 		return nil, err

@@ -7,8 +7,8 @@ import "datatrace/internal/stream"
 // message carries a batch, a marker or an end-of-stream notice; the
 // receiver hands a batch whole to a ColProcessor bolt of its kind —
 // a universal-kind batch unboxed once into that kind first — and row
-// by row (EventAt) to any other bolt: a handcrafted Bolt or
-// ChannelBolt, a sink.
+// by row (EventAt) to any other bolt, a handcrafted Bolt or
+// ChannelBolt; a sink hands its batches to its consumer (sink.go).
 //
 // "Boxed" is a kind, not a path. An event emitted through emit(e) is a
 // row of the universal kind stream.AnyKind, whose columns are []any; a

@@ -72,8 +72,9 @@ const queueObsEvery = 8
 
 // Result is the outcome of running a topology to completion.
 type Result struct {
-	// Sinks maps each sink component's name to the event sequence it
-	// collected (a representative of the output data trace).
+	// Sinks maps each collected sink's name to its output trace, built
+	// by the collecting consumer (sink.go) from the cuts the sink
+	// delivered; a sink with a consumer of its own has no entry.
 	Sinks map[string][]stream.Event
 	// Stats holds per-instance execution metrics for throughput and
 	// scaling analysis.
@@ -119,42 +120,13 @@ type runtimeComponent struct {
 	// net is the hosting worker's networked-transport state; nil in
 	// the single-process runtime.
 	net *workerNet
-	// sinkTap, when set on a sink component, observes every recorded
-	// event in arrival order (under sinkMu); the networked worker uses
-	// it to stream sink output to the coordinator.
-	sinkTap func(e stream.Event)
-	sinkMu  sync.Mutex
-	sinkOut []stream.Event
+	// sink is a sink's consumer (sink.go).
+	sink SinkFunc
 }
 
 // localInst reports whether instance i runs in this process.
 func (rc *runtimeComponent) localInst(i int) bool {
 	return rc.net == nil || rc.workerOf[i] == rc.net.self
-}
-
-// record adds one event to the sink's record, feeding the worker's
-// sink tap when one is installed. The caller holds sinkMu.
-func (rc *runtimeComponent) record(e stream.Event) {
-	rc.sinkOut = append(rc.sinkOut, e)
-	if rc.sinkTap != nil {
-		rc.sinkTap(e)
-	}
-}
-
-// appendSink records a block a sink instance received, batches row by
-// row.
-func (rc *runtimeComponent) appendSink(block []message) {
-	rc.sinkMu.Lock()
-	defer rc.sinkMu.Unlock()
-	for _, e := range block {
-		if e.cols == nil {
-			rc.record(stream.Mark(e.mark))
-			continue
-		}
-		for i := 0; i < e.cols.Len(); i++ {
-			rc.record(e.cols.EventAt(i))
-		}
-	}
 }
 
 // Placed is one executor's process placement.
@@ -352,6 +324,19 @@ func (t *Topology) execute(rts map[string]*runtimeComponent) (*Result, error) {
 		}()
 	}
 	cg.spawn = func(rc *runtimeComponent, i int, g *execGate) { launch(rc, i, g) }
+
+	collected := map[string]*collector{}
+	for _, name := range t.order {
+		if rc := rts[name]; rc.isSink && rc.localInst(0) {
+			if t.newSink != nil {
+				rc.sink = t.newSink(name)
+			}
+			if rc.sink == nil {
+				col := &collector{}
+				collected[name], rc.sink = col, col.add
+			}
+		}
+	}
 	cg.enqueuePlan(t.rescalePlan)
 
 	// Two phases: every executor's barrier entry is registered before
@@ -400,11 +385,8 @@ func (t *Topology) execute(rts map[string]*runtimeComponent) (*Result, error) {
 	wall := time.Since(start)
 	stats.Normalize(wall)
 	res := &Result{Sinks: map[string][]stream.Event{}, Stats: stats, Wall: wall}
-	for _, name := range t.order {
-		rc := rts[name]
-		if rc.isSink && rc.localInst(0) {
-			res.Sinks[rc.name] = rc.sinkOut
-		}
+	for name, col := range collected {
+		res.Sinks[name] = col.out
 	}
 	if len(failures) > 0 {
 		msgs := make([]string, len(failures))
@@ -748,8 +730,7 @@ type boltExec struct {
 	// instance set: exit without finishing or propagating EOS.
 	retired bool
 
-	// bolt is the operator instance (sinks run an identity bolt whose
-	// output is the sink's record); cp/inKind/outKind/cm are its columnar
+	// bolt is the operator instance; cp/inKind/outKind/cm are its columnar
 	// surface, chBolt its channel-aware one on raw inputs, ch the input
 	// channel of the message being delivered there.
 	bolt            Bolt
@@ -765,9 +746,14 @@ type boltExec struct {
 	// merge aligns the input channels on markers; nil on raw inputs.
 	merge *colMerge
 	// emitFn is the bolt's emit callback, allocated once per executor:
-	// park under recovery, the sink's record for sinks, the transport
-	// otherwise.
+	// park under recovery, the transport otherwise.
 	emitFn func(stream.Event)
+
+	// rows, mark and cut are a sink's open block: its batches (the
+	// merger's), closing marker and number.
+	rows []stream.Columns
+	mark stream.Marker
+	cut  uint64
 
 	// Recovery policy state (recovery.go). out holds the current
 	// block's parked output in emission order; snap/rrSnap are the
@@ -812,12 +798,6 @@ func runBolt(rc *runtimeComponent, instance int, is *metrics.InstanceStats, ef *
 		x.emitFn = x.park
 		if is.ObsEnabled() {
 			x.markerSeen = map[int64]int64{}
-		}
-	case rc.isSink:
-		x.emitFn = func(e stream.Event) {
-			rc.sinkMu.Lock()
-			rc.record(e)
-			rc.sinkMu.Unlock()
 		}
 	default:
 		x.emitFn = x.em.emit
@@ -868,8 +848,7 @@ func runBolt(rc *runtimeComponent, instance int, is *metrics.InstanceStats, ef *
 	return x.fatal
 }
 
-// newBolt builds a fresh operator instance. A sink is the identity
-// bolt: what it "emits" is what the sink records.
+// newBolt builds a fresh operator instance.
 func (x *boltExec) newBolt() Bolt {
 	if x.rc.isSink {
 		return sinkBolt{}
@@ -877,13 +856,13 @@ func (x *boltExec) newBolt() Bolt {
 	return x.rc.bolt(x.instance)
 }
 
-// sinkBolt is the bolt of a sink executor. It is stateless, so its
-// checkpoint is empty.
+// sinkBolt is a sink executor's bolt, which never runs (deliverCut
+// hands the blocks on) and checkpoints nothing.
 type sinkBolt struct{}
 
-func (sinkBolt) Next(e stream.Event, emit func(stream.Event)) { emit(e) }
-func (sinkBolt) Snapshot() ([]byte, error)                    { return nil, nil }
-func (sinkBolt) Restore([]byte) error                         { return nil }
+func (sinkBolt) Next(stream.Event, func(stream.Event)) {}
+func (sinkBolt) Snapshot() ([]byte, error)             { return nil, nil }
+func (sinkBolt) Restore([]byte) error                  { return nil }
 
 // setBolt installs an operator instance and derives its optional
 // surfaces. A ChannelBolt sees channel identity only on raw inputs; on
@@ -1046,6 +1025,11 @@ func (x *boltExec) park(e stream.Event) {
 func (x *boltExec) deliver(e stream.Event) {
 	x.is.AddExecuted(1)
 	switch {
+	case x.rc.sink != nil: // a merged marker; under recovery, flushOut delivers
+		x.mark = e.Marker
+		if !x.rec {
+			x.deliverCut(false)
+		}
 	case x.chBolt != nil:
 		x.chBolt.NextFrom(x.ch, e, x.emitFn)
 	case e.IsMarker && x.cm != nil && x.outKind != nil:
@@ -1066,10 +1050,15 @@ func (x *boltExec) deliver(e stream.Event) {
 // its kind — exactly so under recovery as without — after unboxing a
 // universal-kind batch into that kind once, and row by row otherwise,
 // which is how every bolt without a columnar surface (a handcrafted
-// Bolt or ChannelBolt, a sink) and every bolt behind an edge of another
-// typed kind sees its items.
+// Bolt or ChannelBolt) and every bolt behind an edge of another typed
+// kind sees its items. A sink keeps the batch for its open block.
 func (x *boltExec) deliverCols(c stream.Columns) {
 	n := c.Len()
+	if x.rc.sink != nil {
+		x.is.AddExecuted(int64(n))
+		x.rows = append(x.rows, c)
+		return
+	}
 	if c.Kind() == stream.AnyKind && x.inKind != nil && x.inKind != stream.AnyKind {
 		t := x.inKind.Get()
 		for i := range n {

@@ -368,12 +368,12 @@ type netStart struct {
 	Peers []string
 }
 
-// netSinkData streams a slice of one sink's collected output, in
-// arrival order. The coordinator treats each marker as a committed
-// cut boundary.
+// netSinkData carries one cut of one sink to the coordinator: the cut,
+// and its batches as frames of the sink's codec.BatchWriter.
 type netSinkData struct {
 	Sink   string
-	Events []codec.WireEvent
+	Cut    Cut
+	Frames []byte
 }
 
 // netSummary is one executor's final counters.

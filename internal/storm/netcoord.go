@@ -11,29 +11,24 @@ import (
 	"strconv"
 	"time"
 
+	"datatrace/internal/codec"
 	"datatrace/internal/metrics"
 	"datatrace/internal/stream"
 )
 
 // This file is the coordinator of the networked runtime. RunNetworked
 // launches one worker process per placement slot, rendezvouses them
-// (hello → start with the peer address table), collects the sink
-// streams they report, and recovers from worker-process failure by
-// restarting the whole cluster and splicing the new run's sink output
-// onto the committed prefix at the last marker cut.
+// (hello → start with the peer address table), collects the cuts the
+// sinks deliver, and recovers from worker-process failure by restarting
+// the whole cluster and keeping each sink cut once, by its number.
 //
-// The splice is sound for the topologies this runtime compiles:
-// sources are deterministic replayable generators, markers punctuate
-// every stream at fixed source positions, and a sink fed through an
-// aligned merge sees exactly one marker per cut, so the multiset of
-// sink events between consecutive markers is invariant across runs
-// (stateless operators act item-wise, keyed state lives behind Fields
-// grouping, and shuffle round-robin variance only redistributes work
-// within a block). Committing a prefix at a marker boundary and
-// replacing everything after it with the replay's output therefore
-// yields a stream trace-equivalent to an uninterrupted run — the same
-// argument the marker-cut recovery of the in-process runtime rests
-// on, lifted to process granularity.
+// That is sound for the topologies this runtime compiles: sources are
+// deterministic replayable generators and markers punctuate every
+// stream at fixed source positions, so cut N of a sink fed through an
+// aligned merge holds the same multiset of events in every attempt.
+// Each cut from the first attempt to deliver it, then the trailing
+// block of the attempt that succeeds, is trace-equivalent to an
+// uninterrupted run: marker-cut recovery, lifted to processes.
 
 // KillPlan schedules one SIGKILL against a worker process: after the
 // coordinator has committed AfterCuts marker cuts (summed over sinks)
@@ -47,15 +42,11 @@ type KillPlan struct {
 // NetRescalePlan schedules one cluster-wide rescale: once the
 // coordinator has committed AfterCuts marker cuts (summed over sinks,
 // across attempts), the running attempt is aborted at that committed
-// cut and every subsequent attempt is spawned with Spec as its
-// DTT_NET_SPEC payload — the application-level description of the
-// revised topology (new parallelism, hence a revised placement
-// table). The committed prefix is kept and the replay-skip machinery
-// splices the revised cluster's output onto it, exactly as for
-// failure recovery: the cut boundary is a consistent configuration,
-// so the same trace-equivalence argument applies. The abort is a
-// planned reconfiguration, not a failure, and is not charged against
-// MaxRestarts.
+// cut and every later attempt runs Spec as its DTT_NET_SPEC payload —
+// the revised topology (new parallelism, hence a new placement table).
+// The cut boundary is a consistent configuration, so the revised
+// cluster's later cuts follow the committed ones as after a failure.
+// The abort is not charged against MaxRestarts.
 type NetRescalePlan struct {
 	AfterCuts int
 	Spec      string
@@ -100,18 +91,13 @@ type NetOptions struct {
 	spawn func(worker int, env map[string]string) (netProc, error)
 }
 
-// NetResult is the outcome of a networked run.
+// NetResult is the outcome of a networked run. Its Result holds each
+// sink's output, collected as in-process — every cut once, from the
+// first attempt that delivered it, then the final attempt's trailing
+// block — the successful attempt's worker counters with their data
+// links' summed (Stats.Wire), and the wall time including restarts.
 type NetResult struct {
-	// Sinks maps each sink component to its spliced output stream:
-	// committed prefixes of failed attempts joined with the final
-	// attempt's tail.
-	Sinks map[string][]stream.Event
-	// Stats holds the per-executor counters reported by the workers of
-	// the successful attempt, and their data links' counters summed
-	// (Stats.Wire).
-	Stats *metrics.Stats
-	// Wall is the real elapsed time including restarts.
-	Wall time.Duration
+	Result
 	// WorkerRestarts counts cluster restarts performed after worker
 	// failures.
 	WorkerRestarts int
@@ -157,13 +143,14 @@ func spawnOS(command, env []string) func(worker int, extra map[string]string) (n
 	}
 }
 
-// sinkState is the coordinator's committed/pending split of one
-// sink's stream.
+// sinkState is the coordinator's copy of one sink's output: the
+// committed cuts, the running attempt's trailing block, kept only if
+// the attempt succeeds, and the reader of the attempt's frames.
 type sinkState struct {
-	committed []stream.Event
-	pending   []stream.Event
-	cuts      int // markers committed
-	skip      int // replay markers still to skip after a restart
+	col  collector
+	cuts uint64 // the next cut to keep; a lower one is a replay
+	tail *collector
+	dec  *codec.BatchReader
 }
 
 // helloConn is an inbound control connection that has identified
@@ -191,14 +178,11 @@ type coordinator struct {
 	helloc chan helloConn
 
 	sinks        map[string]*sinkState
-	sinkOrder    []string
-	totalCuts    int // cuts committed during attempt 0 (kill trigger)
 	killed       bool
 	restarts     int
 	replayedCuts int
 	spec         string // current worker payload; replaced when the rescale fires
 	rescaled     bool   // the NetRescalePlan has fired
-	rescaleNow   bool   // abort the running attempt at this committed cut
 }
 
 const (
@@ -209,7 +193,7 @@ const (
 )
 
 // RunNetworked executes a networked run to completion and returns the
-// spliced sink streams and worker-reported statistics. It fails after
+// sinks' output and worker-reported statistics. It fails after
 // MaxRestarts cluster restarts, on a worker that reports an executor
 // failure, or on an attempt timeout.
 func RunNetworked(opts NetOptions) (*NetResult, error) {
@@ -231,12 +215,9 @@ func RunNetworked(opts NetOptions) (*NetResult, error) {
 		}
 		opts.spawn = spawnOS(command, opts.Env)
 	}
-	maxRestarts := opts.MaxRestarts
-	if maxRestarts == 0 {
+	maxRestarts := max(opts.MaxRestarts, 0)
+	if opts.MaxRestarts == 0 {
 		maxRestarts = defaultNetMaxRestarts
-	}
-	if maxRestarts < 0 {
-		maxRestarts = 0
 	}
 	if opts.AttemptTimeout == 0 {
 		opts.AttemptTimeout = defaultAttemptTimeout
@@ -244,13 +225,10 @@ func RunNetworked(opts NetOptions) (*NetResult, error) {
 	if opts.Kill != nil && (opts.Kill.Worker < 0 || opts.Kill.Worker >= opts.Workers) {
 		return nil, fmt.Errorf("storm: KillPlan.Worker %d out of range for %d workers", opts.Kill.Worker, opts.Workers)
 	}
-	if opts.Rescale != nil {
-		if opts.Rescale.AfterCuts < 1 {
-			return nil, fmt.Errorf("storm: NetRescalePlan.AfterCuts must be ≥ 1, got %d", opts.Rescale.AfterCuts)
-		}
-		if opts.Rescale.Spec == "" {
-			return nil, fmt.Errorf("storm: NetRescalePlan.Spec is empty: a rescale needs the revised topology payload")
-		}
+	if rp := opts.Rescale; rp != nil && rp.AfterCuts < 1 {
+		return nil, fmt.Errorf("storm: NetRescalePlan.AfterCuts must be ≥ 1, got %d", rp.AfterCuts)
+	} else if rp != nil && rp.Spec == "" {
+		return nil, fmt.Errorf("storm: NetRescalePlan.Spec is empty: a rescale needs the revised topology payload")
 	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -295,12 +273,11 @@ func RunNetworked(opts NetOptions) (*NetResult, error) {
 			stats = rebuildStats(dones)
 			break
 		}
-		// A failed attempt's uncommitted tail is discarded; the next
-		// attempt replays from the source and its stream is skipped up
-		// to the committed cut of each sink.
+		// A failed attempt's uncommitted output is discarded; the next
+		// attempt replays from the source, and its cuts below each
+		// sink's committed count are dropped as they arrive.
 		for _, ss := range r.sinks {
-			ss.pending = nil
-			ss.skip = ss.cuts
+			ss.tail, ss.dec = nil, nil
 		}
 		if errors.Is(err, errRescale) {
 			// Planned reconfiguration: the next attempt runs the revised
@@ -319,22 +296,24 @@ func RunNetworked(opts NetOptions) (*NetResult, error) {
 	wall := time.Since(start)
 	stats.Normalize(wall)
 
-	res := &NetResult{
-		Sinks:          map[string][]stream.Event{},
-		Stats:          stats,
-		Wall:           wall,
+	return &NetResult{
+		Result:         Result{Sinks: r.traces(), Stats: stats, Wall: wall},
 		WorkerRestarts: r.restarts,
 		ReplayedCuts:   r.replayedCuts,
 		Rescaled:       r.rescaled,
+	}, nil
+}
+
+// traces is each sink's committed cuts, then the trailing block of the
+// attempt that succeeded.
+func (r *coordinator) traces() map[string][]stream.Event {
+	out := make(map[string][]stream.Event, len(r.sinks))
+	for name, ss := range r.sinks {
+		if out[name] = ss.col.out; ss.tail != nil {
+			out[name] = append(ss.col.out, ss.tail.out...)
+		}
 	}
-	for _, name := range r.sinkOrder {
-		ss := r.sinks[name]
-		out := make([]stream.Event, 0, len(ss.committed)+len(ss.pending))
-		out = append(out, ss.committed...)
-		out = append(out, ss.pending...)
-		res.Sinks[name] = out
-	}
-	return res, nil
+	return out
 }
 
 // runAttempt runs one full cluster attempt: spawn, rendezvous, stream
@@ -398,11 +377,7 @@ func (r *coordinator) runAttempt(attempt int) ([]*netDone, error) {
 				if wantClean && firstErr == nil {
 					firstErr = fmt.Errorf("workers still running %v after shutdown", grace)
 				}
-				// One more bounded pass so the monitors observe the kills.
-				if firstErr != nil {
-					return firstErr
-				}
-				return nil
+				return firstErr
 			}
 		}
 	}
@@ -475,13 +450,8 @@ func (r *coordinator) runAttempt(attempt int) ([]*netDone, error) {
 		case ev := <-evc:
 			switch {
 			case ev.sink != nil:
-				r.onSink(attempt, ev.sink, procs, exited)
-				if r.rescaleNow {
-					// The cut the plan names is committed; tear the
-					// attempt down here so the next one — with the revised
-					// spec — replays and splices onto that prefix.
-					r.rescaleNow = false
-					return fail(errRescale)
+				if err := r.onSink(attempt, ev.sink, procs, exited); err != nil {
+					return fail(fmt.Errorf("worker %d: %w", ev.worker, err))
 				}
 			case ev.done != nil:
 				if ev.done.Failure != "" {
@@ -525,17 +495,11 @@ func readCtrl(worker int, dec *gob.Decoder, evc chan<- coordEvent, stop <-chan s
 			}
 			return
 		}
-		var ev coordEvent
-		switch {
-		case env.Sink != nil:
-			ev = coordEvent{worker: worker, sink: env.Sink}
-		case env.Done != nil:
-			ev = coordEvent{worker: worker, done: env.Done}
-		default:
+		if env.Sink == nil && env.Done == nil {
 			continue
 		}
 		select {
-		case evc <- ev:
+		case evc <- coordEvent{worker: worker, sink: env.Sink, done: env.Done}:
 		case <-stop:
 			return
 		}
@@ -545,58 +509,62 @@ func readCtrl(worker int, dec *gob.Decoder, evc chan<- coordEvent, stop <-chan s
 	}
 }
 
-// onSink folds one streamed slice of sink output into the committed/
-// pending split, committing at each marker and firing the kill plan
-// when its cut threshold is reached.
-func (r *coordinator) onSink(attempt int, data *netSinkData, procs []netProc, exited []bool) {
-	ss := r.sinks[data.Sink]
+// onSink takes one cut of a sink: a cut below the committed count is a
+// replay and is dropped, the next one commits, firing the rescale plan
+// (errRescale) and the kill plan at their thresholds, and the trailing
+// block waits for the attempt to succeed.
+func (r *coordinator) onSink(attempt int, d *netSinkData, procs []netProc, exited []bool) error {
+	ss := r.sinks[d.Sink]
 	if ss == nil {
 		ss = &sinkState{}
-		r.sinks[data.Sink] = ss
-		r.sinkOrder = append(r.sinkOrder, data.Sink)
+		r.sinks[d.Sink] = ss
 	}
-	for _, we := range data.Events {
-		e := we.Event()
-		if ss.skip > 0 {
-			// Replay of an already-committed block: drop it, counting
-			// cut boundaries so the splice point lines up.
-			if e.IsMarker {
-				ss.skip--
-				r.replayedCuts++
-			}
-			continue
+	if d.Cut.N > ss.cuts || ss.tail != nil {
+		return fmt.Errorf("sink %s sent cut %d out of order (next is %d)", d.Sink, d.Cut.N, ss.cuts)
+	}
+	if ss.dec == nil {
+		ss.dec = codec.NewBatchReader()
+	}
+	// Replays are decoded too: the attempt's frames share one encoder.
+	rows, err := ss.dec.Decode(d.Frames, nil)
+	defer func() {
+		for _, b := range rows {
+			b.Release()
 		}
-		ss.pending = append(ss.pending, e)
-		if !e.IsMarker {
-			continue
-		}
-		ss.committed = append(ss.committed, ss.pending...)
-		ss.pending = ss.pending[:0]
-		ss.cuts++
-		if rp := r.opts.Rescale; rp != nil && !r.rescaled && r.totalCommitted() >= rp.AfterCuts {
-			// Fires on whichever attempt commits the named cut, once:
-			// a kill-induced restart may delay it past attempt 0.
-			r.rescaled = true
-			r.rescaleNow = true
-			return
-		}
-		if attempt == 0 {
-			r.totalCuts++
-			if k := r.opts.Kill; k != nil && !r.killed && r.totalCuts >= k.AfterCuts {
-				r.killed = true
-				r.logf("storm: kill plan firing: killing worker %d after %d committed cuts", k.Worker, r.totalCuts)
-				if procs[k.Worker] != nil && !exited[k.Worker] {
-					_ = procs[k.Worker].Kill()
-				}
-			}
+	}()
+	switch {
+	case err != nil:
+		return fmt.Errorf("sink %s, cut %d: %w", d.Sink, d.Cut.N, err)
+	case d.Cut.N < ss.cuts:
+		r.replayedCuts++
+		return nil
+	case d.Cut.End:
+		ss.tail = &collector{}
+		ss.tail.add(d.Cut, rows)
+		return nil
+	}
+	ss.col.add(d.Cut, rows)
+	ss.cuts++
+	if rp := r.opts.Rescale; rp != nil && !r.rescaled && r.totalCommitted() >= rp.AfterCuts {
+		// The named cut is committed, on whichever attempt (a kill may
+		// delay it past attempt 0): abort the attempt, and the next one
+		// runs the revised spec and continues after that cut.
+		r.rescaled = true
+		return errRescale
+	} else if k := r.opts.Kill; k != nil && attempt == 0 && !r.killed && r.totalCommitted() >= k.AfterCuts {
+		r.killed = true
+		r.logf("storm: kill plan firing: killing worker %d after %d committed cuts", k.Worker, k.AfterCuts)
+		if procs[k.Worker] != nil && !exited[k.Worker] {
+			_ = procs[k.Worker].Kill()
 		}
 	}
+	return nil
 }
 
 func (r *coordinator) totalCommitted() int {
 	n := 0
 	for _, ss := range r.sinks {
-		n += ss.cuts
+		n += int(ss.cuts)
 	}
 	return n
 }

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 
 	"datatrace/internal/codec"
-	"datatrace/internal/stream"
 )
 
 // This file is the worker half of the networked runtime. A worker
@@ -23,10 +22,9 @@ import (
 // opaque), then ServeWorker runs the locally placed executors: it
 // opens a data listener, checks in with the coordinator, dials its
 // peers, and bridges remote edges through the frame transport while
-// local edges stay plain channels. Sink instances stream their
-// collected output to the coordinator as it arrives, cut by cut, so
-// the coordinator can commit prefixes at marker granularity and
-// splice replays after a process failure.
+// local edges stay plain channels. A sink sends each cut it delivers
+// to the coordinator, numbered (sinkStream), which keeps each cut once
+// across the attempts of a restarted cluster.
 //
 // It is also the receiving half of the data plane (net.go has the
 // sending half and the flow-control argument): per inbound connection a
@@ -314,7 +312,7 @@ func (w *workerNet) close() {
 }
 
 // ctrlWriter serializes control-plane writes (the main worker
-// goroutine and sink taps share the coordinator connection).
+// goroutine and the sink streams share the coordinator connection).
 type ctrlWriter struct {
 	mu  sync.Mutex
 	enc *gob.Encoder
@@ -324,44 +322,6 @@ func (c *ctrlWriter) send(env netEnvelope) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.enc.Encode(env)
-}
-
-// sinkTap accumulates one local sink's recorded events and streams
-// them to the coordinator, flushing at every marker (the commit
-// granularity) and at a size bound. observe runs under the sink's
-// sinkMu from the single sink executor; the final flush runs after
-// the run's executors have joined, so no locking beyond the control
-// writer's is needed.
-type sinkTap struct {
-	sink string
-	cw   *ctrlWriter
-	buf  []codec.WireEvent
-	// err is the first failure to stream output (a key or value type the
-	// control plane's gob cannot carry, or a coordinator that is gone).
-	err error
-}
-
-const sinkTapFlushAt = 512
-
-func (tap *sinkTap) observe(e stream.Event) {
-	tap.buf = append(tap.buf, codec.FromEvent(e))
-	if e.IsMarker || len(tap.buf) >= sinkTapFlushAt {
-		tap.flush()
-	}
-}
-
-func (tap *sinkTap) flush() {
-	if len(tap.buf) == 0 {
-		return
-	}
-	events := make([]codec.WireEvent, len(tap.buf))
-	copy(events, tap.buf)
-	tap.buf = tap.buf[:0]
-	// The tap does not stop the sink: the worker reports the error with
-	// its Done, so output lost here fails the run instead of shortening it.
-	if err := tap.cw.send(netEnvelope{Sink: &netSinkData{Sink: tap.sink, Events: events}}); err != nil && tap.err == nil {
-		tap.err = err
-	}
 }
 
 // ServeWorker runs this process's share of the topology as one worker
@@ -431,42 +391,35 @@ func (t *Topology) ServeWorker(cfg WorkerConfig) error {
 	if err != nil {
 		return err
 	}
-	var taps []*sinkTap
-	for _, name := range t.order {
-		rc := rts[name]
-		if rc.isSink && rc.localInst(0) {
-			tap := &sinkTap{sink: rc.name, cw: cw}
-			taps = append(taps, tap)
-			rc.sinkTap = tap.observe
-		}
+	var sinks []*sinkStream
+	t.newSink = func(name string) SinkFunc {
+		sinks = append(sinks, &sinkStream{sink: name, cw: cw, w: codec.NewBatchWriter()})
+		return sinks[len(sinks)-1].consume
 	}
 
 	w.serve(ln)
 
 	logf("storm: worker %d/%d serving %d executors, data %s", cfg.Worker, cfg.Workers, len(w.byGID), ln.Addr())
-	type runOut struct {
-		res *Result
-		err error
-	}
-	runc := make(chan runOut, 1)
+	var res *Result
+	runc := make(chan error, 1)
 	go func() {
-		res, err := t.execute(rts)
-		runc <- runOut{res, err}
+		var err error
+		res, err = t.execute(rts)
+		runc <- err
 	}()
 
-	var out runOut
+	var runErr error
 	select {
-	case out = <-runc:
+	case runErr = <-runc:
 	case err := <-w.failc:
 		// A poisoned inbound stream would strand executors waiting on
 		// frames that can never arrive; exiting the process is the
 		// recovery signal the coordinator acts on.
 		return fmt.Errorf("storm: worker %d: %w", cfg.Worker, err)
 	}
-	for _, tap := range taps {
-		tap.flush()
-		if tap.err != nil && out.err == nil {
-			out.err = fmt.Errorf("storm: worker %d: streaming sink %s to the coordinator: %w", cfg.Worker, tap.sink, tap.err)
+	for _, s := range sinks {
+		if s.err != nil && runErr == nil {
+			runErr = fmt.Errorf("storm: worker %d: streaming sink %s to the coordinator: %w", cfg.Worker, s.sink, s.err)
 		}
 	}
 
@@ -477,16 +430,16 @@ func (t *Topology) ServeWorker(cfg WorkerConfig) error {
 		if l == nil {
 			continue
 		}
-		if err := l.flush(); err != nil && out.err == nil {
-			out.err = fmt.Errorf("storm: worker %d: link to worker %d: %w", cfg.Worker, p, err)
+		if err := l.flush(); err != nil && runErr == nil {
+			runErr = fmt.Errorf("storm: worker %d: link to worker %d: %w", cfg.Worker, p, err)
 		}
 		done.Wire.Add(l.wire())
 	}
-	if out.err != nil {
-		done.Failure = out.err.Error()
+	if runErr != nil {
+		done.Failure = runErr.Error()
 	}
-	if out.res != nil {
-		for _, is := range out.res.Stats.Instances() {
+	if res != nil {
+		for _, is := range res.Stats.Instances() {
 			done.Summaries = append(done.Summaries, netSummary{
 				Component: is.Component,
 				Instance:  is.Instance,
@@ -510,5 +463,5 @@ func (t *Topology) ServeWorker(cfg WorkerConfig) error {
 	var shutdown netEnvelope
 	_ = ctrlDec.Decode(&shutdown)
 	logf("storm: worker %d exiting", cfg.Worker)
-	return out.err
+	return runErr
 }

@@ -130,13 +130,12 @@ func (x *boltExec) completeCut(seq int64) {
 
 // flushOut sends the parked block downstream and flushes — a committed
 // cut leaves nothing buffered, so recovery can regenerate a failed
-// block without duplicating output downstream — or, on a sink, appends
-// the block to the sink's record. Either way the batches are consumed
-// and the buffer emptied: the backing array serves the next block.
+// block without duplicating output downstream — or delivers a sink's
+// block. Either way the buffer is emptied: the backing array serves
+// the next block.
 func (x *boltExec) flushOut() {
-	if x.rc.isSink {
-		x.rc.appendSink(x.out)
-		release(x.out)
+	if x.rc.sink != nil {
+		x.deliverCut(false)
 	} else if len(x.out) > 0 {
 		x.em.send(x.out)
 		x.em.flushAll()
@@ -176,8 +175,9 @@ func (x *boltExec) recoverFrom(cause error, pending [][]message) ([][]message, e
 // restart rebuilds the executor at its last committed cut: a fresh
 // bolt instance restored from the snapshot, reset round-robin cursors,
 // an empty merger (the caller holds the old one's input), an empty
-// output buffer, its parked batches released, and empty emitter
-// buffers. Between cuts every emission is parked in out, so only a
+// output buffer (its parked batches released, a sink's block
+// forgotten) and empty emitter buffers. Between cuts every emission is
+// parked in out, so only a
 // netSink delivery that panicked inside a cut's flush leaves rows
 // buffered: they belong to the block the replay regenerates.
 func (x *boltExec) restart() error {
@@ -197,6 +197,8 @@ func (x *boltExec) restart() error {
 	x.merge = x.newMerge()
 	release(x.out)
 	x.out = x.out[:0]
+	clear(x.rows)
+	x.rows = x.rows[:0]
 	return nil
 }
 
@@ -241,8 +243,9 @@ func (x *boltExec) replayAll(pending [][]message) ([][]message, error) {
 }
 
 // finish runs the end-of-stream step — trailing unaligned items, the
-// optional Flusher, and under recovery the final partial block's flush
-// — with the same crash recovery as live processing, then drops the
+// optional Flusher, and the final partial block's flush under recovery
+// or delivery by a sink — with the same crash recovery as live
+// processing, then drops the
 // merger's last batches. On terminal failure it returns the
 // still-pending input for drop-and-log draining.
 func (x *boltExec) finish() ([][]message, error) {
@@ -261,7 +264,9 @@ func (x *boltExec) finish() ([][]message, error) {
 			if f, ok := x.bolt.(Flusher); ok {
 				f.Flush(x.emitFn)
 			}
-			if x.rec {
+			if x.rc.sink != nil {
+				x.deliverCut(true)
+			} else if x.rec {
 				x.flushOut()
 			}
 		})
@@ -312,6 +317,8 @@ func (x *boltExec) fail(cause error, pending [][]message) {
 	}
 	release(x.out)
 	x.out = nil
+	clear(x.rows)
+	x.rows = x.rows[:0]
 	if x.g != nil {
 		x.cg.leave(x.g)
 	}

@@ -164,6 +164,7 @@ type Topology struct {
 	rescalePlan *RescalePlan
 	autoscale   *AutoscalePolicy
 	recovery    RecoveryPolicy
+	newSink     func(sink string) SinkFunc
 	obs         metrics.ObsConfig
 	transport   TransportOptions
 	// live is the stats collector of the current (or last) Run,
@@ -281,10 +282,9 @@ func (t *Topology) AddBolt(name string, parallelism int, factory func(instance i
 	return &BoltDecl{t: t, c: c}
 }
 
-// AddSink declares a single-instance bolt that records every event it
-// receives; Run returns the recorded streams by sink name. Inputs are
-// marker-aligned so the collected stream is a well-formed trace
-// representative.
+// AddSink declares a single-instance bolt that delivers its input cut
+// by cut to its consumer (sink.go), by default into Result.Sinks. Its
+// inputs are marker-aligned, so its cuts are the merged markers.
 func (t *Topology) AddSink(name string, froms ...string) *BoltDecl {
 	c := &component{name: name, parallelism: 1, isSink: true}
 	t.add(c)
@@ -376,6 +376,9 @@ func (t *Topology) validate() error {
 		}
 		if aligned != 0 && aligned != len(c.inputs) {
 			return fmt.Errorf("storm: bolt %q mixes aligned and raw inputs", name)
+		}
+		if c.isSink && aligned == 0 {
+			return fmt.Errorf("storm: sink %q has raw inputs (a sink delivers aligned cuts)", name)
 		}
 	}
 	// Cycle check by Kahn's algorithm.

@@ -76,6 +76,19 @@ func TestValidateRejectsMixedAlignedAndRawInputs(t *testing.T) {
 	}
 }
 
+// A sink borrows its block's batches from the aligned merger until the
+// cut is delivered, so raw sink inputs are rejected.
+func TestValidateRejectsRawSinkInputs(t *testing.T) {
+	top := NewTopology("raw-sink")
+	top.AddSpout("src", 1, noopSpout)
+	top.AddSink("out")
+	top.Decl("out").ShuffleGrouping("src", false)
+	_, err := top.Run()
+	if err == nil || !strings.Contains(err.Error(), "raw inputs") {
+		t.Fatalf("want raw-sink error, got %v", err)
+	}
+}
+
 func TestDeclPanicsOnUnknownBolt(t *testing.T) {
 	top := NewTopology("decl")
 	defer func() {

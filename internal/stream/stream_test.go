@@ -169,3 +169,28 @@ func TestDefaultHashFastPathsMatchRendered(t *testing.T) {
 		t.Error("int64 and int renderings of the same value must collide")
 	}
 }
+
+// TestAppendBlockDoubles builds a sequence of 2 000 one-row blocks: the
+// events are the blocks' rows and markers in order, and growing by
+// doubling costs a logarithmic number of allocations.
+func TestAppendBlockDoubles(t *testing.T) {
+	b := AnyKind.Get()
+	defer b.Release()
+	b.AppendEvent(Item("k", 1))
+	var out []Event
+	allocs := testing.AllocsPerRun(1, func() {
+		out = nil
+		for i := range 2000 {
+			out = AppendBlock(out, []Columns{b}, &Marker{Seq: int64(i)})
+		}
+	})
+	if len(out) != 4000 || out[0].Key != "k" || !out[3999].IsMarker || out[3999].Marker.Seq != 1999 {
+		t.Fatalf("got %d events, last %v", len(out), out[len(out)-1])
+	}
+	if allocs > 10 {
+		t.Fatalf("%v allocations for 2 000 blocks, want a logarithmic count", allocs)
+	}
+	if tail := AppendBlock(nil, []Columns{b}, nil); len(tail) != 1 || tail[0].IsMarker {
+		t.Fatalf("a block without a marker appended %v", tail)
+	}
+}
