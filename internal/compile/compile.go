@@ -338,11 +338,26 @@ func CompileWithPlan(d *core.DAG, sources map[string]SourceSpec, opts *Options) 
 					}
 				}
 			}
-			counts := plan.addBolt(n.Name, n.Parallelism, stageNames)
 			ops := stageOps
+			// The bolt's columnar endpoint kinds, computed from the stage
+			// pipeline after any PreCombined rewrite (which shifts the
+			// consumed kind from raw items to partial aggregates).
+			inK, outK := opsColKinds(ops)
+			// A marker-driven output goes out typed only to a consumer
+			// that reads its kind typed — a typed combiner counts, which
+			// is why the consumers' operators are checked before their
+			// PreCombined rewrite — and only from a lone stage: a fused
+			// pipeline's typed marker step needs a chain. A sink's
+			// collector and a boxed tap would each box a typed row again,
+			// where the boxed marker step boxes it once for all readers.
+			if _, md := ops[len(ops)-1].(core.MarkerDriven); md && (len(ops) > 1 || !readsKind(consumers[n.ID], outK)) {
+				outK = nil
+			}
+			outKind[n.Name] = outK
+			counts := plan.addBolt(n.Name, n.Parallelism, stageNames, outK)
 			top.AddBolt(n.Name, n.Parallelism, func(int) storm.Bolt {
 				if len(ops) == 1 {
-					return adapt(ops[0].New())
+					return adapt(ops[0].New(), outK)
 				}
 				insts := make([]core.Instance, len(ops))
 				for i, op := range ops {
@@ -350,11 +365,6 @@ func CompileWithPlan(d *core.DAG, sources map[string]SourceSpec, opts *Options) 
 				}
 				return newFusedBolt(insts, counts)
 			})
-			// The bolt's columnar endpoint kinds, computed from the stage
-			// pipeline after any PreCombined rewrite (which shifts the
-			// consumed kind from raw items to partial aggregates).
-			inK, outK := opsColKinds(ops)
-			outKind[n.Name] = outK
 			decl := boltDecl(top, n.Name)
 			grouping := groupingFor(head, fusedSort != nil)
 			// Every edge carries column batches, of the kind of the rows
@@ -443,6 +453,17 @@ func opsColKinds(ops []core.Operator) (in, out *stream.ColKind) {
 	return in, prev
 }
 
+// readsKind reports whether an operator among consumers takes batches
+// of kind k.
+func readsKind(consumers []*core.Node, k *stream.ColKind) bool {
+	for _, c := range consumers {
+		if co, ok := c.Op.(core.ColOperator); ok && c.Kind == core.OpNode && co.InColKind() == k {
+			return true
+		}
+	}
+	return false
+}
+
 // groupingFor selects the semantics-preserving grouping for the
 // connection into node n (Theorem 4.3). A fused sort forces key
 // routing even if the downstream operator alone would allow shuffle.
@@ -482,8 +503,12 @@ func connect(d *storm.BoltDecl, from string, g storm.Grouping) {
 
 // instanceBolt adapts a core.Instance to a storm.Bolt (identical
 // method sets; the named type keeps the dependency direction
-// explicit).
-type instanceBolt struct{ inst core.Instance }
+// explicit). out is the kind of batches the bolt emits, as the
+// compiler chose it: nil keeps a MarkerDriven instance's output boxed.
+type instanceBolt struct {
+	inst core.Instance
+	out  *stream.ColKind
+}
 
 // Next implements storm.Bolt.
 func (b instanceBolt) Next(e stream.Event, emit func(stream.Event)) { b.inst.Next(e, emit) }
@@ -498,12 +523,7 @@ func (b instanceBolt) InColKind() *stream.ColKind {
 }
 
 // OutColKind implements storm.ColProcessor.
-func (b instanceBolt) OutColKind() *stream.ColKind {
-	if bi, ok := b.inst.(core.BatchInstance); ok {
-		return bi.OutColKind()
-	}
-	return nil
-}
+func (b instanceBolt) OutColKind() *stream.ColKind { return b.out }
 
 // ProcessCols implements storm.ColProcessor. The runtime calls it only
 // when InColKind is non-nil, i.e. the instance is a BatchInstance.
@@ -545,18 +565,19 @@ func (b reshardBolt) Reshard(old [][]byte, newPar int, owner func(key any) int) 
 	return core.ReshardInstanceSnapshots(b.inst, old, newPar, owner)
 }
 
-// adapt wraps a core.Instance as a storm.Bolt, exposing
-// storm.Recoverable exactly when the instance supports checkpointing
-// and storm.Resharder when it also supports re-sharding — the method
-// set advertises the capability to the runtime.
-func adapt(inst core.Instance) storm.Bolt {
+// adapt wraps a core.Instance as a storm.Bolt emitting batches of out,
+// exposing storm.Recoverable exactly when the instance supports
+// checkpointing and storm.Resharder when it also supports re-sharding —
+// the method set advertises the capability to the runtime.
+func adapt(inst core.Instance, out *stream.ColKind) storm.Bolt {
+	b := instanceBolt{inst, out}
 	switch {
 	case core.CanReshard(inst):
-		return reshardBolt{snapshotBolt{instanceBolt{inst}}}
+		return reshardBolt{snapshotBolt{b}}
 	case core.CanSnapshot(inst):
-		return snapshotBolt{instanceBolt{inst}}
+		return snapshotBolt{b}
 	default:
-		return instanceBolt{inst}
+		return b
 	}
 }
 

@@ -105,8 +105,12 @@ func (f *fusedBolt) initCols() {
 	}
 	f.stagesB = bs
 	f.batchIn = bs[0].InColKind()
-	f.batchOut = bs[len(bs)-1].OutColKind()
 	f.initChain(bs)
+	if f.chain != nil {
+		// Only a chain has a typed marker step: a MarkerDriven tail
+		// behind a fused SORT emits boxed.
+		f.batchOut = bs[len(bs)-1].OutColKind()
+	}
 }
 
 // initChain upgrades the stage-by-stage batch pipeline to a single
@@ -193,8 +197,7 @@ func (f *fusedBolt) ProcessCols(in, out stream.Columns) {
 // through the rest of the chain before the next stage's step runs, and
 // what reaches the tail lands in out; the marker counts as delivered to
 // every stage. The runtime calls it only when OutColKind is non-nil,
-// and every stage pipeline with a typed output is a chain: a stage
-// whose output kind is nil ends it.
+// which initCols allows for a chain alone.
 func (f *fusedBolt) ProcessMarker(m stream.Marker, out stream.Columns) {
 	f.chainTail.SetOutBatch(out)
 	for _, s := range f.marks {

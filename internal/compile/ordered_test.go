@@ -11,10 +11,10 @@ import (
 	"datatrace/internal/stream"
 )
 
-// This file checks the ordered templates on the typed path inside the
+// This file checks the templates' typed marker output inside the
 // runtime: a fused SORT→KeyedOrdered bolt against the boxed
-// composition, and a typed KeyedOrdered bolt crashing in the middle of
-// its marker output under recovery.
+// composition, and a KeyedOrdered or KeyedUnordered bolt crashing in
+// the middle of its typed marker output under recovery.
 
 func tiedSort() core.Operator {
 	return &core.Sort[int, int]{
@@ -120,63 +120,117 @@ func TestFusedSortKeyedOrderedTypedMatchesBoxed(t *testing.T) {
 	}
 }
 
-// TestChaosTypedMarkerOutputCrash crashes a typed KeyedOrdered bolt in
-// the middle of its marker output under recovery — its marker step
-// panics after the first key's row is in the output batch — fused
-// behind its SORT and standalone, and also corrupts a send of that
-// output on the way to the sink. The recovered run must restart and
-// stay trace-equivalent to the reference.
+// unorderedMarkerSum is a KeyedUnordered per-key sum that emits, at
+// every marker, one row per key; onMarker, when set, runs after the
+// key's row is emitted (the chaos test's crash hook).
+func unorderedMarkerSum(onMarker func(k int, m stream.Marker)) core.Operator {
+	return &core.KeyedUnordered[int, int, int, int, int, int]{
+		OpName:       "usum",
+		InT:          stream.U("Int", "Int"),
+		OutT:         stream.U("Int", "Int"),
+		In:           func(_, v int) int { return v },
+		ID:           func() int { return 0 },
+		Combine:      func(x, y int) int { return x + y },
+		InitialState: func() int { return 0 },
+		UpdateState:  func(old, agg int) int { return old + agg },
+		OnMarker: func(emit core.Emit[int, int], st, k int, m stream.Marker) {
+			emit(k, st*100+int(m.Seq))
+			if onMarker != nil {
+				onMarker(k, m)
+			}
+		},
+	}
+}
+
+// passThrough forwards every item: a consumer that reads its input
+// typed, so a KeyedUnordered producer's marker output goes out typed.
+func passThrough() core.Operator {
+	return &core.Stateless[int, int, int, int]{
+		OpName: "pass",
+		In:     stream.U("Int", "Int"),
+		Out:    stream.U("Int", "Int"),
+		OnItem: func(emit core.Emit[int, int], k, v int) { emit(k, v) },
+	}
+}
+
+// TestChaosTypedMarkerOutputCrash crashes a bolt with typed marker
+// output in the middle of that output under recovery — its marker step
+// panics after the first key's row is in the output batch — and also
+// corrupts a send of that output. The bolts are a KeyedOrdered, fused
+// behind its SORT and standalone, and a KeyedUnordered feeding a typed
+// consumer. The recovered run must restart and stay trace-equivalent to
+// the reference.
 func TestChaosTypedMarkerOutputCrash(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	var armed atomic.Bool
 	var calls atomic.Int64
-	build := func(par int) *core.DAG {
-		d := core.NewDAG()
-		src := d.Source("src", stream.U("Int", "Int"))
-		s := d.Op(tiedSort(), par, src)
-		k := d.Op(markerSum(func(_ int, m stream.Marker) {
-			if armed.Load() && m.Seq == 2 && calls.Add(1) == 2 {
-				armed.Store(false)
-				panic("injected crash in the marker output")
-			}
-		}), par, s)
-		d.Sink("out", k)
-		return d
+	crash := func(_ int, m stream.Marker) {
+		if armed.Load() && m.Seq == 2 && calls.Add(1) == 2 {
+			armed.Store(false)
+			panic("injected crash in the marker output")
+		}
 	}
-	for trial := 0; trial < 6; trial++ {
-		in := randomStream(r, 5, 20, 6)
-		ref, err := build(1).Eval(map[string][]stream.Event{"src": in})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, fuse := 1+trial%2, trial%3 != 2
-		dag := build(par)
-		plan := storm.NewFaultPlan()
-		if trial >= 3 {
-			plan.CorruptEdge("runsum", 0, "out", int64(1+r.Intn(10)))
-		}
-		top, err := Compile(dag, map[string]SourceSpec{
-			"src": {Parallelism: 1, Factory: func(int) storm.Spout { return storm.SliceSpout(in) }},
-		}, &Options{
-			FuseSort:  fuse,
-			Recovery:  &storm.RecoveryPolicy{Enabled: true, Logf: func(string, ...any) {}},
-			FaultPlan: plan,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		calls.Store(0)
-		armed.Store(true)
-		res, err := top.Run()
-		armed.Store(false)
-		if err != nil {
-			t.Fatalf("trial %d (par %d, fused %v): %v", trial, par, fuse, err)
-		}
-		if restarts, _, _ := res.Stats.Recovery(); restarts < 1 {
-			t.Fatalf("trial %d (par %d, fused %v): no restart recorded", trial, par, fuse)
-		}
-		if err := dag.EquivalentOutputs(ref, res.Sinks); err != nil {
-			t.Fatalf("trial %d (par %d, fused %v): %v", trial, par, fuse, err)
+	cases := []struct {
+		// bolt crashes; next is the component its output goes to.
+		bolt, next string
+		build      func(par int) *core.DAG
+	}{
+		{"runsum", "out", func(par int) *core.DAG {
+			d := core.NewDAG()
+			src := d.Source("src", stream.U("Int", "Int"))
+			s := d.Op(tiedSort(), par, src)
+			d.Sink("out", d.Op(markerSum(crash), par, s))
+			return d
+		}},
+		{"usum", "pass", func(par int) *core.DAG {
+			d := core.NewDAG()
+			src := d.Source("src", stream.U("Int", "Int"))
+			u := d.Op(unorderedMarkerSum(crash), par, src)
+			d.Sink("out", d.Op(passThrough(), par, u))
+			return d
+		}},
+	}
+	for _, c := range cases {
+		for trial := 0; trial < 6; trial++ {
+			in := randomStream(r, 5, 20, 6)
+			ref, err := c.build(1).Eval(map[string][]stream.Event{"src": in})
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, fuse := 1+trial%2, trial%3 != 2
+			dag := c.build(par)
+			plan := storm.NewFaultPlan()
+			if trial >= 3 {
+				plan.CorruptEdge(c.bolt, 0, c.next, int64(1+r.Intn(10)))
+			}
+			top, cp, err := CompileWithPlan(dag, map[string]SourceSpec{
+				"src": {Parallelism: 1, Factory: func(int) storm.Spout { return storm.SliceSpout(in) }},
+			}, &Options{
+				FuseSort:  fuse,
+				Recovery:  &storm.RecoveryPolicy{Enabled: true, Logf: func(string, ...any) {}},
+				FaultPlan: plan,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range cp.Bolts {
+				if b.Name == c.bolt && b.OutKind == nil {
+					t.Fatalf("%s trial %d: the bolt emits boxed, plan:\n%s", c.bolt, trial, cp)
+				}
+			}
+			calls.Store(0)
+			armed.Store(true)
+			res, err := top.Run()
+			armed.Store(false)
+			if err != nil {
+				t.Fatalf("%s trial %d (par %d, fused %v): %v", c.bolt, trial, par, fuse, err)
+			}
+			if restarts, _, _ := res.Stats.Recovery(); restarts < 1 {
+				t.Fatalf("%s trial %d (par %d, fused %v): no restart recorded", c.bolt, trial, par, fuse)
+			}
+			if err := dag.EquivalentOutputs(ref, res.Sinks); err != nil {
+				t.Fatalf("%s trial %d (par %d, fused %v): %v", c.bolt, trial, par, fuse, err)
+			}
 		}
 	}
 }

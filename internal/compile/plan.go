@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"datatrace/internal/storm"
+	"datatrace/internal/stream"
 )
 
 // Plan is the optimization pipeline's debugging output: which
@@ -41,6 +42,9 @@ type PlanBolt struct {
 	Parallelism int
 	// Stages names the operators executed inside the bolt, in order.
 	Stages []string
+	// OutKind is the kind of the batches the bolt emits, nil when it
+	// emits boxed rows.
+	OutKind *stream.ColKind
 	// counts[i] accumulates events delivered into stage i, summed over
 	// the component's instances; allocated only for fused bolts.
 	counts []*atomic.Int64
@@ -83,8 +87,8 @@ func (p *Plan) StageCounts(bolt string) []StageCount {
 // addBolt records one emitted bolt, allocating shared stage counters
 // when the bolt fuses several stages, and returns the counter slice
 // for the bolt factory to capture.
-func (p *Plan) addBolt(name string, par int, stages []string) []*atomic.Int64 {
-	pb := PlanBolt{Name: name, Parallelism: par, Stages: stages}
+func (p *Plan) addBolt(name string, par int, stages []string, out *stream.ColKind) []*atomic.Int64 {
+	pb := PlanBolt{Name: name, Parallelism: par, Stages: stages, OutKind: out}
 	if len(stages) > 1 {
 		pb.counts = make([]*atomic.Int64, len(stages))
 		for i := range pb.counts {

@@ -14,14 +14,16 @@ import (
 // loops over typed slices.
 //
 // Markers never appear in column batches. A template whose output is
-// typed (Stateless, Sort, KeyedOrdered) also runs its marker step on
-// the batch surface (ColMarker): the rows it emits at a marker land in
-// a batch of its output kind, which the runtime sends as the batch the
-// marker closes. The others (KeyedUnordered, SlidingAggregate) take
-// markers through Instance.Next and emit boxed. Either way a batch
-// denotes a fragment of one block's items, and processing it row by
-// row is exactly the per-event semantics — the equivalence the
-// differential tests check.
+// typed (Stateless, Sort, KeyedOrdered, KeyedUnordered) also runs its
+// marker step on the batch surface (ColMarker): the rows it emits at a
+// marker land in a batch of its output kind, which the runtime sends as
+// the batch the marker closes. KeyedUnordered emits only there
+// (MarkerDriven), so the compiler keeps its boxed marker step (Next)
+// for a bolt whose consumers do not read the kind typed.
+// SlidingAggregate takes markers through Next and emits boxed. Either
+// way a batch denotes a fragment of one block's items, and processing
+// it row by row is exactly the per-event semantics — the equivalence
+// the differential tests check.
 
 // ColOperator is implemented by operators whose instances can consume
 // (and possibly produce) typed column batches. A nil kind means "no
@@ -32,9 +34,9 @@ type ColOperator interface {
 	// InColKind is the kind of batch instances accept, nil when the
 	// operator (in its current configuration) cannot consume batches.
 	InColKind() *stream.ColKind
-	// OutColKind is the kind of batch instances produce between
-	// markers, nil when the operator emits only boxed events (e.g. a
-	// keyed aggregation that outputs at markers only).
+	// OutColKind is the kind of batch instances produce, nil when the
+	// operator emits only boxed events (SlidingAggregate's marker
+	// output).
 	OutColKind() *stream.ColKind
 }
 
@@ -44,10 +46,11 @@ type BatchInstance interface {
 	InColKind() *stream.ColKind
 	OutColKind() *stream.ColKind
 	// ProcessCols consumes every row of in, appending any output rows
-	// to out. out is non-nil exactly when OutColKind is non-nil; in is
-	// never nil. The implementation must not retain in, out or their
-	// column slices past the call — both batches belong to recycled
-	// arenas (dttlint rule DTT007 enforces this).
+	// to out. out is non-nil when OutColKind is, except for a
+	// MarkerDriven operator, which emits nothing here; in is never
+	// nil. The implementation must not retain in, out or their column
+	// slices past the call — both batches belong to recycled arenas
+	// (dttlint rule DTT007 enforces this).
 	ProcessCols(in, out stream.Columns)
 }
 
@@ -59,6 +62,12 @@ type BatchInstance interface {
 type ColMarker interface {
 	ProcessMarker(m stream.Marker, out stream.Columns)
 }
+
+// MarkerDriven is implemented by operators whose output rows all come
+// from the marker step, which runs typed (ColMarker) or boxed (Next) to
+// the same rows. The compiler sends such an output typed only to a
+// consumer that reads its kind typed.
+type MarkerDriven interface{ MarkerDriven() }
 
 // ColChain is implemented by batch instances whose per-row work can be
 // composed by typed closure chaining: the fusion pass binds each
@@ -306,8 +315,8 @@ func (in *keyedOrderedInstance[K, V, W, S]) RowEmit() any {
 
 // ---------------------------------------------------------------------------
 // KeyedUnordered: columnar in (items only fold into per-key
-// aggregates), boxed out (output happens at markers, which stay on
-// the boxed path).
+// aggregates) and out, where the output happens at markers only: the
+// marker step is Next's, emitting into the rowSink.
 // ---------------------------------------------------------------------------
 
 // InColKind implements ColOperator. A non-nil OnItem observes (and may
@@ -321,9 +330,13 @@ func (o *KeyedUnordered[K, V, L, W, S, A]) InColKind() *stream.ColKind {
 	return stream.ColKindFor[K, V]()
 }
 
-// OutColKind implements ColOperator: output is marker-driven and
-// boxed.
-func (o *KeyedUnordered[K, V, L, W, S, A]) OutColKind() *stream.ColKind { return nil }
+// OutColKind implements ColOperator.
+func (o *KeyedUnordered[K, V, L, W, S, A]) OutColKind() *stream.ColKind {
+	return stream.ColKindFor[L, W]()
+}
+
+// MarkerDriven implements MarkerDriven.
+func (o *KeyedUnordered[K, V, L, W, S, A]) MarkerDriven() {}
 
 // InColKind implements BatchInstance.
 func (in *keyedUnorderedInstance[K, V, L, W, S, A]) InColKind() *stream.ColKind {
@@ -331,7 +344,9 @@ func (in *keyedUnorderedInstance[K, V, L, W, S, A]) InColKind() *stream.ColKind 
 }
 
 // OutColKind implements BatchInstance.
-func (in *keyedUnorderedInstance[K, V, L, W, S, A]) OutColKind() *stream.ColKind { return nil }
+func (in *keyedUnorderedInstance[K, V, L, W, S, A]) OutColKind() *stream.ColKind {
+	return in.op.OutColKind()
+}
 
 // ProcessCols implements BatchInstance: the Table 3 item step —
 // fold into the per-key aggregate — over typed columns.
@@ -344,6 +359,13 @@ func (in *keyedUnorderedInstance[K, V, L, W, S, A]) ProcessCols(ic, _ stream.Col
 	for i, key := range tin.Keys {
 		op.fold(&in.row(key).Agg, key, tin.Vals[i])
 	}
+}
+
+// ProcessMarker implements ColMarker.
+func (in *keyedUnorderedInstance[K, V, L, W, S, A]) ProcessMarker(m stream.Marker, oc stream.Columns) {
+	in.begin(oc)
+	in.marker(m, in.colOut)
+	in.end(oc)
 }
 
 // ---------------------------------------------------------------------------

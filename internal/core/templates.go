@@ -286,6 +286,8 @@ type keyedUnorderedInstance[K comparable, V, L, W, S, A any] struct {
 	keyedState[K, kuRec[A, S], S]
 	emit func(stream.Event)
 	out  Emit[L, W]
+	// The typed marker output (batch.go).
+	rowSink[L, W]
 }
 
 // row returns key's record, born with aggregate ID() and state startS.
@@ -303,16 +305,8 @@ func (in *keyedUnorderedInstance[K, V, L, W, S, A]) Next(e stream.Event, emit fu
 	if in.out == nil {
 		in.out = func(key L, value W) { in.emit(stream.Item(key, value)) }
 	}
-	out := in.out
 	if e.IsMarker {
-		for i, key := range in.keys {
-			r := &in.recs[i]
-			r.State, r.Agg = in.op.UpdateState(r.State, r.Agg), in.op.ID()
-			if in.op.OnMarker != nil {
-				in.op.OnMarker(out, r.State, key, e.Marker)
-			}
-		}
-		in.scalar = in.op.UpdateState(in.scalar, in.op.ID())
+		in.marker(e.Marker, in.out)
 		emit(e)
 		return
 	}
@@ -320,9 +314,22 @@ func (in *keyedUnorderedInstance[K, V, L, W, S, A]) Next(e stream.Event, emit fu
 	r := in.row(key)
 	v := castVal[V](in.op.OpName, e.Value)
 	if in.op.OnItem != nil {
-		in.op.OnItem(out, r.State, key, v)
+		in.op.OnItem(in.out, r.State, key, v)
 	}
 	in.op.fold(&r.Agg, key, v)
+}
+
+// marker runs the Table 3 marker step, emitting on out: every live
+// key absorbs its block aggregate into its state, then OnMarker runs.
+func (in *keyedUnorderedInstance[K, V, L, W, S, A]) marker(m stream.Marker, out Emit[L, W]) {
+	for i, key := range in.keys {
+		r := &in.recs[i]
+		r.State, r.Agg = in.op.UpdateState(r.State, r.Agg), in.op.ID()
+		if in.op.OnMarker != nil {
+			in.op.OnMarker(out, r.State, key, m)
+		}
+	}
+	in.scalar = in.op.UpdateState(in.scalar, in.op.ID())
 }
 
 // fold absorbs one item into an aggregate the instance owns: r.agg
