@@ -112,8 +112,16 @@ func RunParallel(op Operator, input []Event, parallelism int) []Event {
 // instances.
 type SourceSpec = compile.SourceSpec
 
-// CompileOptions tunes DAG compilation.
+// CompileOptions declares every deployment choice once: the compiler's
+// optimization passes and the runtime knobs. A nil *CompileOptions
+// selects DefaultCompileOptions(); the zero value turns the passes off.
+// Compile applies the runtime knobs to the topology it emits, and
+// CompileOptions.Configure applies them to a hand-written one.
 type CompileOptions = compile.Options
+
+// DefaultCompileOptions returns, as a fresh value to modify, the
+// options a nil *CompileOptions selects: every optimization pass on.
+func DefaultCompileOptions() *CompileOptions { return compile.Defaults() }
 
 // Topology is a runnable dataflow on the Storm-style runtime.
 type Topology = storm.Topology
@@ -166,9 +174,9 @@ type ColSpout = storm.ColSpout
 
 // Compile translates a type-checked DAG into a topology, inserting
 // the groupings, marker propagation and merge/sort fusion of the
-// paper's section 5. A nil options selects the defaults, which enable
-// the optimization passes (sort fusion, stateless chain fusion,
-// shuffle-side combiners).
+// paper's section 5. A nil options selects DefaultCompileOptions(),
+// which enable the optimization passes (sort fusion, stateless chain
+// fusion, shuffle-side combiners).
 func Compile(d *DAG, sources map[string]SourceSpec, opts *CompileOptions) (*Topology, error) {
 	return compile.Compile(d, sources, opts)
 }
@@ -212,22 +220,23 @@ func NewTopology(name string) *Topology { return storm.NewTopology(name) }
 // cross the edge, or after FlushInterval of idleness. The zero value
 // selects the defaults (BatchSize 64, FlushInterval 1ms); BatchSize 1
 // reproduces the unbatched one-send-per-event transport exactly.
-// Attach with Topology.SetTransport or CompileOptions.Transport.
+// Set it as CompileOptions.Transport (or Topology.SetTransport).
 type TransportOptions = storm.TransportOptions
 
 // --- fault injection and recovery ------------------------------------------
 
 // FaultPlan deterministically injects failures into a topology run:
 // executor crashes at the Nth event, serializer corruption on a
-// chosen edge, artificial slowdowns. Attach with Topology.SetFaultPlan.
+// chosen edge, artificial slowdowns. Set it as CompileOptions.FaultPlan
+// (or Topology.SetFaultPlan).
 type FaultPlan = storm.FaultPlan
 
 // NewFaultPlan creates an empty fault plan.
 func NewFaultPlan() *FaultPlan { return storm.NewFaultPlan() }
 
 // RecoveryPolicy enables marker-cut checkpointing and restart for
-// aligned bolt executors (CompileOptions.Recovery, or
-// Topology.SetRecovery for hand-written topologies).
+// aligned bolt executors. Set it as CompileOptions.Recovery (or
+// Topology.SetRecovery).
 type RecoveryPolicy = storm.RecoveryPolicy
 
 // Recoverable is the optional Bolt extension that supplies the
@@ -255,8 +264,8 @@ const (
 
 // RescalePlan schedules live parallelism changes at marker cuts:
 // each step names a component, its new parallelism, and the completed
-// cut to reconfigure at. Attach with Topology.SetRescalePlan or
-// CompileOptions.Rescale; requires marker-cut recovery.
+// cut to reconfigure at. Set it as CompileOptions.Rescale (or
+// Topology.SetRescalePlan); requires marker-cut recovery.
 type RescalePlan = storm.RescalePlan
 
 // NewRescalePlan creates an empty rescale plan.
@@ -273,8 +282,8 @@ type Resharder = storm.Resharder
 
 // AutoscalePolicy is the feedback controller that rescales one
 // component from its queue-depth gauges and queue-latency histograms
-// during the run. Attach with Topology.SetAutoscale or
-// CompileOptions.Autoscale; requires recovery and observability.
+// during the run. Set it as CompileOptions.Autoscale (or
+// Topology.SetAutoscale); requires recovery and observability.
 type AutoscalePolicy = storm.AutoscalePolicy
 
 // --- networked runtime -------------------------------------------------------
@@ -326,8 +335,8 @@ func RunNetworked(opts NetOptions) (*NetResult, error) { return storm.RunNetwork
 // ObsConfig configures the executor-level observability subsystem:
 // per-executor execute/queue latency histograms, queue-depth
 // (backpressure) gauges, marker-cut lag tracking and sampled event
-// spans. Attach with Topology.SetObservability or
-// CompileOptions.Observability; disabled by default (zero overhead).
+// spans. Set it as CompileOptions.Observability (or
+// Topology.SetObservability); disabled by default (zero overhead).
 type ObsConfig = metrics.ObsConfig
 
 // DefaultObsConfig enables observability with the default sampling

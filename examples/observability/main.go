@@ -81,14 +81,13 @@ func pipeline() *core.DAG {
 func main() {
 	in := input()
 	obs := metrics.DefaultObsConfig()
+	opts := compile.Defaults()
+	opts.Recovery = &storm.RecoveryPolicy{Enabled: true}
+	opts.Observability = &obs
 
 	top, err := compile.Compile(pipeline(), map[string]compile.SourceSpec{
 		"src": {Parallelism: 1, Factory: func(int) storm.Spout { return storm.SliceSpout(in) }},
-	}, &compile.Options{
-		FuseSort:      true,
-		Recovery:      &storm.RecoveryPolicy{Enabled: true},
-		Observability: &obs,
-	})
+	}, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -85,13 +85,12 @@ func main() {
 	// crash. Compile the pipeline with recovery enabled, then crash a
 	// mid-pipeline bolt instance at its 40th input event.
 	events := inputs["hub"]
+	opts := compile.Defaults()
+	opts.Recovery = &storm.RecoveryPolicy{Enabled: true, Logf: log.Printf}
 	build := func() (*storm.Topology, error) {
 		return compile.Compile(iot.PipelineDAG(cfg, 2), map[string]compile.SourceSpec{
 			"hub": {Parallelism: 1, Factory: func(int) storm.Spout { return storm.SliceSpout(events) }},
-		}, &compile.Options{
-			FuseSort: true,
-			Recovery: &storm.RecoveryPolicy{Enabled: true, Logf: log.Printf},
-		})
+		}, opts)
 	}
 	top, err := build()
 	if err != nil {

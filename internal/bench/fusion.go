@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"time"
+
+	"datatrace/internal/compile"
 )
 
 // This file measures the compiler's optimization passes: chain fusion
@@ -66,7 +68,8 @@ func fusionSweep(cfg Config, reps int, rows []FusionRow) (*FusionSweepResult, er
 	arms := make([]arm, len(rows))
 	for i, row := range rows {
 		spec := queryIV(cfg)
-		spec.NoFuseChains, spec.NoCombiners = !row.FuseChains, !row.Combiners
+		spec.Options = compile.Defaults()
+		spec.Options.FuseChains, spec.Options.Combiners = row.FuseChains, row.Combiners
 		arms[i] = arm{label: row.Label, spec: spec}
 	}
 	runs, err := interleave(cfg, "fusion", reps, arms)

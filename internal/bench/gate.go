@@ -6,7 +6,9 @@ import (
 	"strings"
 	"time"
 
+	"datatrace/internal/compile"
 	"datatrace/internal/queries"
+	"datatrace/internal/storm"
 )
 
 // This file is the CI performance gate, `dttbench -gate`: three rules
@@ -61,7 +63,9 @@ func gate(cfg Config) ([]Verdict, error) {
 	// hit rates depend on flush timing and counts wobble tens of percent.
 	query := func(name string) queries.Spec { s := queryIV(cfg); s.Query = name; return s }
 	off, rec := queryIV(cfg), queryIV(cfg)
-	off.NoFuseChains, off.NoCombiners, rec.Recovery = true, true, true
+	off.Options, rec.Options = compile.Defaults(), compile.Defaults()
+	off.Options.FuseChains, off.Options.Combiners = false, false
+	rec.Options.Recovery = &storm.RecoveryPolicy{Enabled: true}
 	arms := []arm{{label: "I", spec: query("I")}, {label: "IV", spec: queryIV(cfg)}, {label: "IV passes-off", spec: off},
 		{label: "IV recovery", spec: rec}, {label: "VI", spec: query("VI")}, {label: "Smart Homes", spec: queryIV(cfg), home: &cfg.SmartHome}}
 	runs, err := interleave(cfg, "allocation", 3, arms)

@@ -69,6 +69,8 @@ func RecoverySweep(cfg Config) (*RecoverySweepResult, error) {
 		sensor.MarkerPeriod = period
 		events := iot.Stream(sensor)
 
+		// Chain fusion and combiners stay off: EXPERIMENTS.md's
+		// checkpoint-interval sweep measured this configuration.
 		build := func(rec *storm.RecoveryPolicy) (*storm.Topology, error) {
 			return compile.Compile(iot.PipelineDAG(sensor, par), map[string]compile.SourceSpec{
 				"hub": {Parallelism: 1, Factory: func(int) storm.Spout { return storm.SliceSpout(events) }},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"datatrace/internal/compile"
 	"datatrace/internal/storm"
 )
 
@@ -46,7 +47,8 @@ func transportSweep(cfg Config, batches []int) (*TransportSweepResult, error) {
 	arms := make([]arm, len(batches))
 	for i, batch := range batches {
 		spec := queryIV(cfg)
-		spec.Transport = &storm.TransportOptions{BatchSize: batch}
+		spec.Options = compile.Defaults()
+		spec.Options.Transport = &storm.TransportOptions{BatchSize: batch}
 		arms[i] = arm{label: fmt.Sprintf("batch %d", batch), spec: spec}
 	}
 	const reps = 5

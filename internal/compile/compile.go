@@ -62,11 +62,12 @@ type SourceSpec struct {
 	Cols *stream.ColKind
 }
 
-// Options tune the compilation.
+// Options are the deployment choices the compiler makes and the runtime
+// knobs it sets on the topology it emits. A nil *Options selects
+// Defaults(); the zero value turns every optimization pass off.
 type Options struct {
 	// FuseSort fuses every SORT vertex that has exactly one operator
-	// consumer into that consumer's bolt. Enabled by default in
-	// Compile's nil-Options path.
+	// consumer into that consumer's bolt. On in Defaults.
 	FuseSort bool
 	// FuseChains collapses maximal linear chains of stateless (ParAny)
 	// operators — equal parallelism, single producer/consumer edges —
@@ -74,26 +75,19 @@ type Options struct {
 	// them. The fused bolt keeps the chain tail's name so downstream
 	// wiring is unchanged, snapshots/restores all stages for
 	// marker-cut recovery, and reports per-stage delivery counts
-	// through the compilation Plan. Enabled by default in Compile's
-	// nil-Options path.
+	// through the compilation Plan. On in Defaults.
 	FuseChains bool
 	// Combiners installs a sender-side combining buffer on every
 	// fields-grouped connection whose consumer is a lone keyed
 	// operator admitting pre-aggregation (core.ColCombinable, folding
 	// typed rows, or core.Combinable alone, folding boxed ones, with a
 	// usable monoid): producers fold a bounded per-destination map of
-	// partial aggregates and the consumer is rewritten (PreCombined) to
-	// merge partials. Buffers drain into the batched transport on capacity,
-	// markers, EOS and transactional send blocks, so they are provably
-	// empty at every recovery restart point. Enabled by default in
-	// Compile's nil-Options path.
+	// partial aggregates (storm.DefaultCombinerCap distinct keys) and the
+	// consumer is rewritten (PreCombined) to merge partials. Buffers
+	// drain into the batched transport on capacity, markers, EOS and
+	// transactional send blocks, so they are provably empty at every
+	// recovery restart point. On in Defaults.
 	Combiners bool
-	// CombinerCap bounds the distinct keys a combining buffer holds
-	// before draining early. 0 selects storm.DefaultCombinerCap;
-	// negative is a compile error.
-	CombinerCap int
-	// ChannelCap bounds executor inboxes (0 = runtime default).
-	ChannelCap int
 	// Recovery, when non-nil, enables marker-cut checkpointing and
 	// executor restart in the compiled topology. Every bolt the
 	// compiler emits for a core.Snapshotter instance (all built-in
@@ -101,16 +95,18 @@ type Options struct {
 	// for the degradation knobs.
 	Recovery *storm.RecoveryPolicy
 	// FaultPlan injects deterministic failures into the compiled
-	// topology (see storm.FaultPlan); used by chaos tests.
-	FaultPlan *storm.FaultPlan
+	// topology (see storm.FaultPlan); used by chaos tests. It and the
+	// two schedules below act in the process that runs the topology, so
+	// they are not serialised.
+	FaultPlan *storm.FaultPlan `json:"-"`
 	// Rescale, when non-nil, installs a scripted schedule of live
 	// parallelism changes at marker cuts (see storm.RescalePlan).
 	// Requires Recovery.
-	Rescale *storm.RescalePlan
+	Rescale *storm.RescalePlan `json:"-"`
 	// Autoscale, when non-nil, installs a feedback controller that
 	// rescales one bolt component from backpressure signals (see
 	// storm.AutoscalePolicy). Requires Recovery and Observability.
-	Autoscale *storm.AutoscalePolicy
+	Autoscale *storm.AutoscalePolicy `json:"-"`
 	// Observability, when non-nil, configures the runtime's
 	// observability subsystem (latency histograms, queue gauges,
 	// marker-lag tracking, span sampling; see metrics.ObsConfig).
@@ -127,13 +123,19 @@ type Options struct {
 	Workers int
 }
 
+// Defaults returns the options a nil *Options selects: sort fusion,
+// chain fusion and shuffle combiners on, every runtime knob at the
+// runtime's default. Each call returns a fresh value to modify.
+func Defaults() *Options { return &Options{FuseSort: true, FuseChains: true, Combiners: true} }
+
+// combinerCap is the distinct-key capacity of every combining buffer
+// the compiler installs. Tests lower it (export_test.go) so buffers
+// drain mid-block.
+var combinerCap = storm.DefaultCombinerCap
+
 // validate rejects malformed option values with descriptive errors
 // before any topology is built.
 func (o *Options) validate() error {
-	if o.CombinerCap < 0 {
-		return fmt.Errorf("compile: Options.CombinerCap must be ≥ 0 (0 selects the default, %d), got %d",
-			storm.DefaultCombinerCap, o.CombinerCap)
-	}
 	if o.Transport != nil {
 		if err := o.Transport.Validate(); err != nil {
 			return err
@@ -145,6 +147,33 @@ func (o *Options) validate() error {
 	return nil
 }
 
+// Configure sets o's runtime knobs — everything but the optimization
+// passes — on t. CompileWithPlan applies it to every topology it
+// emits; a hand-written topology is configured through it too.
+func (o *Options) Configure(t *storm.Topology) {
+	if o.Recovery != nil {
+		t.SetRecovery(*o.Recovery)
+	}
+	if o.FaultPlan != nil {
+		t.SetFaultPlan(o.FaultPlan)
+	}
+	if o.Rescale != nil {
+		t.SetRescalePlan(o.Rescale)
+	}
+	if o.Autoscale != nil {
+		t.SetAutoscale(o.Autoscale)
+	}
+	if o.Transport != nil {
+		t.SetTransport(*o.Transport)
+	}
+	if o.Observability != nil {
+		t.SetObservability(*o.Observability)
+	}
+	if o.Workers > 0 {
+		t.SetWorkers(o.Workers)
+	}
+}
+
 // sorter is implemented by core.Sort instances' operator; used to
 // recognize SORT vertices for fusion. Any keyed operator whose name
 // reports itself as a sort could match; we detect by concrete type
@@ -152,8 +181,8 @@ func (o *Options) validate() error {
 type sorter interface{ IsSort() bool }
 
 // Compile translates the DAG into a storm topology. sources must
-// provide a SourceSpec for every DAG source. A nil opts selects the
-// defaults: sort fusion, chain fusion and shuffle combiners all on.
+// provide a SourceSpec for every DAG source. A nil opts selects
+// Defaults().
 func Compile(d *core.DAG, sources map[string]SourceSpec, opts *Options) (*storm.Topology, error) {
 	top, _, err := CompileWithPlan(d, sources, opts)
 	return top, err
@@ -168,7 +197,7 @@ func CompileWithPlan(d *core.DAG, sources map[string]SourceSpec, opts *Options) 
 		return nil, nil, fmt.Errorf("compile: nil DAG — build one with core.NewDAG and add nodes before compiling")
 	}
 	if opts == nil {
-		opts = &Options{FuseSort: true, FuseChains: true, Combiners: true}
+		opts = Defaults()
 	}
 	if err := opts.validate(); err != nil {
 		return nil, nil, err
@@ -252,7 +281,6 @@ func CompileWithPlan(d *core.DAG, sources map[string]SourceSpec, opts *Options) 
 	}
 
 	top := storm.NewTopology("compiled")
-	top.ChannelCap = opts.ChannelCap
 	plan := &Plan{Name: "compiled"}
 
 	// outKind[name] is the column kind the emitted component produces
@@ -317,23 +345,19 @@ func CompileWithPlan(d *core.DAG, sources map[string]SourceSpec, opts *Options) 
 			// themselves, in order.
 			var comb *storm.ColCombinerSpec
 			if opts.Combiners && len(stageOps) == 1 && n.Op.Mode() == core.ParKeyed {
-				capKeys := opts.CombinerCap
-				if capKeys == 0 {
-					capKeys = storm.DefaultCombinerCap
-				}
 				// The edge carries (key, partial aggregate) batches and the
 				// consumer is rewritten to merge partials. A typed combiner
 				// folds typed rows; an operator exposing only the untyped
 				// monoid gets the same buffer over the universal kind.
 				if cc, ok := n.Op.(core.ColCombinable); ok {
 					if outK, mk, can := cc.ColCombiner(); can {
-						comb = &storm.ColCombinerSpec{OutKind: outK, New: mk, Cap: capKeys}
+						comb = &storm.ColCombinerSpec{OutKind: outK, New: mk, Cap: combinerCap}
 						stageOps[0] = cc.PreCombined()
 					}
 				} else if c, ok := n.Op.(core.Combinable); ok {
 					if in, combine, can := c.CombinerMonoid(); can {
 						mk := func() stream.ColCombiner { return stream.NewAnyCombiner(in, combine) }
-						comb = &storm.ColCombinerSpec{OutKind: stream.AnyKind, New: mk, Cap: capKeys}
+						comb = &storm.ColCombinerSpec{OutKind: stream.AnyKind, New: mk, Cap: combinerCap}
 						stageOps[0] = c.PreCombined()
 					}
 				}
@@ -389,26 +413,8 @@ func CompileWithPlan(d *core.DAG, sources map[string]SourceSpec, opts *Options) 
 			top.AddSink(n.Name, in.Name)
 		}
 	}
-	if opts.Recovery != nil {
-		top.SetRecovery(*opts.Recovery)
-	}
-	if opts.FaultPlan != nil {
-		top.SetFaultPlan(opts.FaultPlan)
-	}
-	if opts.Rescale != nil {
-		top.SetRescalePlan(opts.Rescale)
-	}
-	if opts.Autoscale != nil {
-		top.SetAutoscale(opts.Autoscale)
-	}
-	if opts.Transport != nil {
-		top.SetTransport(*opts.Transport)
-	}
-	if opts.Observability != nil {
-		top.SetObservability(*opts.Observability)
-	}
+	opts.Configure(top)
 	if opts.Workers > 0 {
-		top.SetWorkers(opts.Workers)
 		plan.Placement = top.Placement(opts.Workers)
 	}
 	return top, plan, nil

@@ -392,12 +392,6 @@ func TestCompileValidation(t *testing.T) {
 			t.Fatalf("got %v, want nil-DAG error", err)
 		}
 	})
-	t.Run("negative-combiner-cap", func(t *testing.T) {
-		_, err := Compile(pipelineDAG(1, 1), optSources(nil), &Options{Combiners: true, CombinerCap: -1})
-		if err == nil || !strings.Contains(err.Error(), "CombinerCap") {
-			t.Fatalf("got %v, want CombinerCap error", err)
-		}
-	})
 	t.Run("negative-batch-size", func(t *testing.T) {
 		_, err := Compile(pipelineDAG(1, 1), optSources(nil), &Options{Transport: &storm.TransportOptions{BatchSize: -2}})
 		if err == nil || !strings.Contains(err.Error(), "BatchSize") {
@@ -405,7 +399,9 @@ func TestCompileValidation(t *testing.T) {
 		}
 	})
 	t.Run("combiner-cap-selects-default", func(t *testing.T) {
-		_, plan, err := CompileWithPlan(pipelineDAG(1, 1), optSources(nil), &Options{Combiners: true, CombinerCap: 7})
+		var plan *Plan
+		var err error
+		withCombinerCap(7, func() { _, plan, err = CompileWithPlan(pipelineDAG(1, 1), optSources(nil), &Options{Combiners: true}) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -482,7 +478,8 @@ func TestChaosRecoveryWithOptimizations(t *testing.T) {
 
 		for _, batch := range []int{1, 8, 64} {
 			dag := build(2, r)
-			allOn := &Options{FuseSort: true, FuseChains: true, Combiners: true, CombinerCap: 1 + r.Intn(8)}
+			allOn := &Options{FuseSort: true, FuseChains: true, Combiners: true}
+			capKeys := 1 + r.Intn(8)
 			probe, err := Compile(dag, optSources(in), allOn)
 			if err != nil {
 				t.Fatalf("trial %d batch=%d: %v", trial, batch, err)
@@ -501,7 +498,8 @@ func TestChaosRecoveryWithOptimizations(t *testing.T) {
 			opts.Recovery = &storm.RecoveryPolicy{Enabled: true, Logf: func(string, ...any) {}}
 			opts.FaultPlan = storm.NewFaultPlan().CrashAt(victim.Name, instance, atEvent)
 			opts.Transport = &storm.TransportOptions{BatchSize: batch, FlushInterval: 200 * time.Microsecond}
-			top, err := Compile(dag, optSources(in), &opts)
+			var top *storm.Topology
+			withCombinerCap(capKeys, func() { top, err = Compile(dag, optSources(in), &opts) })
 			if err != nil {
 				t.Fatalf("trial %d batch=%d: %v", trial, batch, err)
 			}

@@ -33,7 +33,7 @@ func TestColumnarEquivalenceDifferential(t *testing.T) {
 				for _, batch := range []int{1, 64} {
 					res, err := Run(testEnv(t), Spec{
 						Query: def.Name, Variant: Generated, Par: par, SourcePar: 2,
-						Transport: &storm.TransportOptions{BatchSize: batch},
+						Options: optionsFrom(nil, func(o *compile.Options) { o.Transport = &storm.TransportOptions{BatchSize: batch} }),
 					})
 					if err != nil {
 						t.Fatalf("par=%d batch=%d: %v", par, batch, err)
@@ -120,7 +120,9 @@ func TestColumnarRescaleAtCut(t *testing.T) {
 	}
 	sinkType := def.SinkType(env)
 	base := Spec{Query: "IV", Variant: Generated, SourcePar: 2,
-		Recovery: true, NoCombiners: true}
+		Options: optionsFrom(nil, func(o *compile.Options) {
+			o.Recovery, o.Combiners = &storm.RecoveryPolicy{Enabled: true}, false
+		})}
 
 	probeSpec := base
 	probeSpec.Par = 2
@@ -147,8 +149,9 @@ func TestColumnarRescaleAtCut(t *testing.T) {
 		for _, batch := range []int{1, 64} {
 			spec := base
 			spec.Par = sc.par
-			spec.Transport = &storm.TransportOptions{BatchSize: batch}
-			spec.Rescale = sc.plan(target)
+			spec.Options = optionsFrom(base.Options, func(o *compile.Options) {
+				o.Transport, o.Rescale = &storm.TransportOptions{BatchSize: batch}, sc.plan(target)
+			})
 			runEnv := testEnv(t)
 			res, err := Run(runEnv, spec)
 			if err != nil {
@@ -182,7 +185,7 @@ func TestColumnarChaosWorkerKill(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := RunNetworked(NetSpec{Spec: spec, Workers: 3, Cfg: cfg, OpDelay: opDelay},
+	res, err := RunNetworked(NetSpec{Spec: onWorkers(spec, 3), Cfg: cfg, OpDelay: opDelay},
 		func(o *storm.NetOptions) {
 			o.Kill = &storm.KillPlan{Worker: 1, AfterCuts: 3}
 			o.Logf = t.Logf

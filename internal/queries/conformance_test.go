@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"datatrace/internal/compile"
 	"datatrace/internal/storm"
 	"datatrace/internal/stream"
 	"datatrace/internal/workload"
@@ -112,7 +113,7 @@ func TestTransportEquivalenceDifferential(t *testing.T) {
 				runEnv := testEnv(t)
 				res, err := RunOn(runEnv, Spec{
 					Query: def.Name, Variant: Generated, Par: par,
-					Transport: &storm.TransportOptions{BatchSize: batch},
+					Options: optionsFrom(nil, func(o *compile.Options) { o.Transport = &storm.TransportOptions{BatchSize: batch} }),
 				}, in)
 				if err != nil {
 					t.Fatalf("par=%d batch=%d: %v", par, batch, err)

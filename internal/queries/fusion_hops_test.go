@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"datatrace/internal/compile"
 	"datatrace/internal/metrics"
 )
 
@@ -21,7 +22,7 @@ func TestChainFusionRemovesAnEdgeHop(t *testing.T) {
 	run := func(noFuse bool) (total int64, stats *metrics.Stats) {
 		t.Helper()
 		res, err := Run(testEnv(t), Spec{Query: "IV", Variant: Generated, Par: 2,
-			NoCombiners: true, NoFuseChains: noFuse})
+			Options: optionsFrom(nil, func(o *compile.Options) { o.Combiners, o.FuseChains = false, !noFuse })})
 		if err != nil {
 			t.Fatal(err)
 		}

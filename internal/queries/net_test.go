@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"datatrace/internal/compile"
 	"datatrace/internal/storm"
 	"datatrace/internal/stream"
 	"datatrace/internal/workload"
@@ -32,6 +33,12 @@ func requireNet(t *testing.T) {
 		t.Skipf("skipping networked test: environment forbids localhost TCP sockets (%v)", err)
 	}
 	ln.Close()
+}
+
+// onWorkers returns spec deployed on n worker processes.
+func onWorkers(spec Spec, n int) Spec {
+	spec.Options = optionsFrom(spec.Options, func(o *compile.Options) { o.Workers = n })
+	return spec
 }
 
 func netTestCfg() workload.YahooConfig {
@@ -74,7 +81,7 @@ func TestNetworkedEquivalenceDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("par=%d in-process oracle: %v", par, err)
 				}
-				res, err := RunNetworked(NetSpec{Spec: spec, Workers: 2, Cfg: cfg}, nil)
+				res, err := RunNetworked(NetSpec{Spec: onWorkers(spec, 2), Cfg: cfg}, nil)
 				if err != nil {
 					t.Fatalf("par=%d networked: %v", par, err)
 				}
@@ -124,7 +131,7 @@ func TestNetworkedSaturatedQueryIV(t *testing.T) {
 		t.Fatal(err)
 	}
 	for run := 0; run < 20; run++ {
-		res, err := RunNetworked(NetSpec{Spec: spec, Workers: 2, Cfg: cfg}, func(o *storm.NetOptions) {
+		res, err := RunNetworked(NetSpec{Spec: onWorkers(spec, 2), Cfg: cfg}, func(o *storm.NetOptions) {
 			o.MaxRestarts = -1
 			o.AttemptTimeout = time.Minute
 		})
@@ -167,7 +174,7 @@ func TestChaosWorkerKillRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := RunNetworked(NetSpec{Spec: spec, Workers: 3, Cfg: cfg, OpDelay: opDelay},
+	res, err := RunNetworked(NetSpec{Spec: onWorkers(spec, 3), Cfg: cfg, OpDelay: opDelay},
 		func(o *storm.NetOptions) {
 			o.Kill = &storm.KillPlan{Worker: 1, AfterCuts: 3}
 			o.Logf = t.Logf
@@ -225,11 +232,11 @@ func TestNetworkedRescaleAtCommittedCut(t *testing.T) {
 	}
 
 	revised := Spec{Query: "IV", Variant: Generated, Par: 4, SourcePar: 2}
-	payload, err := NetSpec{Spec: revised, Workers: 2, Cfg: cfg, OpDelay: opDelay}.Payload()
+	payload, err := NetSpec{Spec: onWorkers(revised, 2), Cfg: cfg, OpDelay: opDelay}.Payload()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunNetworked(NetSpec{Spec: spec, Workers: 2, Cfg: cfg, OpDelay: opDelay},
+	res, err := RunNetworked(NetSpec{Spec: onWorkers(spec, 2), Cfg: cfg, OpDelay: opDelay},
 		func(o *storm.NetOptions) {
 			o.Rescale = &storm.NetRescalePlan{AfterCuts: 4, Spec: payload}
 			o.Logf = t.Logf
@@ -287,11 +294,11 @@ func TestChaosWorkerKillDuringRescale(t *testing.T) {
 	}
 
 	revised := Spec{Query: "IV", Variant: Generated, Par: 4, SourcePar: 2}
-	payload, err := NetSpec{Spec: revised, Workers: 3, Cfg: cfg, OpDelay: opDelay}.Payload()
+	payload, err := NetSpec{Spec: onWorkers(revised, 3), Cfg: cfg, OpDelay: opDelay}.Payload()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunNetworked(NetSpec{Spec: spec, Workers: 3, Cfg: cfg, OpDelay: opDelay},
+	res, err := RunNetworked(NetSpec{Spec: onWorkers(spec, 3), Cfg: cfg, OpDelay: opDelay},
 		func(o *storm.NetOptions) {
 			o.Kill = &storm.KillPlan{Worker: 1, AfterCuts: 3}
 			o.Rescale = &storm.NetRescalePlan{AfterCuts: 6, Spec: payload}

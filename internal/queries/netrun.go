@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"datatrace/internal/codec"
+	"datatrace/internal/compile"
 	"datatrace/internal/storm"
 	"datatrace/internal/stream"
 	"datatrace/internal/workload"
@@ -22,18 +23,32 @@ import (
 // cmd/dttworker and this package's test binary call it first, becoming
 // a worker when the spawn contract is present.
 
-// NetSpec selects one networked run: a query Spec plus the worker
-// count and the workload configuration every worker process must
-// reproduce.
+// NetSpec selects one networked run: a query Spec, whose
+// Options.Workers is the number of worker processes (0 selects 1), and
+// the workload configuration every worker process must reproduce.
 type NetSpec struct {
 	Spec
-	// Workers is the number of worker processes.
-	Workers int
 	// Cfg is the workload configuration (workers regenerate the exact
 	// workload and reference tables from it).
 	Cfg workload.YahooConfig
 	// OpDelay is the per-database-operation delay (see NewEnv).
 	OpDelay time.Duration
+}
+
+// CoordinatorOnlyError reports a NetSpec option that only the process
+// running a topology can act on, so a networked run, whose workers
+// receive the spec as JSON, cannot honour it.
+type CoordinatorOnlyError struct {
+	// Field names the compile.Options field.
+	Field string
+}
+
+func (e *CoordinatorOnlyError) Error() string {
+	hint := ""
+	if e.Field == "Rescale" {
+		hint = "; rescale a networked run with storm.NetOptions.Rescale"
+	}
+	return fmt.Sprintf("queries: Options.%s does not reach the workers of a networked run%s", e.Field, hint)
 }
 
 // RegisterWireTypes registers every key and value type the six
@@ -54,28 +69,35 @@ func RegisterWireTypes() {
 	codec.Register(map[int64]Features{}) // Cluster partial aggregates
 }
 
-// normalize applies the same defaulting in the coordinator (before
-// marshalling) and in workers, so every process builds the identical
-// topology.
+// normalize fills the options every process must build with: the
+// defaults when there are none, and at least one worker. It copies
+// Options, so the caller's value is left as it was.
 func (ns NetSpec) normalize() NetSpec {
-	if ns.Par < 1 {
-		ns.Par = 1
+	opts := *compile.Defaults()
+	if ns.Options != nil {
+		opts = *ns.Options
 	}
-	if ns.SourcePar < 1 {
-		ns.SourcePar = 1
-	}
-	if ns.Workers < 1 {
-		ns.Workers = 1
-	}
+	opts.Workers = max(opts.Workers, 1)
+	ns.Options = &opts
 	return ns
 }
 
 // Payload marshals the normalized spec into the opaque DTT_NET_SPEC
 // worker payload. Callers building a storm.NetRescalePlan use it to
 // describe the revised topology (typically the same spec at a new
-// Par) the cluster reconfigures to at the committed cut.
+// Par) the cluster reconfigures to at the committed cut. A spec whose
+// Options carry a fault plan, rescale plan or autoscaler fails with a
+// *CoordinatorOnlyError: none of them would reach the workers.
 func (ns NetSpec) Payload() (string, error) {
 	ns = ns.normalize()
+	switch o := ns.Options; {
+	case o.FaultPlan != nil:
+		return "", &CoordinatorOnlyError{Field: "FaultPlan"}
+	case o.Rescale != nil:
+		return "", &CoordinatorOnlyError{Field: "Rescale"}
+	case o.Autoscale != nil:
+		return "", &CoordinatorOnlyError{Field: "Autoscale"}
+	}
 	b, err := json.Marshal(ns)
 	if err != nil {
 		return "", fmt.Errorf("queries: marshalling net spec: %w", err)
@@ -87,15 +109,11 @@ func (ns NetSpec) Payload() (string, error) {
 // the cluster's workers.
 func (ns NetSpec) build() (*storm.Topology, error) {
 	ns = ns.normalize()
-	def, err := ByName(ns.Query)
-	if err != nil {
-		return nil, err
-	}
 	env, err := NewEnv(ns.Cfg, ns.OpDelay)
 	if err != nil {
 		return nil, err
 	}
-	return buildWith(env, ns.Spec, def, def.Sources(env, ns.SourcePar), def.ColSources(env, ns.SourcePar), ns.Workers)
+	return build(env, ns.Spec, nil)
 }
 
 // RunWorkerIfSpawned turns this process into a networked worker when
@@ -129,12 +147,13 @@ func RunWorkerIfSpawned() {
 }
 
 // RunNetworked executes the selected query on a localhost TCP cluster
-// of ns.Workers processes and returns the coordinator's result. tune,
-// when non-nil, adjusts the launch options (worker command, fault
-// injection, timeouts) before the cluster starts.
+// of ns.Options.Workers processes and returns the coordinator's
+// result. tune, when non-nil, adjusts the launch options (worker
+// command, fault injection, timeouts) before the cluster starts.
 func RunNetworked(ns NetSpec, tune func(*storm.NetOptions)) (*storm.NetResult, error) {
 	ns = ns.normalize()
-	if _, err := ByName(ns.Query); err != nil {
+	payload, err := ns.Payload()
+	if err != nil {
 		return nil, err
 	}
 	RegisterWireTypes()
@@ -144,12 +163,8 @@ func RunNetworked(ns NetSpec, tune func(*storm.NetOptions)) (*storm.NetResult, e
 	if _, err := ns.build(); err != nil {
 		return nil, err
 	}
-	payload, err := ns.Payload()
-	if err != nil {
-		return nil, err
-	}
 	opts := storm.NetOptions{
-		Workers: ns.Workers,
+		Workers: ns.Options.Workers,
 		Spec:    payload,
 	}
 	if tune != nil {

@@ -43,7 +43,7 @@ func TestOptimizationEquivalenceDifferential(t *testing.T) {
 					runEnv := testEnv(t)
 					res, err := RunOn(runEnv, Spec{
 						Query: def.Name, Variant: Generated, Par: par,
-						NoFuseChains: off, NoCombiners: off,
+						Options: optionsFrom(nil, func(o *compile.Options) { o.FuseChains, o.Combiners = !off, !off }),
 					}, in)
 					if err != nil {
 						t.Fatalf("par=%d passesOff=%v: %v", par, off, err)
@@ -96,7 +96,7 @@ func TestOptimizedRunsActuallyCombine(t *testing.T) {
 	run := func(off bool) *storm.Result {
 		t.Helper()
 		res, err := Run(testEnv(t), Spec{Query: "IV", Variant: Generated, Par: 2,
-			NoFuseChains: off, NoCombiners: off})
+			Options: optionsFrom(nil, func(o *compile.Options) { o.FuseChains, o.Combiners = !off, !off })})
 		if err != nil {
 			t.Fatal(err)
 		}

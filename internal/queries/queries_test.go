@@ -3,6 +3,7 @@ package queries
 import (
 	"testing"
 
+	"datatrace/internal/compile"
 	"datatrace/internal/core"
 	"datatrace/internal/storm"
 	"datatrace/internal/stream"
@@ -22,6 +23,17 @@ func testEnv(t *testing.T) *Env {
 		t.Fatal(err)
 	}
 	return env
+}
+
+// optionsFrom returns a copy of base (compile.Defaults() when nil) with
+// set applied, so specs derived from one base never share options.
+func optionsFrom(base *compile.Options, set func(*compile.Options)) *compile.Options {
+	o := compile.Defaults()
+	if base != nil {
+		*o = *base
+	}
+	set(o)
+	return o
 }
 
 // TestVariantsMatchReference is the evaluation's core correctness
@@ -153,8 +165,9 @@ func TestInPlaceSurvivesRecovery(t *testing.T) {
 	for _, target := range []string{"Features", "Cluster"} {
 		for _, at := range []int64{7, 31} {
 			runEnv := testEnv(t)
-			spec := Spec{Query: "VI", Variant: Generated, Par: 2, SourcePar: 1, Recovery: true}
-			top, err := buildWith(runEnv, spec, def, def.Sources(runEnv, 1), def.ColSources(runEnv, 1), 0)
+			spec := Spec{Query: "VI", Variant: Generated, Par: 2, SourcePar: 1,
+				Options: optionsFrom(nil, func(o *compile.Options) { o.Recovery = &storm.RecoveryPolicy{Enabled: true} })}
+			top, err := build(runEnv, spec, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"datatrace/internal/compile"
 	"datatrace/internal/storm"
 	"datatrace/internal/stream"
 )
@@ -33,12 +34,14 @@ func TestChaosColumnarRecoveryMidBatch(t *testing.T) {
 	const perBlock = 120 // testEnv: 120 events per marker period
 	for _, par := range []int{1, 2, 4} {
 		for _, batch := range []int{1, 64} {
-			spec := Spec{Query: "IV", Variant: Generated, Par: par, SourcePar: 1, Recovery: true,
-				Transport: &storm.TransportOptions{BatchSize: batch}}
+			spec := Spec{Query: "IV", Variant: Generated, Par: par, SourcePar: 1,
+				Options: optionsFrom(nil, func(o *compile.Options) {
+					o.Recovery, o.Transport = &storm.RecoveryPolicy{Enabled: true}, &storm.TransportOptions{BatchSize: batch}
+				})}
 			run := func(plan *storm.FaultPlan) *storm.Result {
 				t.Helper()
 				env := testEnv(t)
-				top, err := buildWith(env, spec, def, def.Sources(env, 1), def.ColSources(env, 1), 0)
+				top, err := build(env, spec, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -5,7 +5,6 @@ import (
 
 	"datatrace/internal/compile"
 	"datatrace/internal/core"
-	"datatrace/internal/metrics"
 	"datatrace/internal/storm"
 	"datatrace/internal/stream"
 	"datatrace/internal/workload"
@@ -113,56 +112,35 @@ func (d Def) Reference(env *Env) (map[string][]stream.Event, error) {
 	return d.DAG(env, 1).Eval(map[string][]stream.Event{"yahoo": d.ReferenceInput(env)})
 }
 
-// Spec selects one benchmark run.
+// Spec selects one run: a query, its variant and its parallelism,
+// deployed with Options.
 type Spec struct {
 	// Query is the roman numeral.
 	Query string
 	// Variant picks generated or handcrafted.
 	Variant Variant
-	// Par is the per-stage parallelism.
+	// Par is the per-stage parallelism (≥1; 0 selects 1).
 	Par int
-	// SourcePar is the number of source partitions (≥1).
+	// SourcePar is the number of source partitions (≥1; 0 selects 1).
 	SourcePar int
-	// Recovery enables marker-cut checkpointing in the compiled
-	// topology (Generated variant only; handcrafted topologies use raw
-	// edges and have no marker cuts to recover to).
-	Recovery bool
-	// Obs enables the runtime observability subsystem (latency
-	// histograms, queue gauges, marker-lag tracking) with default
-	// sampling for the run.
-	Obs bool
-	// Transport, when set, overrides the batched edge transport
-	// configuration of the topology (both variants); nil keeps the
-	// runtime defaults.
-	Transport *storm.TransportOptions
-	// NoFuseChains disables the compiler's stateless chain-fusion pass
-	// (Generated variant only; the pass is on by default).
-	NoFuseChains bool
-	// NoCombiners disables the compiler's shuffle-side combiner pass
-	// (Generated variant only; the pass is on by default).
-	NoCombiners bool
-	// Rescale, when set, schedules live rescaling steps at marker cuts
-	// (requires Recovery; in-process runs only — networked runs rescale
-	// through storm.NetOptions.Rescale). Excluded from the networked
-	// payload: plans are coordinator-side state, not worker config.
-	Rescale *storm.RescalePlan `json:"-"`
-	// Autoscale, when set, attaches the feedback controller that issues
-	// rescales from queue-depth and latency telemetry (requires
-	// Recovery and Obs; in-process runs only).
-	Autoscale *storm.AutoscalePolicy `json:"-"`
+	// Options are the compiler's passes and the runtime knobs; nil
+	// selects compile.Defaults(). The Generated variant compiles with
+	// them; the Handcrafted one takes their runtime knobs (see
+	// compile.Options.Configure) and has no passes to run. Its bolts
+	// sit on raw edges and keep no snapshots: recovery covers only its
+	// sinks, and a rescale plan or autoscaler fails the run's upfront
+	// validation with the reason.
+	Options *compile.Options
 }
 
 // Run executes the selected query variant to completion on the
 // environment's workload and returns the runtime result.
 func Run(env *Env, spec Spec) (*storm.Result, error) {
-	def, err := ByName(spec.Query)
+	top, err := build(env, spec, nil)
 	if err != nil {
 		return nil, err
 	}
-	if spec.SourcePar < 1 {
-		spec.SourcePar = 1
-	}
-	return runWith(env, spec, def, def.Sources(env, spec.SourcePar), def.ColSources(env, spec.SourcePar))
+	return top.Run()
 }
 
 // RunOn executes the selected query variant on explicit per-partition
@@ -170,57 +148,37 @@ func Run(env *Env, spec Spec) (*storm.Result, error) {
 // conformance tests use it to feed permuted inputs; spec.SourcePar is
 // taken from len(parts).
 func RunOn(env *Env, spec Spec, parts [][]stream.Event) (*storm.Result, error) {
-	def, err := ByName(spec.Query)
-	if err != nil {
-		return nil, err
-	}
 	spec.SourcePar = len(parts)
-	sources := make([]workload.Iterator, len(parts))
-	for i, p := range parts {
-		sources[i] = workload.Iterator(storm.SliceSpout(p))
-	}
-	// Explicit event slices have no columnar source form; edges between
-	// compiled bolts are typed all the same.
-	return runWith(env, spec, def, sources, nil)
-}
-
-func runWith(env *Env, spec Spec, def Def, sources []workload.Iterator, cols []*workload.YahooColSource) (*storm.Result, error) {
-	top, err := buildWith(env, spec, def, sources, cols, 0)
+	top, err := build(env, spec, parts)
 	if err != nil {
 		return nil, err
 	}
 	return top.Run()
 }
 
-// buildWith constructs the selected variant's topology without
-// running it. workers > 0 places the executors (the networked runtime
-// builds with its worker count and serves its share; see netrun.go).
-// cols, when non-nil, provides the generator-backed columnar source
-// spouts the Generated variant prefers; explicit-input runs (RunOn)
-// pass nil and read their sources event by event.
-func buildWith(env *Env, spec Spec, def Def, sources []workload.Iterator, cols []*workload.YahooColSource, workers int) (*storm.Topology, error) {
-	if spec.Par < 1 {
-		spec.Par = 1
+// build constructs the selected variant's topology without running
+// it. parts, when non-nil, are explicit per-partition inputs (RunOn);
+// otherwise the sources are the environment's generator, which the
+// Generated variant reads as columnar source spouts.
+func build(env *Env, spec Spec, parts [][]stream.Event) (*storm.Topology, error) {
+	def, err := ByName(spec.Query)
+	if err != nil {
+		return nil, err
+	}
+	spec.Par, spec.SourcePar = max(spec.Par, 1), max(spec.SourcePar, 1)
+	var sources []workload.Iterator
+	var cols []*workload.YahooColSource
+	if parts == nil {
+		sources, cols = def.Sources(env, spec.SourcePar), def.ColSources(env, spec.SourcePar)
+	} else {
+		// Explicit event slices have no columnar source form; edges
+		// between compiled bolts are typed all the same.
+		for _, p := range parts {
+			sources = append(sources, workload.Iterator(storm.SliceSpout(p)))
+		}
 	}
 	switch spec.Variant {
 	case Generated:
-		dag := def.DAG(env, spec.Par)
-		opts := &compile.Options{
-			FuseSort:   true,
-			FuseChains: !spec.NoFuseChains,
-			Combiners:  !spec.NoCombiners,
-			Workers:    workers,
-		}
-		if spec.Recovery {
-			opts.Recovery = &storm.RecoveryPolicy{Enabled: true}
-		}
-		if spec.Obs {
-			cfg := metrics.DefaultObsConfig()
-			opts.Observability = &cfg
-		}
-		opts.Transport = spec.Transport
-		opts.Rescale = spec.Rescale
-		opts.Autoscale = spec.Autoscale
 		srcSpec := compile.SourceSpec{Parallelism: spec.SourcePar, Factory: func(i int) storm.Spout {
 			return storm.SpoutFunc(sources[i])
 		}}
@@ -228,27 +186,11 @@ func buildWith(env *Env, spec Spec, def Def, sources []workload.Iterator, cols [
 			srcSpec.Cols = cols[0].ColKind()
 			srcSpec.Factory = func(i int) storm.Spout { return cols[i] }
 		}
-		return compile.Compile(dag, map[string]compile.SourceSpec{"yahoo": srcSpec}, opts)
+		return compile.Compile(def.DAG(env, spec.Par), map[string]compile.SourceSpec{"yahoo": srcSpec}, spec.Options)
 	case Handcrafted:
 		top := def.Handcrafted(env, spec.Par, sources)
-		if spec.Obs {
-			top.SetObservability(metrics.DefaultObsConfig())
-		}
-		if spec.Transport != nil {
-			top.SetTransport(*spec.Transport)
-		}
-		// Handcrafted topologies use raw edges without marker-cut
-		// recovery, so an attached plan fails the run's upfront
-		// validation with the reason — set it anyway and let the runtime
-		// report it rather than silently dropping the request.
-		if spec.Rescale != nil {
-			top.SetRescalePlan(spec.Rescale)
-		}
-		if spec.Autoscale != nil {
-			top.SetAutoscale(spec.Autoscale)
-		}
-		if workers > 0 {
-			top.SetWorkers(workers)
+		if spec.Options != nil {
+			spec.Options.Configure(top)
 		}
 		return top, nil
 	default:

@@ -3,6 +3,7 @@ package queries
 import (
 	"testing"
 
+	"datatrace/internal/compile"
 	"datatrace/internal/storm"
 	"datatrace/internal/stream"
 )
@@ -13,7 +14,7 @@ import (
 func rescaleProbe(t *testing.T, def Def, spec Spec) (target string, components []string) {
 	t.Helper()
 	env := testEnv(t)
-	top, err := buildWith(env, spec, def, def.Sources(env, spec.SourcePar), def.ColSources(env, spec.SourcePar), 0)
+	top, err := build(env, spec, nil)
 	if err != nil {
 		t.Fatalf("probe build: %v", err)
 	}
@@ -67,7 +68,9 @@ func TestRescaleEquivalenceDifferential(t *testing.T) {
 			env := testEnv(t)
 			sinkType := def.SinkType(env)
 			base := Spec{Query: def.Name, Variant: Generated, SourcePar: 2,
-				Recovery: true, NoCombiners: true}
+				Options: optionsFrom(nil, func(o *compile.Options) {
+					o.Recovery, o.Combiners = &storm.RecoveryPolicy{Enabled: true}, false
+				})}
 
 			probeSpec := base
 			probeSpec.Par = 2
@@ -86,8 +89,9 @@ func TestRescaleEquivalenceDifferential(t *testing.T) {
 				for _, batch := range []int{1, 64} {
 					spec := base
 					spec.Par = sc.par
-					spec.Transport = &storm.TransportOptions{BatchSize: batch}
-					spec.Rescale = sc.plan(target)
+					spec.Options = optionsFrom(base.Options, func(o *compile.Options) {
+						o.Transport, o.Rescale = &storm.TransportOptions{BatchSize: batch}, sc.plan(target)
+					})
 					runEnv := testEnv(t)
 					res, err := Run(runEnv, spec)
 					if err != nil {

@@ -39,8 +39,8 @@ import (
 // Injected edge faults count the rows folded, not the aggregates drained.
 
 // DefaultCombinerCap is the per-destination distinct-key capacity of
-// a combining buffer when the compile layer's CombinerCap is zero; the
-// storm layer itself requires an explicit positive Cap.
+// the combining buffers the compiler installs; the storm layer itself
+// requires an explicit positive Cap.
 const DefaultCombinerCap = 1024
 
 // ColCombinerSpec configures sender-side combining on one input edge

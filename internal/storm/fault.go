@@ -249,8 +249,8 @@ type RecoveryPolicy struct {
 	OnUnrecoverable Degradation
 	// Logf, when set, receives one line per restart/degradation (e.g.
 	// log.Printf). nil discards the log; the counters in Stats record
-	// the events either way.
-	Logf func(format string, args ...any)
+	// the events either way. Not serialised.
+	Logf func(format string, args ...any) `json:"-"`
 }
 
 func (p RecoveryPolicy) maxRestarts() int { return positiveOr(p.MaxRestarts, 5) }

@@ -94,9 +94,6 @@ func (p *RescalePlan) RescaleAt(component string, newPar int, atCut int64) *Resc
 	return p
 }
 
-// Steps returns the scheduled steps (for tooling).
-func (p *RescalePlan) Steps() []RescaleStep { return append([]RescaleStep(nil), p.steps...) }
-
 // validate checks the plan against the declared topology.
 func (p *RescalePlan) validate(t *Topology) error {
 	var last int64

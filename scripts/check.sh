@@ -23,7 +23,7 @@ echo "== internal/storm and internal/core line-count ratchets =="
 # Non-test lines of the runtime and of the template core are tracked
 # metrics (ROADMAP aim 2): they may only go down. Lower a *_LINES_MAX
 # with the PR that shrinks its package.
-STORM_LINES_MAX=5112
+STORM_LINES_MAX=5107
 CORE_LINES_MAX=2718
 for ratchet in "internal/storm $STORM_LINES_MAX" "internal/core $CORE_LINES_MAX"; do
     set -- $ratchet
